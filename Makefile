@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig faultsweep onlinesweep churnsweep fusionsweep bench-closure bench bench-json bench-diff check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig faultsweep onlinesweep churnsweep fusionsweep bench-closure bench bench-json bench-gate bench-test bench-diff check
 
 build:
 	$(GO) build ./...
@@ -110,14 +110,28 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Benchmark-trajectory harness: micro hot-path costs + serial-vs-parallel
-# suite timings + table byte-identity check, recorded to BENCH_10.json.
+# suite timings + table byte-identity check, recorded to BENCH_$(PR).json.
+# PR names the record and is required, so no run overwrites an older one:
+# `make bench-json PR=<n>` writes BENCH_<n>.json.
 bench-json: build
-	$(GO) run ./cmd/dmacp bench -o BENCH_10.json
+	@[ -n "$(PR)" ] || { echo "bench-json: set PR=<n>; the record is written to BENCH_<n>.json"; exit 2; }
+	$(GO) run ./cmd/dmacp bench -o BENCH_$(PR).json
+
+# The pre-PR form of bench-json: the same harness and table byte-identity
+# gate, with the record written to a temporary file that is then removed, so
+# the gate never touches a committed BENCH_*.json.
+bench-gate: build
+	@out=$$(mktemp); $(GO) run ./cmd/dmacp bench -o "$$out"; st=$$?; rm -f "$$out"; exit $$st
+
+# The benchmark module's own tests: bench/ is a separate Go module, so the
+# root `go test ./...` never runs its determinism and movement checks.
+bench-test:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Trajectory guard: diff the two newest BENCH_*.json records and fail on any
 # per-metric regression above 10% (ns/op, allocs/op, B/op, suite seconds).
 bench-diff: build
 	$(GO) run ./cmd/experiments -bench-diff
 
-check: build vet lint staticcheck test race verifybig faultsweep onlinesweep churnsweep fusionsweep bench-json
+check: build vet lint staticcheck test race verifybig faultsweep onlinesweep churnsweep fusionsweep bench-test bench-gate
 	@echo "check: all gates passed"

@@ -17,6 +17,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"dmacp/internal/cache"
 	"dmacp/internal/core"
@@ -90,7 +91,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	}
 	if opts.Predictor != nil {
 		// Use a private clone so the caller's predictor state is untouched
-		// (the optimized pipeline does the same per pass).
+		// (the optimized pipeline does the same once per nest).
 		opts.Predictor = opts.Predictor.Fresh()
 	}
 
@@ -178,6 +179,8 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	// per node suffices: earlier same-node readers are implied by the
 	// per-node program order the simulator preserves.
 	lastReaders := make(map[uint64]map[mesh.NodeID]int)
+	// readerNodes is the reused buffer the WAR scan sorts reader nodes in.
+	var readerNodes []mesh.NodeID
 	addWait := func(t *core.Task, producer int) {
 		for _, p := range t.WaitFor {
 			if p == producer {
@@ -248,27 +251,36 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			})
 			movement += opts.Mesh.Distance(node, storeLL.Home)
 			l1[node].Access(storeLL.Line)
-			// Write-invalidate: the store kills every remote shadow-L1 copy
-			// of the output line, so a later read on another core refetches
-			// instead of claiming a hit on a stale copy (which the verifier
-			// now rejects as a Violation).
-			for i := range l1 {
-				if mesh.NodeID(i) != node {
-					l1[i].Invalidate(storeLL.Line)
-				}
-			}
 			t.ResultLine = storeLL.Line
 			// Output ordering: the RFO and store of the output line must
 			// follow its previous writer (WAW) and every read issued from
 			// another core since that write (WAR). Same-core predecessors are
 			// ordered by the per-core program order the simulator preserves;
-			// node IDs are scanned in order for deterministic emission.
+			// readers are visited in ascending node order for deterministic
+			// emission.
+			//
+			// Write-invalidate: the store also kills every remote shadow-L1
+			// copy of the output line, so a later read on another core
+			// refetches instead of claiming a hit on a stale copy (which the
+			// verifier rejects as a Violation). Only the cores ordered here
+			// can hold a copy: every shadow-L1 insert is either a read,
+			// recorded in lastReaders until the line's next write, or the
+			// previous writer's store, whose core kept its copy.
 			if w, okw := lastWriter[storeLL.Line]; okw && sched.Tasks[w].Node != node {
 				addWait(t, w)
+				l1[sched.Tasks[w].Node].Invalidate(storeLL.Line)
 			}
-			for n := mesh.NodeID(0); int(n) < opts.Mesh.Nodes(); n++ {
-				if r, okr := lastReaders[storeLL.Line][n]; okr && n != node {
-					addWait(t, r)
+			if readers := lastReaders[storeLL.Line]; len(readers) > 0 {
+				readerNodes = readerNodes[:0]
+				for n := range readers {
+					readerNodes = append(readerNodes, n)
+				}
+				slices.Sort(readerNodes)
+				for _, n := range readerNodes {
+					if n != node {
+						addWait(t, readers[n])
+						l1[n].Invalidate(storeLL.Line)
+					}
 				}
 			}
 			// Record this instance's reads, then supersede all readers of the

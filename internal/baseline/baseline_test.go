@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"testing"
 
 	"dmacp/internal/core"
@@ -244,5 +245,39 @@ func TestBaselineScheduleValidates(t *testing.T) {
 	}
 	if err := core.ValidateSchedule(res.Schedule, o.Mesh); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPlace times the default placement of one nest on a 6x6 and a
+// 32x32 mesh; at 32x32 the per-store holder scans dominate.
+func BenchmarkPlace(b *testing.B) {
+	stmts, err := ir.ParseStatements("A(i) = B(i)+C(i)+D(i)+E(i)\nX(i) = Y(i)+C(i)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nest := &ir.Nest{
+		Name:  "bench",
+		Loops: []ir.Loop{{Var: "i", Lower: 0, Upper: 4096, Step: 1}},
+		Body:  stmts,
+	}
+	prog := ir.NewProgram()
+	prog.DeclareFromNest(nest, 1<<14, 8)
+	store := ir.NewStore(prog)
+	store.FillRandom(prog, 2)
+	for _, side := range []int{6, 32} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			m := mesh.MustNew(side, side)
+			_ = m.DistanceTable()
+			o := core.DefaultOptions()
+			o.Mesh = m
+			o.Layout.L2Banks = m.Nodes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Place(prog, nest, store, o, ProfiledLocality); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -140,25 +140,29 @@ func TestPartitionerSuiteSchedulesVerify(t *testing.T) {
 }
 
 // TestBaselineSuiteSchedulesVerify does the same for every baseline strategy.
+// The accumulator moves its output line from core to core, so a stale copy
+// left on an earlier writer's core would surface as a hit on a later chunk.
 func TestBaselineSuiteSchedulesVerify(t *testing.T) {
-	prog, nest, store := extKernel(t, "A(i) = B(i)+C(i)\nB(i) = A(i)+C(i)", 48)
-	opts := core.DefaultOptions()
-	for _, strat := range []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine} {
-		res, err := baseline.Place(prog, nest, store, opts, strat)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: nest, Store: store,
-			Schedule: res.Schedule, Mesh: opts.Mesh, Layout: opts.Layout,
-			Translations: res.Translations,
-		}, verify.Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if !rep.Clean() {
-			t.Errorf("%v: baseline schedule not dependence-preserving:\n%s\n%v",
-				strat, rep.Summary(), rep.Lines())
+	for _, src := range []string{"A(i) = B(i)+C(i)\nB(i) = A(i)+C(i)", "S(0) = S(0)+A(i)"} {
+		prog, nest, store := extKernel(t, src, 48)
+		opts := core.DefaultOptions()
+		for _, strat := range []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine} {
+			res, err := baseline.Place(prog, nest, store, opts, strat)
+			if err != nil {
+				t.Fatalf("%q %v: %v", src, strat, err)
+			}
+			rep, err := verify.Check(verify.Input{
+				Prog: prog, Nest: nest, Store: store,
+				Schedule: res.Schedule, Mesh: opts.Mesh, Layout: opts.Layout,
+				Translations: res.Translations,
+			}, verify.Options{})
+			if err != nil {
+				t.Fatalf("%q %v: %v", src, strat, err)
+			}
+			if !rep.Clean() {
+				t.Errorf("%q %v: baseline schedule not dependence-preserving:\n%s\n%v",
+					src, strat, rep.Summary(), rep.Lines())
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dmacp/internal/cache"
 	"dmacp/internal/fusion"
@@ -76,7 +77,7 @@ type Result struct {
 	// LineLabels names each cache line after the first reference that
 	// touched it ("B[24]"); code generation renders schedules with them.
 	LineLabels map[uint64]string
-	// Translations is the VA-page -> PA-page table the chosen pass's
+	// Translations is the VA-page -> PA-page table the location pass's
 	// page-colored allocator established. Address translation is
 	// first-touch-order dependent, so any independent pass that needs the
 	// schedule's line addresses (the verifier) must replay this table.
@@ -150,25 +151,27 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	if fmap != nil {
 		res.FusedNest = schedNest
 	}
-	// Window-size trials are independent: each pass owns its locator, shadow
-	// caches and predictor copy, and only reads prog/nest/store (the inspector
-	// already ran above). They fan out on the worker pool; results land in
-	// indexed slots and are folded in window order below, so the selected pass
-	// — first minimum in window order — matches the serial sweep exactly.
+	// Location detection depends only on reference order, never on the
+	// window, so it runs once, serially, before the sweep.
+	tr, err := locateNest(prog, schedNest, store, &opts)
+	if err != nil {
+		return nil, err
+	}
+	// Window-size trials are independent: they share the location trace
+	// read-only, and each pass owns only its shadow L1s and emission state.
+	// They fan out on the worker pool; results land in indexed slots and are
+	// folded in window order below, so the selected pass — first minimum in
+	// window order — matches the serial sweep exactly.
 	sizes := opts.windowSizes()
 	prs := make([]*passResult, len(sizes))
-	errs := make([]error, len(sizes))
 	if len(sizes) == 1 {
 		// Singleton window set (FixedWindow, or MaxWindow=1): there is no
 		// sweep to fan out, so skip the worker-pool scaffolding and run the
 		// single pass inline on the calling goroutine.
-		prs[0], errs[0] = runPass(prog, schedNest, store, &opts, sizes[0])
+		prs[0] = runPass(tr, &opts, sizes[0])
 	} else if err := par.ForEach(opts.Jobs, len(sizes), func(i int) {
-		prs[i], errs[i] = runPass(prog, schedNest, store, &opts, sizes[i])
+		prs[i] = runPass(tr, &opts, sizes[i])
 	}); err != nil {
-		return nil, err
-	}
-	if err := par.FirstError(errs); err != nil {
 		return nil, err
 	}
 	var best *passResult
@@ -179,14 +182,28 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 			best = pr
 		}
 	}
+
+	// Selection reads only TotalMovement, which sync reduction never
+	// changes, so only the winning schedule is reduced. Both emitters report
+	// deduplicated sync counts: arcs dropped as exact duplicates and arcs
+	// eliminated by transitive reduction are subtracted, so SyncsAfter is
+	// exactly the number of arcs the simulator charges.
+	sched := best.schedule
+	deduped := DedupeWaits(sched.Tasks)
+	removed := ReduceSyncs(sched.Tasks)
+	sched.SyncsAfter = max(sched.SyncsBefore-deduped-removed, 0)
+	if sched.Instances > 0 {
+		best.stats.SyncsPerStatement = float64(sched.SyncsAfter) / float64(sched.Instances)
+	}
+
 	res.WindowSize = best.window
-	res.Schedule = best.schedule
+	res.Schedule = sched
 	res.Stats = best.stats
-	res.AnalyzableFraction = best.analyzable
-	res.PredictorAccuracy = best.predAccuracy
+	res.AnalyzableFraction = tr.analyzable
+	res.PredictorAccuracy = tr.predAccuracy
 	res.OffloadMix = best.offloadMix
-	res.LineLabels = best.labels
-	res.Translations = best.translations
+	res.LineLabels = tr.labels
+	res.Translations = tr.translations
 	if opts.Verify != nil {
 		if err := opts.Verify(prog, nest, store, &opts, res); err != nil {
 			return nil, fmt.Errorf("core: schedule verification: %w", err)
@@ -197,14 +214,10 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 
 // passResult is one window-size trial.
 type passResult struct {
-	window       int
-	schedule     *Schedule
-	stats        Stats
-	analyzable   float64
-	predAccuracy float64
-	offloadMix   map[ir.OpClass]int
-	labels       map[uint64]string
-	translations map[uint64]uint64
+	window     int
+	schedule   *Schedule
+	stats      Stats
+	offloadMix map[ir.OpClass]int
 }
 
 // stmtPre caches the per-statement invariants of the scheduling loop: the
@@ -218,6 +231,107 @@ type stmtPre struct {
 	opWeight float64
 }
 
+// locTrace is the window-invariant half of Algorithm 1: data location
+// detection (Section 4.1) for every reference instance of a nest. L2
+// residency, prediction, page allocation and line labels depend only on the
+// order references are located in, never on the statement window, so one
+// serial pass before the sweep serves every trial. The passes read the trace
+// concurrently and never write it.
+type locTrace struct {
+	pre []stmtPre
+	// stores[k] locates instance k's output, k = iter*len(pre) + stmt.
+	stores []LineLoc
+	// leaves locates every instance's input leaves in pre[stmt].leaves
+	// order; instance (iter, stmt) starts at iter*perIter + prefix[stmt].
+	leaves  []LineLoc
+	prefix  []int
+	perIter int
+
+	analyzable   float64
+	predAccuracy float64
+	labels       map[uint64]string
+	translations map[uint64]uint64
+}
+
+// leavesOf returns the located input leaves of instance (iter, stmt).
+func (tr *locTrace) leavesOf(iter, stmt int) []LineLoc {
+	off := iter*tr.perIter + tr.prefix[stmt]
+	return tr.leaves[off : off+len(tr.pre[stmt].leaves)]
+}
+
+// locateNest builds the location trace of a nest: one locator and one
+// untrained predictor clone (the caller's predictor stays untouched) visit
+// each instance's output, then its input leaves, in program order.
+func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options) (*locTrace, error) {
+	locOpts := *opts
+	if opts.Predictor != nil {
+		locOpts.Predictor = opts.Predictor.Fresh()
+	}
+	loc, err := NewLocator(&locOpts)
+	if err != nil {
+		return nil, err
+	}
+
+	// Statement-shape invariants — the nested variable sets, leaf list, op mix
+	// and op weight depend only on the statement, not the iteration — are
+	// computed once per statement instead of once per instance. The mix map is
+	// shared across instances; emitTasks only reads it.
+	body := nest.Body
+	m := len(body)
+	tr := &locTrace{pre: make([]stmtPre, m), prefix: make([]int, m)}
+	for i, stmt := range body {
+		set := ir.NestedSets(stmt.RHS)
+		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
+		p.opWeight = 1.0
+		if p.ops > 0 {
+			p.opWeight = float64(stmt.OpCount(opts.DivWeight)) / float64(p.ops)
+		}
+		tr.pre[i] = p
+		tr.prefix[i] = tr.perIter
+		tr.perIter += len(p.leaves)
+	}
+
+	iters := nest.Iterations()
+	tr.stores = make([]LineLoc, iters*m)
+	tr.leaves = make([]LineLoc, iters*tr.perIter)
+	var env map[string]int
+	for iter := 0; iter < iters; iter++ {
+		env = nest.IterationEnvInto(env, iter)
+		for s, stmt := range body {
+			storeLoc, ok := loc.LocateRef(prog, stmt.LHS, env, store)
+			if !ok {
+				// Unresolvable output (indirect without runtime info): anchor
+				// at the array's base location.
+				arr := prog.Array(stmt.LHS.Array)
+				if arr == nil {
+					return nil, fmt.Errorf("core: statement %q writes undeclared array", stmt)
+				}
+				storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
+			}
+			tr.stores[iter*m+s] = storeLoc
+			leaves := tr.leavesOf(iter, s)
+			for li, ref := range tr.pre[s].leaves {
+				ll, ok := loc.LocateRef(prog, ref, env, store)
+				if !ok {
+					// Unresolvable input: conservatively co-locate it with
+					// the statement's store.
+					ll = LineLoc{Line: storeLoc.Line, Home: storeLoc.Home, MC: storeLoc.MC,
+						PredictedHit: true, ActualHit: true}
+				}
+				leaves[li] = ll
+			}
+		}
+	}
+
+	tr.analyzable = loc.AnalyzableFraction()
+	tr.labels = loc.LineLabels()
+	tr.translations = loc.Allocator().Pages()
+	if locOpts.Predictor != nil {
+		tr.predAccuracy = locOpts.Predictor.Accuracy()
+	}
+	return tr, nil
+}
+
 // passScratch owns the reusable working storage of one scheduling pass's
 // instance loop. A pass runs on exactly one worker goroutine, so the scratch
 // obeys the par ownership rule by construction; every buffer is overwritten
@@ -228,11 +342,11 @@ type passScratch struct {
 	an      PlanAnalysis
 	// taskOf is emitTasks' vertex -> task table.
 	taskOf []*Task
-	// env is the reused iteration environment.
-	env map[string]int
 	// readerPool recycles the per-line reader maps that write-invalidation
 	// retires (delete from lastReaders) back to later lines.
 	readerPool []map[mesh.NodeID]int
+	// readerNodes holds the WAR scan's reader nodes, sorted.
+	readerNodes []mesh.NodeID
 	// reuseBuf[l] backs the reuse-candidate list of the instance's l-th leaf.
 	reuseBuf [][]mesh.NodeID
 }
@@ -247,30 +361,22 @@ func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
 	return make(map[mesh.NodeID]int)
 }
 
-// runPass performs one complete scheduling pass over the nest with a fixed
-// statement-window size.
-func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, window int) (*passResult, error) {
-	passOpts := *opts
-	if opts.Predictor != nil {
-		passOpts.Predictor = opts.Predictor.Fresh()
-	}
-	loc, err := NewLocator(&passOpts)
-	if err != nil {
-		return nil, err
-	}
-
+// runPass performs one complete scheduling pass over the located nest with a
+// fixed statement-window size. Sync reduction is left to the caller, which
+// applies it to the selected pass only.
+func runPass(tr *locTrace, opts *Options, window int) *passResult {
 	// Per-node L1 shadow caches model reuse validity and pollution.
-	l1 := make([]*cache.Cache, passOpts.Mesh.Nodes())
+	l1 := make([]*cache.Cache, opts.Mesh.Nodes())
 	for i := range l1 {
 		l1[i] = cache.MustNew(cache.Config{
-			SizeBytes: passOpts.L1Bytes,
-			LineBytes: passOpts.Layout.LineBytes,
-			Ways:      passOpts.L1Ways,
+			SizeBytes: opts.L1Bytes,
+			LineBytes: opts.Layout.LineBytes,
+			Ways:      opts.L1Ways,
 		})
 	}
 
 	sched := &Schedule{}
-	lt := newLoadTracker(passOpts.Mesh.Nodes(), passOpts.LoadThreshold)
+	lt := newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold)
 	// variable2node: which nodes fetched a line earlier in the current
 	// window (Algorithm 1 line 34). Cleared at window boundaries.
 	varMap := make(map[uint64][]mesh.NodeID)
@@ -283,37 +389,21 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 	// order, so one reader per node suffices.
 	lastReaders := make(map[uint64]map[mesh.NodeID]int)
 
-	body := nest.Body
-	m := len(body)
-	instances := nest.Iterations() * m
+	m := len(tr.pre)
+	instances := len(tr.stores)
 	sched.Instances = instances
 
 	stats := Stats{Instances: instances}
 	offload := make(map[ir.OpClass]int)
 	var sumPar, sumSub float64
 
-	// Statement-shape invariants — the nested variable sets, leaf list, op mix
-	// and op weight depend only on the statement, not the iteration — are
-	// computed once per statement instead of once per instance. The mix map is
-	// shared across instances; emitTasks only reads it.
-	dt := passOpts.Mesh.DistanceTable()
-	pre := make([]stmtPre, m)
-	for i, stmt := range body {
-		set := ir.NestedSets(stmt.RHS)
-		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
-		p.opWeight = 1.0
-		if p.ops > 0 {
-			p.opWeight = float64(stmt.OpCount(passOpts.DivWeight)) / float64(p.ops)
-		}
-		pre[i] = p
-	}
+	dt := opts.Mesh.DistanceTable()
 	// infos is keyed by leaf ref and fully rebuilt per instance; reusing one
 	// map (and one lookup closure) avoids re-allocating it per instance.
 	infos := make(map[*ir.Ref]operandInfo)
 	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
 	sc := &passScratch{builder: planBuilder{dt: dt}}
 
-	var env map[string]int
 	for k := 0; k < instances; k++ {
 		if k%window == 0 {
 			// New window: the compiler's reuse map does not cross windows
@@ -322,38 +412,18 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		}
 		iter := k / m
 		stmtIdx := k % m
-		if stmtIdx == 0 {
-			env = nest.IterationEnvInto(env, iter)
-		}
-		stmt := body[stmtIdx]
+		storeLoc := tr.stores[k]
 
-		// Locate the store (output home).
-		storeLoc, ok := loc.LocateRef(prog, stmt.LHS, env, store)
-		if !ok {
-			// Unresolvable output (indirect without runtime info): anchor at
-			// the array's base location.
-			arr := prog.Array(stmt.LHS.Array)
-			if arr == nil {
-				return nil, fmt.Errorf("core: statement %q writes undeclared array", stmt)
-			}
-			storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
-		}
-
-		// Locate every input leaf; attach in-window L1 copies as candidate
-		// reuse nodes if the shadow L1 still holds them.
-		ps := &pre[stmtIdx]
+		// Attach in-window L1 copies of every located input leaf as
+		// candidate reuse nodes if the shadow L1 still holds them.
+		ps := &tr.pre[stmtIdx]
 		clear(infos)
 		for gr := len(sc.reuseBuf); gr < len(ps.leaves); gr++ {
 			sc.reuseBuf = append(sc.reuseBuf, nil)
 		}
-		for li, ref := range ps.leaves {
-			ll, ok := loc.LocateRef(prog, ref, env, store)
-			if !ok {
-				ll = LineLoc{Line: storeLoc.Line, Home: storeLoc.Home, MC: storeLoc.MC,
-					PredictedHit: true, ActualHit: true}
-			}
+		for li, ll := range tr.leavesOf(iter, stmtIdx) {
 			info := operandInfo{loc: ll}
-			if passOpts.ReuseAware {
+			if opts.ReuseAware {
 				// The candidate list lives in per-leaf scratch: it is only
 				// read while this instance's plan is built.
 				buf := sc.reuseBuf[li][:0]
@@ -367,7 +437,7 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 					info.reuseNodes = buf
 				}
 			}
-			infos[ref] = info
+			infos[ps.leaves[li]] = info
 		}
 
 		plan := sc.builder.build(ps.set, lookup, storeLoc)
@@ -399,12 +469,18 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		// Inter-statement anti dependences (WAR): the root's store must not
 		// overtake earlier reads of the output line issued from other nodes.
 		// Same-node readers are already ordered by the per-node program order
-		// the simulator and codegen preserve, so they need no arc; node IDs
-		// are scanned in order to keep emission deterministic.
+		// the simulator and codegen preserve, so they need no arc; readers
+		// are visited in ascending node order to keep emission deterministic.
 		if readers := lastReaders[storeLoc.Line]; len(readers) > 0 {
-			for n := mesh.NodeID(0); int(n) < passOpts.Mesh.Nodes(); n++ {
-				if r, ok := readers[n]; ok && n != root.Node {
-					root.addWait(r, dt.Between(n, root.Node))
+			keys := sc.readerNodes[:0]
+			for n := range readers {
+				keys = append(keys, n)
+			}
+			slices.Sort(keys)
+			sc.readerNodes = keys
+			for _, n := range keys {
+				if n != root.Node {
+					root.addWait(readers[n], dt.Between(n, root.Node))
 					sched.SyncsBefore++
 				}
 			}
@@ -446,15 +522,19 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		// line in both copy models — the shadow L1s and the reuse map — so
 		// no later statement plans an L1 reuse from a pre-write copy. The
 		// verifier replays the same model and rejects stale hits outright.
+		// Only the recorded readers can hold a remote copy: every shadow-L1
+		// insert is either a fetch, recorded in lastReaders until the line's
+		// next write, or the store at the line's home, which keeps its copy.
 		if retired := lastReaders[storeLoc.Line]; retired != nil {
+			//lint:dmacp-allow maporder each invalidation touches only its own node's L1
+			for n := range retired {
+				if n != storeLoc.Home {
+					l1[n].Invalidate(storeLoc.Line)
+				}
+			}
 			clear(retired)
 			sc.readerPool = append(sc.readerPool, retired)
 			delete(lastReaders, storeLoc.Line)
-		}
-		for n := range l1 {
-			if mesh.NodeID(n) != storeLoc.Home {
-				l1[n].Invalidate(storeLoc.Line)
-			}
 		}
 		l1[storeLoc.Home].Access(storeLoc.Line)
 		varMap[storeLoc.Line] = appendNode(varMap[storeLoc.Line][:0], storeLoc.Home)
@@ -480,20 +560,9 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		}
 	}
 
-	// Both emitters report deduplicated sync counts: arcs dropped as exact
-	// duplicates and arcs eliminated by transitive reduction are subtracted,
-	// so SyncsAfter is exactly the number of arcs the simulator charges.
-	deduped := DedupeWaits(sched.Tasks)
-	removed := ReduceSyncs(sched.Tasks)
-	sched.SyncsAfter = sched.SyncsBefore - deduped - removed
-	if sched.SyncsAfter < 0 {
-		sched.SyncsAfter = 0
-	}
-
 	if instances > 0 {
 		stats.AvgMovement = float64(stats.TotalMovement) / float64(instances)
 		stats.AvgParallelism = sumPar / float64(instances)
-		stats.SyncsPerStatement = float64(sched.SyncsAfter) / float64(instances)
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
 	var l1Stats cache.Stats
@@ -505,19 +574,7 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 	stats.L1HitRate = l1Stats.HitRate()
 	stats.Imbalance = lt.Imbalance()
 
-	pr := &passResult{
-		window:       window,
-		schedule:     sched,
-		stats:        stats,
-		analyzable:   loc.AnalyzableFraction(),
-		offloadMix:   offload,
-		labels:       loc.LineLabels(),
-		translations: loc.Allocator().Pages(),
-	}
-	if passOpts.Predictor != nil {
-		pr.predAccuracy = passOpts.Predictor.Accuracy()
-	}
-	return pr, nil
+	return &passResult{window: window, schedule: sched, stats: stats, offloadMix: offload}
 }
 
 // countTasks returns how many tasks the analyzed plan emits (vertices with

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dmacp/internal/ir"
@@ -126,9 +127,16 @@ func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 	if len(a.Schedule.Tasks) != len(b.Schedule.Tasks) {
 		t.Fatalf("task counts differ: %d vs %d", len(a.Schedule.Tasks), len(b.Schedule.Tasks))
 	}
+	if a.Schedule.SyncsBefore != b.Schedule.SyncsBefore || a.Schedule.SyncsAfter != b.Schedule.SyncsAfter {
+		t.Errorf("jobs changed sync counts: %d->%d vs %d->%d", a.Schedule.SyncsBefore,
+			a.Schedule.SyncsAfter, b.Schedule.SyncsBefore, b.Schedule.SyncsAfter)
+	}
+	// Sync reduction runs on the selected pass after the fan-out, so compare
+	// the surviving arcs and the fetches themselves, not just their counts.
 	for i := range a.Schedule.Tasks {
 		ta, tb := a.Schedule.Tasks[i], b.Schedule.Tasks[i]
-		if ta.Node != tb.Node || ta.Ops != tb.Ops || len(ta.WaitFor) != len(tb.WaitFor) {
+		if ta.Node != tb.Node || ta.Ops != tb.Ops || !slices.Equal(ta.WaitFor, tb.WaitFor) ||
+			!slices.Equal(ta.WaitHops, tb.WaitHops) || !slices.Equal(ta.Fetches, tb.Fetches) {
 			t.Fatalf("task %d differs: %+v vs %+v", i, ta, tb)
 		}
 	}
@@ -248,8 +256,8 @@ func TestPartitionWithPredictorReportsAccuracy(t *testing.T) {
 	if res.PredictorAccuracy <= 0 || res.PredictorAccuracy > 1 {
 		t.Errorf("predictor accuracy = %v", res.PredictorAccuracy)
 	}
-	// The shared option's predictor must stay untouched by the trial passes
-	// (each pass uses a fresh clone).
+	// The shared option's predictor must stay untouched by the sweep (the
+	// location pass trains a fresh clone).
 	if o.Predictor.Observations() != 0 {
 		t.Errorf("shared predictor polluted: %d observations", o.Predictor.Observations())
 	}

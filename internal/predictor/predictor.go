@@ -135,8 +135,9 @@ func (p *Predictor) Train(addrs []uint64) {
 }
 
 // Fresh returns a new, untrained predictor with the same configuration;
-// the partitioner's window-size search uses one per trial pass so that the
-// final pass's accuracy accounting is not polluted.
+// the partitioner's location pass uses one per nest, shared by every
+// window-size trial, so that the caller's predictor is never trained and the
+// reported accuracy covers exactly one pass over the nest.
 func (p *Predictor) Fresh() *Predictor {
 	return MustNew(p.cfg)
 }

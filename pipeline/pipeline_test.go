@@ -265,3 +265,26 @@ func TestCheckSchedulesClean(t *testing.T) {
 		t.Errorf("schedules named %v, want optimized and default", names)
 	}
 }
+
+// TestCheckAppSchedulesLargeMesh verifies both schedules of every workload on
+// a 16x16 mesh. Write-invalidation and WAR ordering visit only a line's
+// recorded holders, which is easy to get wrong only where most nodes never
+// touch a given line; small meshes cannot tell the two apart.
+func TestCheckAppSchedulesLargeMesh(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MeshCols, cfg.MeshRows = 16, 16
+	for _, name := range WorkloadNames() {
+		checks, err := CheckAppSchedules(name, 32, 4096, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(checks) == 0 {
+			t.Errorf("%s: no schedules checked", name)
+		}
+		for _, c := range checks {
+			if !c.Clean {
+				t.Errorf("%s not clean: %s\n%v", c.Schedule, c.Summary, c.Diagnostics)
+			}
+		}
+	}
+}
