@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig faultsweep onlinesweep churnsweep fusionsweep bench-closure bench bench-json bench-gate bench-test bench-diff check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates bench-closure bench bench-json bench-gate bench-test bench-diff check
 
 build:
 	$(GO) build ./...
@@ -73,32 +73,28 @@ verify: build
 verifybig:
 	$(GO) test ./internal/verify/ -run TestVerifyBigSchedule -count=1 -v
 
-# Deterministic seeded fault sweep over all 12 workloads: every repaired
-# schedule must verify clean and movement must degrade monotonically.
-faultsweep:
-	$(GO) test ./internal/exp/ -run TestFaultSweepAllWorkloadsRepairClean -count=1
+# The differential gates, each over its full suite:
+#   verifydiff   random programs x every scheduler variant verify clean
+#   faultsweep   seeded fault ladder over all 12 workloads: every repaired
+#                schedule verifies clean, movement degrades monotonically
+#   onlinesweep  every mid-run fault event repairs verifier-clean, batched
+#                reassignment never loses to greedy (strictly wins on >= 3
+#                workloads), re-repair beats re-partition-from-scratch
+#   churnsweep   recovery events re-integrate verifier-clean and only when the
+#                movement accounting wins; kill/revive loops cannot thrash;
+#                deadline probes return verifier-clean incumbents
+#   fusionsweep  fused schedules verify clean and execute identically, fused
+#                bytes x hops <= unfused everywhere (strictly on >= 4)
+# plus each gate's byte-identity at -j 1 vs -j 8.
+GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
+	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
+	TestVerifyDifferentialDeterministicAcrossJobs TestFaultSweepDeterministicAcrossJobs \
+	TestOnlineSweepJobsDeterminism TestChurnSweepJobsDeterminism TestFusionSweepJobsDeterminism
+empty :=
+space := $(empty) $(empty)
 
-# Online fault-arrival gate over all 12 workloads: every mid-run fault event
-# must be repaired into a verifier-clean residual schedule, batched min-cost
-# reassignment must never lose to the greedy baseline (and win strictly on
-# >= 3 workloads), and checkpointed re-repair must beat re-partition-from-
-# scratch on mean total movement.
-onlinesweep:
-	$(GO) test ./internal/exp/ -run TestOnlineSweepGate -count=1
-
-# Fault-churn resilience gate over all 12 workloads: recovery events deliver
-# verifier-clean re-integration (accepted only when the movement accounting
-# wins), kill/revive churn loops prove the no-thrash bound, and deadline
-# probes prove anytime repair returns a verifier-clean incumbent.
-churnsweep:
-	$(GO) test ./internal/exp/ -run TestChurnSweepGate -count=1
-
-# Fusion differential gate over all 12 workloads: every fused schedule must
-# verify clean, fused bytes x hops must be <= unfused on every workload with
-# a strict improvement on >= 4, and fused partitioning must stay
-# byte-identical at any -j.
-fusionsweep:
-	$(GO) test ./internal/exp/ -run 'TestFusionSweep|TestRunnerFusionSweepExperiment' -count=1
+gates:
+	$(GO) test ./internal/exp/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
 
 # Closure construction/query microbenchmarks, interval index vs the bitset
 # reference (numbers recorded in EXPERIMENTS.md).
@@ -133,5 +129,5 @@ bench-test:
 bench-diff: build
 	$(GO) run ./cmd/experiments -bench-diff
 
-check: build vet lint staticcheck test race verifybig faultsweep onlinesweep churnsweep fusionsweep bench-test bench-gate
+check: build vet lint staticcheck test race verifybig gates bench-test bench-gate
 	@echo "check: all gates passed"

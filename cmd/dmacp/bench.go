@@ -5,8 +5,9 @@ package main
 // testing.Benchmark, times the experiment suite serial (-j 1) versus parallel
 // (-j N), asserts the two runs produce byte-identical tables, times the
 // dmacplint whole-tree pass (twice, asserting byte-identical -json output),
-// and writes the whole record to a JSON file (BENCH_10.json by default) so
-// successive PRs can track the performance trajectory.
+// and writes the whole record as JSON — to stdout by default, or to the file
+// named by -o (`make bench-json PR=<n>` writes BENCH_<n>.json) — so
+// successive records track the performance trajectory.
 
 import (
 	"bytes"
@@ -46,7 +47,7 @@ type benchGroup struct {
 	Headline        map[string]float64 `json:"headline,omitempty"`
 }
 
-// benchReport is the BENCH_10.json schema.
+// benchReport is the BENCH_<n>.json schema.
 type benchReport struct {
 	Schema       string       `json:"schema"`
 	NumCPU       int          `json:"num_cpu"`
@@ -155,7 +156,7 @@ func identicalRuns(a, b *suiteRun) bool {
 func runBench(args []string) {
 	fs := flag.NewFlagSet("dmacp bench", flag.ExitOnError)
 	var (
-		out   = fs.String("o", "BENCH_10.json", "output JSON path (\"-\" for stdout)")
+		out   = fs.String("o", "-", "output JSON path (\"-\" for stdout)")
 		iters = fs.Int("iters", 48, "workload base iterations for the suite timing")
 		elems = fs.Int("elems", 1<<13, "workload array length for the suite timing")
 		jobs  = fs.Int("j", 0, "parallel worker count to compare against serial (<= 0 = one per CPU)")

@@ -40,9 +40,10 @@
 //
 // The bench subcommand is the benchmark-trajectory harness: it measures the
 // hot-path micro costs, times the experiment suite serial versus parallel,
-// asserts the two runs produce byte-identical tables, and writes BENCH_7.json:
+// asserts the two runs produce byte-identical tables, and prints the record
+// as JSON on stdout unless -o names a file:
 //
-//	dmacp bench -o BENCH_7.json
+//	dmacp bench -o BENCH_<n>.json
 //
 // All commands accept -j N to bound the worker pool (<= 0 means one worker
 // per CPU, 1 forces serial execution); results are identical at every setting.

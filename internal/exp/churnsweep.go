@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"dmacp/internal/core"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/sim"
 	"dmacp/internal/stats"
-	"dmacp/internal/verify"
-	"dmacp/internal/workloads"
 )
 
 // budgetCtx is a deterministic anytime-budget context for the deadline gate:
@@ -32,60 +28,19 @@ func (c *budgetCtx) Err() error {
 	return nil
 }
 
-// ChurnSweepConfig parameterizes the fault-churn resilience harness.
-type ChurnSweepConfig struct {
-	// Apps lists the workloads to sweep (default: all 12).
-	Apps []string
-	// Scale sizes each workload build (default workloads.TestScale()).
-	Scale workloads.Scale
-	// Seed drives random extra-link injection; each (nest, mode, window)
-	// series derives its own sub-seed deterministically.
-	Seed int64
-	// Modes and Windows pick the partitioner variants (defaults: Quadrant,
-	// window 4 — same as the other fault sweeps).
-	Modes   []mesh.ClusterMode
-	Windows []int
-	// Levels lists extra random dead links injected alongside the victim
-	// tile (default: none, then 2 links).
-	Levels []FaultLevel
-	// ArrivalFrac places the fault (and the paired recovery probe) at
-	// frac x the pristine makespan (default 0.5).
-	ArrivalFrac float64
-	// ChurnCycles is the kill/revive repetition count for the no-thrash
-	// gate (default 3; the bound allows migrations only on cycle 0).
-	ChurnCycles int
-	// Jobs bounds the worker pool; the result is byte-identical at every
-	// setting (indexed series slots merged in series order).
-	Jobs int
-}
+// churnLevels is the churn sweep's fault ladder: each level kills the
+// victim tile plus Tiles-1 random non-MC tiles and the listed random links
+// (the victim alone, then the victim and 2 dead links).
+var churnLevels = []FaultLevel{{Tiles: 1}, {Links: 2, Tiles: 1}}
 
-func (c ChurnSweepConfig) withDefaults() ChurnSweepConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = workloads.Names()
-	}
-	if c.Scale.Iters <= 0 {
-		c.Scale = workloads.TestScale()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.Quadrant}
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{4}
-	}
-	if len(c.Levels) == 0 {
-		c.Levels = []FaultLevel{{Tiles: 1}, {Links: 2, Tiles: 1}}
-	}
-	if c.ArrivalFrac <= 0 || c.ArrivalFrac >= 1 {
-		c.ArrivalFrac = 0.5
-	}
-	if c.ChurnCycles <= 0 {
-		c.ChurnCycles = 3
-	}
-	return c
-}
+const (
+	// churnArrivalFrac places each fault arrival, and its paired recovery
+	// probe, at this fraction of the pristine makespan.
+	churnArrivalFrac = 0.5
+	// churnCycles is the kill/revive repetition count of the no-thrash probe;
+	// the bound allows migrations only on cycle 0.
+	churnCycles = 3
+)
 
 // ChurnAppRow aggregates one workload's churn events.
 type ChurnAppRow struct {
@@ -131,6 +86,19 @@ type ChurnSweepResult struct {
 	Violations []string
 }
 
+// churnTally is one series' share of a churn sweep.
+type churnTally struct {
+	events, repaired         int
+	accepted, migrated       int
+	declinedChurn            int
+	declinedHyst             int
+	traffic                  int64
+	reclaimedSum             float64
+	thrashCycles             int
+	deadlineEvents           int
+	unrepairable, violations []string
+}
+
 // ChurnSweep drives the full churn lifecycle over every workload: a fault
 // set (victim tile + random extras) strikes mid-run and is repaired through
 // the checkpointed online path; the dead elements then recover, and
@@ -140,71 +108,17 @@ type ChurnSweepResult struct {
 // no-thrash bound (cycles after the first migrate zero tasks), and a
 // deadline probe proving anytime repair returns a verifier-clean incumbent
 // that an unbounded run never beats by regressing.
-func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ChurnSweepResult{Levels: cfg.Levels}
-
-	type sweepSeries struct {
-		app  *workloads.App
-		nest *ir.Nest
-		mode mesh.ClusterMode
-		w    int
-		seed int64
-	}
-	var sweep []sweepSeries
-	for _, name := range cfg.Apps {
-		app, err := workloads.Build(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, nest := range app.Nests {
-			for _, mode := range cfg.Modes {
-				for _, w := range cfg.Windows {
-					sweep = append(sweep, sweepSeries{
-						app: app, nest: nest, mode: mode, w: w,
-						seed: cfg.Seed + int64(len(sweep))*1000003,
-					})
-				}
-			}
-		}
-	}
-
-	type seriesResult struct {
-		err                      error
-		events, repaired         int
-		accepted, migrated       int
-		declinedChurn            int
-		declinedHyst             int
-		traffic                  int64
-		reclaimedSum             float64
-		thrashCycles             int
-		deadlineEvents           int
-		unrepairable, violations []string
-	}
-	results := make([]seriesResult, len(sweep))
-	poolErr := par.ForEach(cfg.Jobs, len(sweep), func(si int) {
-		s := sweep[si]
-		out := &results[si]
-
-		opts := core.DefaultOptions()
-		opts.Mode = s.mode
-		opts.FixedWindow = s.w
-		part, err := core.Partition(s.app.Prog, s.nest, s.app.Store, opts)
-		if err != nil {
-			out.err = fmt.Errorf("exp: churnsweep %s mode=%v w=%d: %w", s.nest.Name, s.mode, s.w, err)
-			return
-		}
-		m := opts.Mesh
+func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
+	apps, byApp, err := runSeries("churnsweep", cfg, func(s *gateSeries, out *churnTally) error {
+		part, m := s.part, s.opts.Mesh
 		pristine, err := core.MovementOn(part.Schedule, m, nil)
 		if err != nil || pristine == 0 {
-			out.err = fmt.Errorf("exp: churnsweep %s pristine movement: %v", s.nest.Name, err)
-			return
+			return fmt.Errorf("exp: churnsweep %s pristine movement: %v", s.nest.Name, err)
 		}
-		baseCfg := simConfigFor(opts)
+		baseCfg := sim.DefaultConfig(m)
 		baseSim, err := sim.Run(part.Schedule, baseCfg)
 		if err != nil {
-			out.err = fmt.Errorf("exp: churnsweep %s base sim: %w", s.nest.Name, err)
-			return
+			return fmt.Errorf("exp: churnsweep %s base sim: %w", s.nest.Name, err)
 		}
 
 		// The victim: the first non-MC tile hosting tasks, so the fault
@@ -221,47 +135,31 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 			}
 		}
 		if victim == mesh.InvalidNode {
-			return // nothing to churn; contributes empty slots
+			return nil // nothing to churn; contributes an empty tally
 		}
-		ro := core.RepairOptions{LoadThreshold: opts.LoadThreshold}
+		ro := core.RepairOptions{LoadThreshold: s.opts.LoadThreshold}
 
-		checkerFor := func(f *mesh.FaultSet, completed func(iter, stmt int) bool) core.RepairChecker {
-			return func(sched *core.Schedule) error {
-				rep, err := verify.Check(verify.Input{
-					Prog: s.app.Prog, Nest: part.ScheduleNest(), Store: s.app.Store,
-					Schedule: sched, Mesh: m, Faults: f,
-					Layout: opts.Layout, Translations: part.Translations,
-					Labels: part.LineLabels, Completed: completed,
-				}, verify.Options{})
-				if err != nil {
-					return err
-				}
-				return rep.Err()
-			}
-		}
-
-		for li, lvl := range cfg.Levels {
+		for li, lvl := range churnLevels {
 			extraTiles := lvl.Tiles - 1
 			if extraTiles < 0 {
 				extraTiles = 0
 			}
 			f := mesh.Inject(m, s.seed+int64(li), lvl.Links, lvl.Routers, extraTiles, true)
 			f.KillTile(victim)
-			variant := fmt.Sprintf("%s mode=%v w=%d level=%s victim=%d seed=%d faults=[%s]",
-				s.nest.Name, s.mode, s.w, lvl, victim, s.seed+int64(li), f)
+			variant := fmt.Sprintf("%s level=%s victim=%d seed=%d faults=[%s]",
+				s.variant(), lvl, victim, s.seed+int64(li), f)
 			out.events++
 
 			// One instrumented run carries the fault arrival and a recovery
 			// probe at the same cut: the two checkpoints must agree on the
 			// completed set (the recovery timeline does not re-time the past).
 			evCfg := baseCfg
-			arrival := cfg.ArrivalFrac * baseSim.Cycles
+			arrival := churnArrivalFrac * baseSim.Cycles
 			evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrival, Faults: f}}
 			evCfg.RecoveryEvents = []sim.RecoveryEvent{{Cycle: arrival, Recovery: f.RecoveryAll()}}
 			evSim, err := sim.Run(part.Schedule, evCfg)
 			if err != nil {
-				out.err = fmt.Errorf("exp: churnsweep %s instrumented sim: %w", variant, err)
-				return
+				return fmt.Errorf("exp: churnsweep %s instrumented sim: %w", variant, err)
 			}
 			ck := evSim.Checkpoints[0]
 			rck := evSim.RecoveryCheckpoints[0]
@@ -275,7 +173,7 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 
 			completed := ck.CompletedInstances(part.Schedule)
 			residual, _, err := core.RepairOnlineCtx(context.Background(), part.Schedule, ck, m, f,
-				ro, checkerFor(f, completed))
+				ro, s.checker(f, completed))
 			if err != nil {
 				out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s: %v", variant, err))
 				continue
@@ -293,7 +191,7 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 			churn.Observe(m, f)
 			churn.Observe(m, cleared)
 			back, rrep, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared,
-				revived, ro, churn, checkerFor(cleared, completed))
+				revived, ro, churn, s.checker(cleared, completed))
 			if err != nil {
 				out.violations = append(out.violations, fmt.Sprintf(
 					"%s: re-integration must fall back, not fail: %v", variant, err))
@@ -329,13 +227,13 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 			}
 		}
 
-		// No-thrash probe: churn the victim tile for ChurnCycles kill/revive
+		// No-thrash probe: churn the victim tile for churnCycles kill/revive
 		// rounds; the bound allows migrations only on the first revive.
 		{
 			sched := part.Schedule
 			f := mesh.NewFaultSet()
 			churn := core.NewChurnState()
-			for c := 0; c < cfg.ChurnCycles; c++ {
+			for c := 0; c < churnCycles; c++ {
 				f.KillTile(victim)
 				churn.Observe(m, f)
 				repaired, _, err := core.RepairVerified(sched, m, f, ro, nil)
@@ -391,47 +289,36 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 				}
 			}
 		}
+		return nil
 	})
-	if poolErr != nil {
-		return nil, poolErr
+	if err != nil {
+		return nil, err
 	}
 
-	rows := make(map[string]*ChurnAppRow)
-	var appOrder []string
-	for si := range results {
-		out := &results[si]
-		if out.err != nil {
-			return nil, out.err
+	res := &ChurnSweepResult{Levels: churnLevels, PerApp: make([]ChurnAppRow, len(apps))}
+	for ai, outs := range byApp {
+		row := &res.PerApp[ai]
+		row.App = apps[ai]
+		for _, out := range outs {
+			res.Events += out.events
+			res.Repaired += out.repaired
+			res.Accepted += out.accepted
+			res.Migrated += out.migrated
+			res.DeclinedChurn += out.declinedChurn
+			res.DeclinedHysteresis += out.declinedHyst
+			res.MigrationTraffic += out.traffic
+			res.NoThrashCycles += out.thrashCycles
+			res.DeadlineEvents += out.deadlineEvents
+			row.Events += out.events
+			row.Accepted += out.accepted
+			row.Migrated += out.migrated
+			row.ReclaimedRatio += out.reclaimedSum
+			res.Unrepairable = append(res.Unrepairable, out.unrepairable...)
+			res.Violations = append(res.Violations, out.violations...)
 		}
-		name := sweep[si].app.Name
-		row, ok := rows[name]
-		if !ok {
-			row = &ChurnAppRow{App: name}
-			rows[name] = row
-			appOrder = append(appOrder, name)
-		}
-		res.Events += out.events
-		res.Repaired += out.repaired
-		res.Accepted += out.accepted
-		res.Migrated += out.migrated
-		res.DeclinedChurn += out.declinedChurn
-		res.DeclinedHysteresis += out.declinedHyst
-		res.MigrationTraffic += out.traffic
-		res.NoThrashCycles += out.thrashCycles
-		res.DeadlineEvents += out.deadlineEvents
-		row.Events += out.events
-		row.Accepted += out.accepted
-		row.Migrated += out.migrated
-		row.ReclaimedRatio += out.reclaimedSum
-		res.Unrepairable = append(res.Unrepairable, out.unrepairable...)
-		res.Violations = append(res.Violations, out.violations...)
-	}
-	for _, name := range appOrder {
-		row := rows[name]
 		if row.Accepted > 0 {
 			row.ReclaimedRatio /= float64(row.Accepted)
 		}
-		res.PerApp = append(res.PerApp, *row)
 	}
 	return res, nil
 }
@@ -439,8 +326,7 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 // ChurnSweep exposes the fault-churn resilience harness as an experiment
 // entry (-run churnsweep).
 func (r *Runner) ChurnSweep() (*Experiment, error) {
-	cfg := ChurnSweepConfig{Scale: r.Scale, Seed: 1, Modes: []mesh.ClusterMode{mesh.Quadrant}, Jobs: r.Jobs}
-	res, err := ChurnSweep(cfg)
+	res, err := ChurnSweep(GateConfig{Scale: r.Scale, Jobs: r.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -466,19 +352,7 @@ func (r *Runner) ChurnSweep() (*Experiment, error) {
 		e.Table.Add(row.App, fmt.Sprintf("events %d  accepted %d  migrated %d  reclaimed %.4f",
 			row.Events, row.Accepted, row.Migrated, row.ReclaimedRatio))
 	}
-	for i, u := range res.Unrepairable {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Unrepairable)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("unrepairable %d", i+1), u)
-	}
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "unrepairable", res.Unrepairable)
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }

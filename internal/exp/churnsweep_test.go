@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"dmacp/internal/workloads"
@@ -18,7 +16,7 @@ import (
 // the deadline probes returning verifier-clean incumbents that unbounded
 // runs never regress below.
 func TestChurnSweepGate(t *testing.T) {
-	res, err := ChurnSweep(ChurnSweepConfig{Scale: workloads.TestScale(), Seed: 1})
+	res, err := ChurnSweep(GateConfig{Scale: workloads.TestScale(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,48 +54,5 @@ func TestChurnSweepGate(t *testing.T) {
 	}
 	if res.DeclinedHysteresis == 0 {
 		t.Error("the hysteresis margin never declined a candidate")
-	}
-}
-
-// TestChurnSweepJobsDeterminism requires the aggregate result to be
-// byte-identical at any worker count: series are enumerated and seeded up
-// front and merged in series order.
-func TestChurnSweepJobsDeterminism(t *testing.T) {
-	cfg := ChurnSweepConfig{
-		Apps:  []string{"FFT", "MiniMD"},
-		Scale: workloads.TestScale(),
-		Seed:  7,
-	}
-	cfg.Jobs = 1
-	serial, err := ChurnSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	wide, err := ChurnSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Fatalf("churn sweep differs across -j:\nserial: %+v\nwide:   %+v", serial, wide)
-	}
-}
-
-// TestRunnerChurnSweepExperiment exercises the CLI experiment wrapper and
-// requires a zero-violation headline.
-func TestRunnerChurnSweepExperiment(t *testing.T) {
-	r := NewRunner(workloads.TestScale())
-	e, err := r.ChurnSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "churnsweep" {
-		t.Fatalf("experiment ID = %q", e.ID)
-	}
-	if v := e.Headline["violations"]; v != 0 {
-		t.Errorf("churnsweep headline violations = %v, want 0\n%s", v, e.Table)
-	}
-	if !strings.Contains(e.Title, "Fault churn") {
-		t.Errorf("unexpected title %q", e.Title)
 	}
 }

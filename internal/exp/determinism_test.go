@@ -53,41 +53,3 @@ func TestExperimentsDeterministicAcrossJobs(t *testing.T) {
 		}
 	}
 }
-
-func TestFaultSweepDeterministicAcrossJobs(t *testing.T) {
-	cfg := FaultSweepConfig{
-		Apps:  []string{"FFT", "LU", "Radix"},
-		Scale: workloads.Scale{Iters: 16, Elems: 1 << 11},
-		Seed:  1,
-	}
-	cfg.Jobs = 1
-	r1, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	r8, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("fault sweep differs between -j1 and -j8:\n%+v\n%+v", r1, r8)
-	}
-}
-
-func TestVerifyDifferentialDeterministicAcrossJobs(t *testing.T) {
-	cfg := VerifyDiffConfig{Programs: 4, Seed: 11, Iters: 12, Elems: 1 << 10}
-	cfg.Jobs = 1
-	r1, err := VerifyDifferential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	r8, err := VerifyDifferential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("differential verification differs between -j1 and -j8:\n%+v\n%+v", r1, r8)
-	}
-}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"strings"
 	"testing"
 
 	"dmacp/internal/workloads"
@@ -13,7 +12,7 @@ import (
 // every survivor verifies clean and that movement degrades
 // monotonically-reasonably across the nested fault ladder.
 func TestFaultSweepAllWorkloadsRepairClean(t *testing.T) {
-	res, err := FaultSweep(FaultSweepConfig{Scale: workloads.TestScale(), Seed: 1})
+	res, err := FaultSweep(GateConfig{Scale: workloads.TestScale(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestFaultSweepAllWorkloadsRepairClean(t *testing.T) {
 // same seed agree exactly; a different seed changes the injected faults (and
 // so, almost surely, some ratio).
 func TestFaultSweepSeedsDiffer(t *testing.T) {
-	cfg := FaultSweepConfig{
+	cfg := GateConfig{
 		Apps:  []string{"FFT"},
 		Scale: workloads.TestScale(),
 		Seed:  1,
@@ -73,24 +72,5 @@ func TestFaultSweepSeedsDiffer(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical degradation ratios across every level")
-	}
-}
-
-// TestRunnerFaultSweepExperiment exercises the experiment wrapper the CLI
-// uses and requires a zero-violation headline.
-func TestRunnerFaultSweepExperiment(t *testing.T) {
-	r := NewRunner(workloads.TestScale())
-	e, err := r.FaultSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "faultsweep" {
-		t.Fatalf("experiment ID = %q", e.ID)
-	}
-	if v := e.Headline["violations"]; v != 0 {
-		t.Errorf("faultsweep headline violations = %v, want 0\n%s", v, e.Table)
-	}
-	if !strings.Contains(e.Title, "Fault injection") {
-		t.Errorf("unexpected title %q", e.Title)
 	}
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"dmacp/internal/workloads"
@@ -15,7 +13,7 @@ import (
 // (FFT's two butterfly temporaries plus the Radix digit, Raytrace
 // intersection and MiniMD half-step velocity temporaries).
 func TestFusionSweepGate(t *testing.T) {
-	res, err := FusionSweep(FusionSweepConfig{Scale: workloads.TestScale()})
+	res, err := FusionSweep(GateConfig{Scale: workloads.TestScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,47 +35,5 @@ func TestFusionSweepGate(t *testing.T) {
 	}
 	if res.StrictWins < 4 {
 		t.Errorf("fusion strictly reduced movement on %d workloads, want >= 4", res.StrictWins)
-	}
-}
-
-// TestFusionSweepJobsDeterminism requires the aggregate result to be
-// byte-identical at any worker count: series are enumerated up front and
-// merged in series order.
-func TestFusionSweepJobsDeterminism(t *testing.T) {
-	cfg := FusionSweepConfig{Scale: workloads.TestScale()}
-	cfg.Jobs = 1
-	serial, err := FusionSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	wide, err := FusionSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Fatalf("fusion sweep differs across -j:\nserial: %+v\nwide:   %+v", serial, wide)
-	}
-}
-
-// TestRunnerFusionSweepExperiment exercises the CLI experiment wrapper and
-// requires a zero-violation headline with at least 4 strict wins.
-func TestRunnerFusionSweepExperiment(t *testing.T) {
-	r := NewRunner(workloads.TestScale())
-	e, err := r.FusionSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "fusionsweep" {
-		t.Fatalf("experiment ID = %q", e.ID)
-	}
-	if v := e.Headline["violations"]; v != 0 {
-		t.Errorf("fusionsweep headline violations = %v, want 0\n%s", v, e.Table)
-	}
-	if w := e.Headline["strictWins"]; w < 4 {
-		t.Errorf("fusionsweep headline strictWins = %v, want >= 4\n%s", w, e.Table)
-	}
-	if !strings.Contains(e.Title, "Fusion pre-pass") {
-		t.Errorf("unexpected title %q", e.Title)
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // VerifyDiffConfig parameterizes the differential verification harness: how
-// many random programs to generate and which scheduler variants to sweep.
+// many random programs to generate and at what size.
 type VerifyDiffConfig struct {
 	// Programs is the number of random loop nests generated (default 6).
 	Programs int
@@ -23,13 +23,6 @@ type VerifyDiffConfig struct {
 	Seed int64
 	// Iters / Elems scale each nest (defaults 24 iterations, 1024 elements).
 	Iters, Elems int
-	// Windows lists the partitioner window sizes to sweep; 0 means the
-	// adaptive search (default {0, 1, 2, 4, 8}).
-	Windows []int
-	// Modes lists the cluster modes to sweep (default all three).
-	Modes []mesh.ClusterMode
-	// Strategies lists the baseline strategies to sweep (default all three).
-	Strategies []baseline.Strategy
 	// Jobs bounds the worker pool the programs are verified on. <= 0 means
 	// one worker per CPU; 1 forces serial execution. Programs are generated
 	// serially from one rng before the fan-out and per-program results merge
@@ -47,17 +40,17 @@ func (c VerifyDiffConfig) withDefaults() VerifyDiffConfig {
 	if c.Elems <= 0 {
 		c.Elems = 1 << 10
 	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{0, 1, 2, 4, 8}
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.AllToAll, mesh.Quadrant, mesh.SNC4}
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine}
-	}
 	return c
 }
+
+// The scheduler variants every generated program is swept over, per cluster
+// mode: the partitioner at each window size (0 is the adaptive search), and
+// every baseline placement strategy.
+var (
+	vdModes      = []mesh.ClusterMode{mesh.AllToAll, mesh.Quadrant, mesh.SNC4}
+	vdWindows    = []int{0, 1, 2, 4, 8}
+	vdStrategies = []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine}
+)
 
 // VerifyDiffResult summarizes one harness sweep.
 type VerifyDiffResult struct {
@@ -103,13 +96,7 @@ func (r *Runner) VerifyDiff() (*Experiment, error) {
 	e.Table.Add("violations", len(res.Violations))
 	e.Table.Add("advisory warnings", res.Warnings)
 	e.Table.Add("stale-reuse violations", res.KindCounts[verify.KindStaleReuse])
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }
 
@@ -235,15 +222,8 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 	store := ir.NewStore(prog)
 	store.FillRandom(prog, cfg.Seed+int64(p)+1)
 
-	// checkNest is the nest the schedule's Stmt indices refer to: the
-	// partitioner may emit over a fused body, baselines always use the
-	// original nest.
-	record := func(variant string, sched *core.Schedule, checkNest *ir.Nest, translations map[uint64]uint64, labels map[uint64]string, opts core.Options) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: checkNest, Store: store,
-			Schedule: sched, Mesh: opts.Mesh, Layout: opts.Layout,
-			Translations: translations, Labels: labels,
-		}, verify.Options{})
+	record := func(variant string, in verify.Input) error {
+		rep, err := verify.Check(in, verify.Options{})
 		if err != nil {
 			return fmt.Errorf("exp: program %d %s: %w", p, variant, err)
 		}
@@ -260,8 +240,8 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 		return nil
 	}
 
-	for _, mode := range cfg.Modes {
-		for _, w := range cfg.Windows {
+	for _, mode := range vdModes {
+		for _, w := range vdWindows {
 			opts := core.DefaultOptions()
 			opts.Mode = mode
 			if w > 0 {
@@ -273,12 +253,12 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 				return out
 			}
 			if err := record(fmt.Sprintf("partitioner mode=%v window=%d", mode, w),
-				r.Schedule, r.ScheduleNest(), r.Translations, r.LineLabels, opts); err != nil {
+				verify.PartitionInput(prog, store, r, opts)); err != nil {
 				out.err = err
 				return out
 			}
 		}
-		for _, strat := range cfg.Strategies {
+		for _, strat := range vdStrategies {
 			opts := core.DefaultOptions()
 			opts.Mode = mode
 			b, err := baseline.Place(prog, nest, store, opts, strat)
@@ -286,8 +266,11 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 				out.err = fmt.Errorf("exp: program %d baseline %v mode=%v: %w\n%s", p, strat, mode, err, src)
 				return out
 			}
-			if err := record(fmt.Sprintf("baseline %v mode=%v", strat, mode),
-				b.Schedule, nest, b.Translations, nil, opts); err != nil {
+			// Baselines always emit over the original nest.
+			if err := record(fmt.Sprintf("baseline %v mode=%v", strat, mode), verify.Input{
+				Prog: prog, Nest: nest, Store: store, Schedule: b.Schedule,
+				Mesh: opts.Mesh, Layout: opts.Layout, Translations: b.Translations,
+			}); err != nil {
 				out.err = err
 				return out
 			}

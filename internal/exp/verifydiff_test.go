@@ -17,7 +17,6 @@ func TestVerifyDifferentialAllVariantsClean(t *testing.T) {
 	cfg := VerifyDiffConfig{Programs: 6, Seed: 11, Iters: 24, Elems: 1 << 10}
 	if testing.Short() {
 		cfg.Programs = 3
-		cfg.Windows = []int{0, 2}
 	}
 	res, err := VerifyDifferential(cfg)
 	if err != nil {
@@ -51,11 +50,7 @@ func TestWorkloadSchedulesVerifyClean(t *testing.T) {
 			prog := app.Prog
 			// The optimized schedule is emitted over the (possibly fused)
 			// nest; the default placement always uses the original.
-			in := verify.Input{
-				Prog: prog, Nest: nr.Opt.ScheduleNest(), Store: app.Store,
-				Schedule: nr.Opt.Schedule, Mesh: r.Opts.Mesh, Layout: r.Opts.Layout,
-				Translations: nr.Opt.Translations, Labels: nr.Opt.LineLabels,
-			}
+			in := verify.PartitionInput(prog, app.Store, nr.Opt, r.Opts)
 			rep, err := verify.Check(in, verify.Options{})
 			if err != nil {
 				t.Fatalf("%s nest %d optimized: %v", name, ni, err)

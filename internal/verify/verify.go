@@ -79,6 +79,31 @@ type Input struct {
 	Completed func(iter, stmt int) bool
 }
 
+// PartitionInput is the Input for a partitioner result on the platform of
+// opts: the schedule checks against the nest it was emitted over (the fused
+// body when fusion merged statements), replaying the partitioner's page
+// table and line labels.
+func PartitionInput(prog *ir.Program, store *ir.Store, r *core.Result, opts core.Options) Input {
+	return Input{
+		Prog: prog, Nest: r.ScheduleNest(), Store: store,
+		Schedule: r.Schedule, Mesh: opts.Mesh, Layout: opts.Layout,
+		Translations: r.Translations, Labels: r.LineLabels,
+	}
+}
+
+// Checker turns in into a repair gate: each candidate schedule is checked in
+// place of in.Schedule with default Options and rejected on any violation.
+func Checker(in Input) core.RepairChecker {
+	return func(s *core.Schedule) error {
+		in.Schedule = s
+		rep, err := Check(in, Options{})
+		if err != nil {
+			return err
+		}
+		return rep.Err()
+	}
+}
+
 // Options tunes a Check run. The zero value means defaults.
 type Options struct {
 	// MaxDiagnostics caps how many diagnostics of each severity the report
@@ -190,10 +215,10 @@ func lineOf(in Input, va uint64) (uint64, bool) {
 // coherent hardware and is a Violation.
 func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 	tasks := in.Schedule.Tasks
-	lastWrite := make(map[uint64]int)          // line -> writer task
-	readers := make(map[uint64]map[int]int)    // line -> node -> last reader task
-	copies := make(map[uint64]map[int]int)     // line -> node -> task that created the L1 copy
-	reported := make(map[[3]uint64]bool)       // (earlier, later, line) dedup
+	lastWrite := make(map[uint64]int)       // line -> writer task
+	readers := make(map[uint64]map[int]int) // line -> node -> last reader task
+	copies := make(map[uint64]map[int]int)  // line -> node -> task that created the L1 copy
+	reported := make(map[[3]uint64]bool)    // (earlier, later, line) dedup
 	pair := func(a, b int, line uint64) [3]uint64 {
 		return [3]uint64{uint64(a), uint64(b), line}
 	}
@@ -543,14 +568,7 @@ func checkBounds(in Input, o Options, rep *Report) {
 //	opts.Verify = verify.PartitionHook(verify.Options{})
 func PartitionHook(o Options) core.VerifyFunc {
 	return func(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *core.Options, res *core.Result) error {
-		// Task.Stmt indices refer to the fused body when the coarsening
-		// pre-pass ran, so the schedule is checked against ScheduleNest —
-		// the nest it was actually emitted over.
-		rep, err := Check(Input{
-			Prog: prog, Nest: res.ScheduleNest(), Store: store,
-			Schedule: res.Schedule, Mesh: opts.Mesh, Layout: opts.Layout,
-			Translations: res.Translations, Labels: res.LineLabels,
-		}, o)
+		rep, err := Check(PartitionInput(prog, store, res, *opts), o)
 		if err != nil {
 			return err
 		}

@@ -34,11 +34,7 @@ func partitionInput(t *testing.T, src string, iters, elems int) (verify.Input, c
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	return verify.Input{
-		Prog: prog, Nest: res.ScheduleNest(), Store: store,
-		Schedule: res.Schedule, Mesh: opts.Mesh, Layout: opts.Layout,
-		Translations: res.Translations, Labels: res.LineLabels,
-	}, opts
+	return verify.PartitionInput(prog, store, res, opts), opts
 }
 
 // raceKernel has a flow dependence (stmt 1 reads what stmt 0 wrote), an anti
@@ -402,5 +398,26 @@ func TestClosureOrderedAndEqual(t *testing.T) {
 	withNode, _ := verify.BuildClosure(ts, true)
 	if withNode == nil || !withNode.Ordered(1, 2) {
 		t.Error("same-node program order not reflected in the closure")
+	}
+}
+
+// TestCheckerGatesCandidates drives the repair gate directly: the clean
+// partitioner schedule passes, and a candidate with a dropped flow arc is
+// rejected with the verifier's first violation.
+func TestCheckerGatesCandidates(t *testing.T) {
+	in, _ := partitionInput(t, "A(i) = B(i)\nC(i) = A(i)+B(i)\nD(i) = A(i)", 64, 1<<10)
+	check := verify.Checker(in)
+	if err := check(in.Schedule); err != nil {
+		t.Fatalf("clean schedule rejected: %v", err)
+	}
+	broken := in.Schedule.Clone()
+	for _, tk := range broken.Tasks {
+		tk.WaitFor, tk.WaitHops = nil, nil
+	}
+	if err := check(broken); err == nil {
+		t.Fatal("schedule with every wait arc dropped accepted")
+	}
+	if err := check(in.Schedule); err != nil {
+		t.Fatalf("checker kept state from the rejected candidate: %v", err)
 	}
 }

@@ -11,9 +11,7 @@ import (
 	"strconv"
 	"strings"
 
-	"dmacp/internal/baseline"
 	"dmacp/internal/core"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
 	"dmacp/internal/sim"
 	"dmacp/internal/verify"
@@ -110,14 +108,14 @@ type FaultReport struct {
 	// DeadNodes lists the nodes whose tasks were migrated away.
 	DeadNodes []int
 	// Repair counters (see core.RepairReport).
-	Migrated, RehomedFetches   int
-	AddedArcs, RemovedArcs     int
-	FullRepartition            bool
+	Migrated, RehomedFetches int
+	AddedArcs, RemovedArcs   int
+	FullRepartition          bool
 	// BaseMovement / FaultMovement are bytes x hops before and after.
 	BaseMovement, FaultMovement int64
 	// BaseCycles / FaultCycles and the average network latencies measure the
 	// simulated degradation.
-	BaseCycles, FaultCycles             float64
+	BaseCycles, FaultCycles               float64
 	BaseAvgNetLatency, FaultAvgNetLatency float64
 	// VerifySummary is the race detector's headline counters for the
 	// repaired schedule (always zero violations — RunFaults fails otherwise).
@@ -147,13 +145,25 @@ func (r *FaultReport) String() string {
 		r.MovementDegradation()*100, r.BaseCycles, r.FaultCycles, r.Slowdown())
 }
 
-// RunFaults partitions the kernel, injects the fault set, repairs the
-// optimized schedule through the verifier-gated path (incremental migration,
-// escalating to a full re-placement), and simulates the pristine and
-// degraded executions. It returns an error — and no schedule — when the
-// fault set is unrepairable (no surviving memory controller, a partitioned
-// placement region, or a repair the race detector refutes twice).
-func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
+// faultRun is the setup RunFaults and RunFaultsOnline share: the built
+// kernel partitioned on the pristine mesh, its pristine simulation, the
+// injected fault set, and the verifier input that gates every repair
+// candidate against the degraded mesh.
+type faultRun struct {
+	kernel  string
+	spec    FaultSpec
+	f       *mesh.FaultSet
+	opts    core.Options
+	ro      core.RepairOptions
+	simCfg  sim.Config
+	opt     *core.Result
+	baseSim *sim.Result
+	in      verify.Input
+}
+
+// setupFaults builds the kernel, materializes the fault spec (online mode
+// refuses an empty set), partitions and simulates the pristine run.
+func setupFaults(k Kernel, cfg Config, spec FaultSpec, online bool) (*faultRun, error) {
 	prog, nest, store, opts, simCfg, err := build(k, cfg)
 	if err != nil {
 		return nil, err
@@ -161,6 +171,9 @@ func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
 	f, err := spec.Build(opts.Mesh)
 	if err != nil {
 		return nil, err
+	}
+	if online && f.Empty() {
+		return nil, badInputf("pipeline: online mode needs a non-empty fault set (use -links/-tiles/-kill-*)")
 	}
 	opt, err := core.Partition(prog, nest, store, opts)
 	if err != nil {
@@ -170,39 +183,77 @@ func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	in := verify.PartitionInput(prog, store, opt, opts)
+	in.Faults = f
+	return &faultRun{kernel: nest.Name, spec: spec, f: f, opts: opts,
+		ro: core.RepairOptions{LoadThreshold: opts.LoadThreshold}, simCfg: simCfg,
+		opt: opt, baseSim: baseSim, in: in}, nil
+}
 
-	var verifySummary string
-	checker := func(s *core.Schedule) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: opt.ScheduleNest(), Store: store,
-			Schedule: s, Mesh: opts.Mesh, Faults: f,
-			Layout: opts.Layout, Translations: opt.Translations, Labels: opt.LineLabels,
-		}, verify.Options{})
-		if err != nil {
-			return err
-		}
-		verifySummary = rep.Summary()
-		return rep.Err()
+// verifySummary re-checks the accepted schedule, so the reported counters
+// describe the schedule that is returned rather than whichever candidate the
+// ladder verified last.
+func verifySummary(in verify.Input, accepted *core.Schedule) (string, error) {
+	in.Schedule = accepted
+	rep, err := verify.Check(in, verify.Options{})
+	if err != nil {
+		return "", err
+	}
+	return rep.Summary(), nil
+}
+
+// unrepairable builds the failure diagnostic for a fault set the escalation
+// ladder gave up on: the injection seed, the dead-element list, and the
+// stage (repair / verify-reject / re-place / re-place-verify-reject /
+// deadline) that failed.
+func (r *faultRun) unrepairable(what string, err error) error {
+	stage := "repair"
+	var rf *core.RepairFailure
+	if errors.As(err, &rf) {
+		stage = rf.Stage
+	}
+	return fmt.Errorf("pipeline: fault set (seed %d) %s is unrepairable for %q: failed at stage %s: %w",
+		r.spec.Seed, r.f, what, stage, err)
+}
+
+// degradedSim simulates s on the faulted mesh, resuming from nodeFree when
+// it is set.
+func (r *faultRun) degradedSim(s *core.Schedule, nodeFree []float64) (*sim.Result, error) {
+	c := r.simCfg
+	c.Faults = r.f
+	c.NodeFreeAt = nodeFree
+	return sim.Run(s, c)
+}
+
+// RunFaults partitions the kernel, injects the fault set, repairs the
+// optimized schedule through the verifier-gated path (incremental migration,
+// escalating to a full re-placement), and simulates the pristine and
+// degraded executions. It returns an error — and no schedule — when the
+// fault set is unrepairable (no surviving memory controller, a partitioned
+// placement region, or a repair the race detector refutes twice).
+func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
+	r, err := setupFaults(k, cfg, spec, false)
+	if err != nil {
+		return nil, err
 	}
 	ctx, cancel := repairContext(cfg)
 	defer cancel()
-	repaired, rep, err := core.RepairVerifiedCtx(ctx, opt.Schedule, opts.Mesh, f, core.RepairOptions{
-		LoadThreshold: opts.LoadThreshold,
-	}, checker)
+	repaired, rep, err := core.RepairVerifiedCtx(ctx, r.opt.Schedule, r.opts.Mesh, r.f, r.ro, verify.Checker(r.in))
 	if err != nil {
-		return nil, unrepairableError(nest.Name, spec, f, err)
+		return nil, r.unrepairable(r.kernel, err)
 	}
-
-	faultCfg := simCfg
-	faultCfg.Faults = f
-	faultSim, err := sim.Run(repaired, faultCfg)
+	summary, err := verifySummary(r.in, repaired)
+	if err != nil {
+		return nil, err
+	}
+	faultSim, err := r.degradedSim(repaired, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: degraded simulation rejected the repaired schedule: %w", err)
 	}
 
 	out := &FaultReport{
-		Kernel:             nest.Name,
-		Faults:             f.String(),
+		Kernel:             r.kernel,
+		Faults:             r.f.String(),
 		Migrated:           rep.Migrated,
 		RehomedFetches:     rep.RehomedFetches,
 		AddedArcs:          rep.AddedArcs,
@@ -210,30 +261,16 @@ func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
 		FullRepartition:    rep.Full,
 		BaseMovement:       rep.MovementBefore,
 		FaultMovement:      rep.MovementAfter,
-		BaseCycles:         baseSim.Cycles,
+		BaseCycles:         r.baseSim.Cycles,
 		FaultCycles:        faultSim.Cycles,
-		BaseAvgNetLatency:  baseSim.AvgNetLatency,
+		BaseAvgNetLatency:  r.baseSim.AvgNetLatency,
 		FaultAvgNetLatency: faultSim.AvgNetLatency,
-		VerifySummary:      verifySummary,
+		VerifySummary:      summary,
 	}
 	for _, n := range rep.DeadNodes {
 		out.DeadNodes = append(out.DeadNodes, int(n))
 	}
 	return out, nil
-}
-
-// unrepairableError builds the failure diagnostic for a fault set the
-// escalation ladder gave up on: the injection seed, the dead-element list,
-// and the stage (repair / verify-reject / re-place / re-place-verify-reject)
-// that failed.
-func unrepairableError(kernel string, spec FaultSpec, f *mesh.FaultSet, err error) error {
-	stage := "repair"
-	var rf *core.RepairFailure
-	if errors.As(err, &rf) {
-		stage = rf.Stage
-	}
-	return fmt.Errorf("pipeline: fault set (seed %d) %s is unrepairable for %q: failed at stage %s: %w",
-		spec.Seed, f, kernel, stage, err)
 }
 
 // OnlineFaultReport is the outcome of RunFaultsOnline: the checkpoint cut,
@@ -292,92 +329,52 @@ func RunFaultsOnline(k Kernel, cfg Config, spec FaultSpec, arrivalFrac float64) 
 	if arrivalFrac <= 0 || arrivalFrac >= 1 {
 		return nil, badInputf("pipeline: arrival fraction %v outside (0, 1)", arrivalFrac)
 	}
-	prog, nest, store, opts, simCfg, err := build(k, cfg)
+	r, err := setupFaults(k, cfg, spec, true)
 	if err != nil {
 		return nil, err
 	}
-	f, err := spec.Build(opts.Mesh)
-	if err != nil {
-		return nil, err
-	}
-	if f.Empty() {
-		return nil, badInputf("pipeline: online mode needs a non-empty fault set (use -links/-tiles/-kill-*)")
-	}
-	opt, err := core.Partition(prog, nest, store, opts)
-	if err != nil {
-		return nil, err
-	}
-	baseSim, err := sim.Run(opt.Schedule, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	pristine, err := core.MovementOn(opt.Schedule, opts.Mesh, nil)
+	pristine, err := core.MovementOn(r.opt.Schedule, r.opts.Mesh, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	evCfg := simCfg
-	evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrivalFrac * baseSim.Cycles, Faults: f}}
-	evSim, err := sim.Run(opt.Schedule, evCfg)
+	evCfg := r.simCfg
+	evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrivalFrac * r.baseSim.Cycles, Faults: r.f}}
+	evSim, err := sim.Run(r.opt.Schedule, evCfg)
 	if err != nil {
 		return nil, err
 	}
 	ck := evSim.Checkpoints[0]
 
-	var verifySummary string
-	completed := ck.CompletedInstances(opt.Schedule)
-	checker := func(s *core.Schedule) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: opt.ScheduleNest(), Store: store,
-			Schedule: s, Mesh: opts.Mesh, Faults: f,
-			Layout: opts.Layout, Translations: opt.Translations, Labels: opt.LineLabels,
-			Completed: completed,
-		}, verify.Options{})
-		if err != nil {
-			return err
-		}
-		verifySummary = rep.Summary()
-		return rep.Err()
-	}
+	residualIn := r.in
+	residualIn.Completed = ck.CompletedInstances(r.opt.Schedule)
 	ctx, cancel := repairContext(cfg)
 	defer cancel()
-	residual, orep, err := core.RepairOnlineCtx(ctx, opt.Schedule, ck, opts.Mesh, f, core.RepairOptions{
-		LoadThreshold: opts.LoadThreshold,
-	}, checker)
+	residual, orep, err := core.RepairOnlineCtx(ctx, r.opt.Schedule, ck, r.opts.Mesh, r.f, r.ro, verify.Checker(residualIn))
 	if err != nil {
-		return nil, unrepairableError(nest.Name, spec, f, err)
+		return nil, r.unrepairable(r.kernel, err)
+	}
+	summary, err := verifySummary(residualIn, residual)
+	if err != nil {
+		return nil, err
 	}
 
 	// Scratch baseline: throw the checkpoint away and re-place everything.
-	fullChecker := func(s *core.Schedule) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: opt.ScheduleNest(), Store: store,
-			Schedule: s, Mesh: opts.Mesh, Faults: f,
-			Layout: opts.Layout, Translations: opt.Translations, Labels: opt.LineLabels,
-		}, verify.Options{})
-		if err != nil {
-			return err
-		}
-		return rep.Err()
-	}
-	_, srep, err := core.RepairVerifiedCtx(ctx, opt.Schedule, opts.Mesh, f, core.RepairOptions{
-		LoadThreshold: opts.LoadThreshold, Full: true,
-	}, fullChecker)
+	full := r.ro
+	full.Full = true
+	_, srep, err := core.RepairVerifiedCtx(ctx, r.opt.Schedule, r.opts.Mesh, r.f, full, verify.Checker(r.in))
 	if err != nil {
-		return nil, unrepairableError(nest.Name+" (scratch baseline)", spec, f, err)
+		return nil, r.unrepairable(r.kernel+" (scratch baseline)", err)
 	}
 
-	resCfg := simCfg
-	resCfg.Faults = f
-	resCfg.NodeFreeAt = ck.NodeFree
-	resumeSim, err := sim.Run(residual, resCfg)
+	resumeSim, err := r.degradedSim(residual, ck.NodeFree)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: degraded simulation rejected the accepted residual: %w", err)
 	}
 
 	return &OnlineFaultReport{
-		Kernel:           nest.Name,
-		Faults:           f.String(),
+		Kernel:           r.kernel,
+		Faults:           r.f.String(),
 		ArrivalCycle:     evCfg.FaultEvents[0].Cycle,
 		CompletedTasks:   orep.CompletedTasks,
 		ResidualTasks:    orep.ResidualTasks,
@@ -393,9 +390,9 @@ func RunFaultsOnline(k Kernel, cfg Config, spec FaultSpec, arrivalFrac float64) 
 		BaseMovement:     pristine,
 		ResidualMovement: orep.Repair.MovementAfter,
 		ScratchMovement:  srep.MovementAfter,
-		BaseCycles:       baseSim.Cycles,
+		BaseCycles:       r.baseSim.Cycles,
 		ResumeCycles:     resumeSim.Cycles,
-		VerifySummary:    verifySummary,
+		VerifySummary:    summary,
 	}, nil
 }
 
@@ -426,42 +423,13 @@ func CheckAppSchedules(app string, iters, elems int, cfg Config) ([]ScheduleChec
 	}
 	var out []ScheduleCheck
 	for _, nest := range a.Nests {
-		opt, err := core.Partition(a.Prog, nest, a.Store, opts)
+		checks, err := checkBoth(a.Prog, nest, a.Store, opts, func(kind string) string {
+			return nest.Name + " (" + kind + ")"
+		})
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: %s optimized: %w", nest.Name, err)
-		}
-		def, err := baseline.Place(a.Prog, nest, a.Store, opts, baseline.ProfiledLocality)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %s default: %w", nest.Name, err)
-		}
-		// The optimized schedule may have been emitted over a fused body;
-		// each schedule verifies against its own nest.
-		check := func(name string, sched *core.Schedule, checkNest *ir.Nest, translations map[uint64]uint64, labels map[uint64]string) error {
-			rep, err := verify.Check(verify.Input{
-				Prog: a.Prog, Nest: checkNest, Store: a.Store,
-				Schedule: sched, Mesh: opts.Mesh, Layout: opts.Layout,
-				Translations: translations, Labels: labels,
-			}, verify.Options{})
-			if err != nil {
-				return fmt.Errorf("pipeline: verifying %s: %w", name, err)
-			}
-			out = append(out, ScheduleCheck{
-				Schedule:       name,
-				Clean:          rep.Clean(),
-				Summary:        rep.Summary(),
-				Diagnostics:    rep.Lines(),
-				ViolationCount: len(rep.Violations),
-				WarningCount:   len(rep.Warnings),
-				Kinds:          rep.KindSummary(),
-			})
-			return nil
-		}
-		if err := check(nest.Name+" (optimized)", opt.Schedule, opt.ScheduleNest(), opt.Translations, opt.LineLabels); err != nil {
 			return nil, err
 		}
-		if err := check(nest.Name+" (default)", def.Schedule, nest, def.Translations, nil); err != nil {
-			return nil, err
-		}
+		out = append(out, checks...)
 	}
 	return out, nil
 }

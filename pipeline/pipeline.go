@@ -402,25 +402,33 @@ func CheckSchedules(k Kernel, cfg Config) ([]ScheduleCheck, error) {
 	if err != nil {
 		return nil, err
 	}
+	return checkBoth(prog, nest, store, opts, func(kind string) string { return kind })
+}
+
+// checkBoth partitions nest and places it with the default strategy, then
+// runs the race detector over both schedules, named label("optimized") and
+// label("default"). Each schedule is checked against the nest it was
+// emitted over: the partitioner's may be fused, the baseline always uses the
+// original.
+func checkBoth(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, label func(kind string) string) ([]ScheduleCheck, error) {
 	opt, err := core.Partition(prog, nest, store, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %s: %w", label("optimized"), err)
 	}
 	def, err := baseline.Place(prog, nest, store, opts, baseline.ProfiledLocality)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %s: %w", label("default"), err)
+	}
+	inputs := []verify.Input{
+		verify.PartitionInput(prog, store, opt, opts),
+		{Prog: prog, Nest: nest, Store: store, Schedule: def.Schedule, Mesh: opts.Mesh,
+			Layout: opts.Layout, Translations: def.Translations},
 	}
 	var out []ScheduleCheck
-	// Each schedule is checked against the nest it was emitted over: the
-	// partitioner's may be fused, the baseline always uses the original.
-	check := func(name string, sched *core.Schedule, checkNest *ir.Nest, translations map[uint64]uint64, labels map[uint64]string) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: checkNest, Store: store,
-			Schedule: sched, Mesh: opts.Mesh, Layout: opts.Layout,
-			Translations: translations, Labels: labels,
-		}, verify.Options{})
+	for i, name := range []string{label("optimized"), label("default")} {
+		rep, err := verify.Check(inputs[i], verify.Options{})
 		if err != nil {
-			return fmt.Errorf("pipeline: verifying %s schedule: %w", name, err)
+			return nil, fmt.Errorf("pipeline: verifying %s: %w", name, err)
 		}
 		out = append(out, ScheduleCheck{
 			Schedule:       name,
@@ -431,13 +439,6 @@ func CheckSchedules(k Kernel, cfg Config) ([]ScheduleCheck, error) {
 			WarningCount:   len(rep.Warnings),
 			Kinds:          rep.KindSummary(),
 		})
-		return nil
-	}
-	if err := check("optimized", opt.Schedule, opt.ScheduleNest(), opt.Translations, opt.LineLabels); err != nil {
-		return nil, err
-	}
-	if err := check("default", def.Schedule, nest, def.Translations, nil); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
