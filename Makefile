@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates bench-closure bench bench-json bench-gate bench-test bench-diff check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates bench-closure bench bench-json bench-gate bench-test bench-smoke bench-diff check
 
 build:
 	$(GO) build ./...
@@ -124,10 +124,15 @@ bench-gate: build
 bench-test:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
+# Every internal micro-benchmark, run once: a compile-and-run smoke test so
+# benchmarks cannot rot silently between the runs that read their numbers.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # Trajectory guard: diff the two newest BENCH_*.json records and fail on any
 # per-metric regression above 10% (ns/op, allocs/op, B/op, suite seconds).
 bench-diff: build
 	$(GO) run ./cmd/experiments -bench-diff
 
-check: build vet lint staticcheck test race verifybig gates bench-test bench-gate
+check: build vet lint staticcheck test race verifybig gates bench-test bench-smoke bench-gate
 	@echo "check: all gates passed"

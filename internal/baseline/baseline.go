@@ -74,7 +74,7 @@ type Result struct {
 	Translations map[uint64]uint64
 }
 
-// chunkCount controls placement granularity: the iteration space splits into
+// chunksPerCore controls placement granularity: the iteration space splits into
 // about this many chunks per core.
 const chunksPerCore = 4
 
@@ -91,7 +91,8 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	}
 	if opts.Predictor != nil {
 		// Use a private clone so the caller's predictor state is untouched
-		// (the optimized pipeline does the same once per nest).
+		// (the optimized pipeline does the same once per nest). The
+		// profiling and emission passes below both train this one clone.
 		opts.Predictor = opts.Predictor.Fresh()
 	}
 
@@ -103,31 +104,45 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	}
 	numChunks := (iters + chunkSize - 1) / chunkSize
 
-	// Profiling pass: per chunk, tally access distance mass per candidate
-	// core (for ProfiledLocality) and MC usage (for MCAffine).
+	// Profiling pass: per chunk, tally what the strategy's objective reads —
+	// the column and row histograms of the located nodes (ProfiledLocality)
+	// or the MC usage (MCAffine). The pass runs for every strategy because it
+	// trains the predictor clone the emission pass reuses.
 	profLoc, err := core.NewLocator(&opts)
 	if err != nil {
 		return nil, err
 	}
-	type chunkProfile struct {
-		locs    []core.LineLoc // all located refs of the chunk, in order
-		mcCount map[mesh.NodeID]int
-	}
-	profiles := make([]*chunkProfile, numChunks)
-	for c := range profiles {
-		profiles[c] = &chunkProfile{mcCount: make(map[mesh.NodeID]int)}
+	cols, rows := opts.Mesh.Cols(), opts.Mesh.Rows()
+	var colHist, rowHist []int // chunk c's histograms at [c*cols:(c+1)*cols] and [c*rows:(c+1)*rows]
+	var mcCount []map[mesh.NodeID]int
+	switch strat {
+	case BlockDistribution: // reads no profile
+	case MCAffine:
+		mcCount = make([]map[mesh.NodeID]int, numChunks)
+		for c := range mcCount {
+			mcCount[c] = make(map[mesh.NodeID]int)
+		}
+	default: // ProfiledLocality
+		colHist = make([]int, numChunks*cols)
+		rowHist = make([]int, numChunks*rows)
 	}
 	for it := 0; it < iters; it++ {
 		env := nest.IterationEnv(it)
-		cp := profiles[it/chunkSize]
+		c := it / chunkSize
 		for _, stmt := range nest.Body {
 			for _, ref := range stmt.AllRefs() {
 				ll, ok := profLoc.LocateRef(prog, ref, env, store)
 				if !ok {
 					continue
 				}
-				cp.locs = append(cp.locs, ll)
-				cp.mcCount[ll.MC]++
+				if mcCount != nil {
+					mcCount[c][ll.MC]++
+				}
+				if colHist != nil {
+					at := opts.Mesh.CoordOf(ll.Node())
+					colHist[c*cols+at.X]++
+					rowHist[c*rows+at.Y]++
+				}
 			}
 		}
 	}
@@ -137,30 +152,36 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	chunkOf := make([]mesh.NodeID, numChunks)
 	perCoreCap := (numChunks + nodes - 1) / nodes
 	coreLoad := make([]int, nodes)
-	for c, cp := range profiles {
+	colCost, rowCost := make([]int, cols), make([]int, rows)
+	for c := range chunkOf {
 		switch strat {
 		case BlockDistribution:
 			chunkOf[c] = mesh.NodeID(c % nodes)
 		case MCAffine:
-			topMC := bestMCCore(opts.Mesh, cp.mcCount)
+			topMC := bestMCCore(opts.Mesh, mcCount[c])
 			chunkOf[c] = bestAvailable(opts.Mesh, coreLoad, perCoreCap, func(n mesh.NodeID) int {
 				return opts.Mesh.Distance(n, topMC)
 			})
 		default: // ProfiledLocality
+			// Manhattan distance separates by axis, so the chunk's total
+			// distance from core (x, y) to its located nodes is exactly
+			// colCost[x] + rowCost[y]: O(cols² + rows²) per chunk, then O(1)
+			// per core, instead of one Distance per reference per core.
+			axisCost(colHist[c*cols:(c+1)*cols], colCost)
+			axisCost(rowHist[c*rows:(c+1)*rows], rowCost)
 			chunkOf[c] = bestAvailable(opts.Mesh, coreLoad, perCoreCap, func(n mesh.NodeID) int {
-				sum := 0
-				for _, ll := range cp.locs {
-					sum += opts.Mesh.Distance(n, ll.Node())
-				}
-				return sum
+				at := opts.Mesh.CoordOf(n)
+				return colCost[at.X] + rowCost[at.Y]
 			})
 		}
 		coreLoad[chunkOf[c]]++
 	}
 
-	// Emission pass: one task per statement instance on the chunk's core,
-	// with a fresh locator so the L2/predictor history matches what the
-	// optimized pass observes.
+	// Emission pass: one task per statement instance on the chunk's core.
+	// The locator is fresh, so L2 residency and page translation start cold
+	// as in the optimized pass; the predictor is not: both passes share the
+	// one opts.Predictor clone made above, so emission consults a predictor
+	// the profiling pass has already trained.
 	emitLoc, err := core.NewLocator(&opts)
 	if err != nil {
 		return nil, err
@@ -348,6 +369,25 @@ func bestAvailable(m *mesh.Mesh, load []int, capPerCore int, objective func(mesh
 		return 0
 	}
 	return best
+}
+
+// axisCost sets cost[x] to the total distance from coordinate x to every
+// point of the one-axis histogram hist (len(cost) == len(hist)).
+func axisCost(hist, cost []int) {
+	for x := range cost {
+		sum := 0
+		for x2, h := range hist {
+			sum += h * abs(x-x2)
+		}
+		cost[x] = sum
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // bestMCCore returns the most used memory controller of a chunk.

@@ -1,8 +1,14 @@
-// Package cache implements set-associative LRU caches used to model the
-// per-node private L1 caches and the distributed shared L2 banks (SNUCA) of
-// the target manycore. The caches operate on cache-line addresses and track
-// hit/miss/eviction statistics; the timing simulator and the window-size
-// experiments (L1 pollution, Figures 16 and 21) are built on them.
+// Package cache implements the set-associative LRU caches the compiler-side
+// models are built on: the locator's per-bank L2 residency model (SNUCA
+// home banks, Section 4.1), the L2 hit/miss predictor's sampled shadow tags,
+// and the per-node shadow L1s both emitters use to decide which fetches hit.
+// The caches operate on cache-line addresses and track hit/miss/eviction
+// statistics.
+//
+// Storage is sparse: a cache holds only the sets it has touched, so
+// construction is O(1) and memory grows with the lines a pass actually
+// brings in, not with the modeled capacity. A 1,024-bank L2 model over a
+// short nest costs a few hundred lines, not 1,024 full tag arrays.
 package cache
 
 import "fmt"
@@ -54,21 +60,23 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It is not
-// safe for concurrent use; the simulator drives each cache from one
-// goroutine.
+// safe for concurrent use: each model owns its caches and drives them from
+// one goroutine. Memory is proportional to the sets touched since the last
+// Flush, each holding at most Ways lines.
 type Cache struct {
-	cfg   Config
-	sets  [][]uint64 // per-set LRU list of line addresses, most recent last
-	stats Stats
+	cfg     Config
+	numSets uint64
+	sets    map[uint64][]uint64 // touched set index -> LRU list of line addresses, most recent last
+	stats   Stats
 }
 
-// New creates a cache. The configuration must be valid.
+// New creates a cache. The configuration must be valid. Construction is
+// O(1): no per-set storage exists until a set is first accessed.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := make([][]uint64, cfg.Sets())
-	return &Cache{cfg: cfg, sets: sets}, nil
+	return &Cache{cfg: cfg, numSets: uint64(cfg.Sets()), sets: make(map[uint64][]uint64)}, nil
 }
 
 // MustNew is New panicking on error.
@@ -83,8 +91,8 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(addr uint64) int {
-	return int(addr / c.cfg.LineBytes % uint64(len(c.sets)))
+func (c *Cache) setOf(addr uint64) uint64 {
+	return addr / c.cfg.LineBytes % c.numSets
 }
 
 // Access looks up the line containing addr, updating LRU state and
@@ -150,9 +158,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush empties the cache and clears the counters.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = nil
-	}
+	clear(c.sets)
 	c.stats = Stats{}
 }
 
