@@ -85,16 +85,18 @@ verifybig:
 #                deadline probes return verifier-clean incumbents
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
-# plus each gate's byte-identity at -j 1 vs -j 8.
+# plus each gate's byte-identity at -j 1 vs -j 8, and (internal/verify) the
+# verifier's reports deep-equal to its test-only pre-rework reference.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
 	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
 	TestVerifyDifferentialDeterministicAcrossJobs TestFaultSweepDeterministicAcrossJobs \
-	TestOnlineSweepJobsDeterminism TestChurnSweepJobsDeterminism TestFusionSweepJobsDeterminism
+	TestOnlineSweepJobsDeterminism TestChurnSweepJobsDeterminism TestFusionSweepJobsDeterminism \
+	TestCheckMatchesReference
 empty :=
 space := $(empty) $(empty)
 
 gates:
-	$(GO) test ./internal/exp/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
+	$(GO) test ./internal/exp/ ./internal/verify/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
 
 # Closure construction/query microbenchmarks, interval index vs the bitset
 # reference (numbers recorded in EXPERIMENTS.md).

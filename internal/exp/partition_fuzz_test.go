@@ -21,11 +21,11 @@ import (
 func FuzzPartition(f *testing.F) {
 	for k := int64(0); k < 8; k++ {
 		rng := rand.New(rand.NewSource(k))
-		f.Add(randProgram(rng), uint8(k%5), uint8(k%3))
+		f.Add(RandomProgram(rng), uint8(k%5), uint8(k%3))
 	}
 	// Hand-picked shapes the generator rarely emits.
-	f.Add("A(0) = A(0)+B(i)", uint8(1), uint8(0))          // pure accumulator
-	f.Add("A(i) = A(i+1)", uint8(2), uint8(1))             // loop-carried anti
+	f.Add("A(0) = A(0)+B(i)", uint8(1), uint8(0))           // pure accumulator
+	f.Add("A(i) = A(i+1)", uint8(2), uint8(1))              // loop-carried anti
 	f.Add("A(IX(i)) = B(IX(2*i))+A(i)", uint8(0), uint8(2)) // indirect in+out
 
 	f.Fuzz(func(t *testing.T, src string, windowSel, modeSel uint8) {

@@ -100,13 +100,15 @@ func (r *Runner) VerifyDiff() (*Experiment, error) {
 	return e, nil
 }
 
-// randProgram generates one random loop-nest program in the statement
+// RandomProgram generates one random loop-nest program in the statement
 // language: 2-4 statements over a small array pool (so statements collide on
 // data and RAW/WAR/WAW chains actually form), affine subscripts with mixed
 // strides, an occasional scalar accumulator, and occasional indirect
 // accesses through an index array (which exercise the inspector and the
-// unresolvable-reference fallbacks).
-func randProgram(rng *rand.Rand) string {
+// unresolvable-reference fallbacks). It generates the verifydiff corpus and
+// FuzzPartition's seeds, which internal/verify's reference differential
+// test replays.
+func RandomProgram(rng *rand.Rand) string {
 	pool := []string{"A", "B", "C", "D"}
 	term := func() string {
 		arr := pool[rng.Intn(len(pool))]
@@ -164,7 +166,7 @@ func VerifyDifferential(cfg VerifyDiffConfig) (*VerifyDiffResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	srcs := make([]string, cfg.Programs)
 	for p := range srcs {
-		srcs[p] = randProgram(rng)
+		srcs[p] = RandomProgram(rng)
 	}
 
 	// Each program's variant sweep is independent; partial tallies merge in

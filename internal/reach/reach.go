@@ -8,9 +8,14 @@
 // (paths) following a topological order, and every vertex v stores, for
 // each indexed chain c, the highest chain position among v's ancestors on
 // c. A reachability query a ⤳ b then reduces to one array compare:
-// chainPos(a) ≤ up[b][chainOf(a)]. On schedule graphs the per-node program
-// order makes the chain count collapse to roughly the mesh size, so the
-// index costs O(n · chains) ≈ O(n · nodes) instead of O(n²).
+// chainPos(a) < up[b][chainOf(a)] (labels store position+1). The index
+// costs O(n · chains) instead of O(n²). The greedy cover extends the chain
+// of the first listed predecessor that is still a chain tail, so the
+// number of chains depends on edge order: when the graph contains disjoint
+// paths covering every vertex and each vertex's first edge comes from its
+// path predecessor, there are at most as many chains as paths. The
+// verifier adds per-node program order before wait arcs, which gives at
+// most one chain per mesh node in use.
 //
 // Graphs whose chain count exceeds the configured budget keep the longest
 // chains indexed and answer queries out of the sparse residue with an
@@ -106,10 +111,12 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	}
 
 	// Greedy chain decomposition: in topological order, append each vertex
-	// to the chain of a predecessor that is currently a chain tail (so
-	// chains are genuine paths), else start a new chain. On schedule
-	// graphs the per-node order edge is always available, which is what
-	// keeps the chain count near the node count.
+	// to the chain of its first predecessor (in Edge order) that is
+	// currently a chain tail (so chains are genuine paths), else start a
+	// new chain. When every vertex's first edge is its path predecessor, a
+	// path's chain can only be taken over by a vertex with no free path
+	// predecessor of its own, and each take-over leaves one displaced
+	// vertex, so there are never more chains than paths.
 	tail := make([]int32, 0, 64)   // chain -> current tail vertex
 	length := make([]int32, 0, 64) // chain -> length
 	for _, v := range order {
@@ -159,15 +166,13 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 		ix.indexed = maxChains
 	}
 
-	// Ancestor labels, in topological order: up[v][c] is the highest
-	// position on indexed chain c among v's ancestors *including v
-	// itself* — self-inclusion makes same-chain queries fall out of the
-	// same compare.
+	// Ancestor labels, in topological order: up[v][c] is one past the
+	// highest position on indexed chain c among v's ancestors *including v
+	// itself* (0: none) — self-inclusion makes same-chain queries fall out
+	// of the same compare, and the one-past encoding makes the zeroed
+	// table the initial state.
 	k := ix.indexed
 	ix.up = make([]int32, n*k)
-	for i := range ix.up {
-		ix.up[i] = -1
-	}
 	for _, v := range order {
 		row := ix.up[int(v)*k : int(v)*k+k]
 		for _, p := range b.preds[v] {
@@ -179,7 +184,7 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 			}
 		}
 		if c := ix.chain[v]; int(c) < k {
-			row[c] = ix.cpos[v]
+			row[c] = ix.cpos[v] + 1
 		}
 	}
 	return ix, nil
@@ -234,7 +239,7 @@ type Index struct {
 	chain   []int32   // chain ID (IDs < indexed have O(1) labels)
 	cpos    []int32   // position within the chain
 	indexed int       // number of labeled chains
-	up      []int32   // n×indexed ancestor labels, row-major
+	up      []int32   // n×indexed ancestor labels (chain position+1), row-major
 	succs   [][]int32 // adjacency for the BFS fallback
 
 	stamp uint32
@@ -270,7 +275,7 @@ func (ix *Index) Reaches(a, b int) bool {
 		return false // topological order embeds the partial order
 	}
 	if c := ix.chain[a]; int(c) < ix.indexed {
-		return ix.up[b*ix.indexed+int(c)] >= ix.cpos[a]
+		return ix.up[b*ix.indexed+int(c)] > ix.cpos[a]
 	}
 	return ix.bfs(a, b)
 }
@@ -303,7 +308,7 @@ func (ix *Index) bfs(a, b int) bool {
 			if ix.pos[s] >= pb || ix.seen[s] == st {
 				continue
 			}
-			if c := ix.chain[s]; int(c) < ix.indexed && bRow[c] >= ix.cpos[s] {
+			if c := ix.chain[s]; int(c) < ix.indexed && bRow[c] > ix.cpos[s] {
 				ix.queue = q
 				return true // s is an ancestor of b by its label
 			}

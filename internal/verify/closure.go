@@ -10,9 +10,10 @@ import (
 // labels over topological chains, with an on-demand BFS for chains beyond
 // the memory budget. Unlike the ancestor-bitset representation it replaced
 // (O(n²/64) words — a 100k-task nest would have needed 1.25 GB and was
-// refused outright), the index costs O(n · chains); with per-node program
-// order included the chain count collapses to roughly the mesh size, so a
-// 100k-task nest fits in a few tens of megabytes.
+// refused outright), the index costs O(n · chains). With per-node program
+// order included there is at most one chain per node in use (see
+// buildClosureBounded), so the labels take 4 bytes × tasks × used nodes, up
+// to the chain budget: a 100k-task nest on 36 nodes needs about 14 MB.
 //
 // A Closure reuses query scratch and must not be queried concurrently.
 type Closure struct {
@@ -40,13 +41,10 @@ func BuildClosure(tasks []*core.Task, sameNodeOrder bool) (*Closure, []int) {
 func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks int) (*Closure, []int) {
 	n := len(tasks)
 	b := reach.NewBuilder(n)
-	for i, t := range tasks {
-		for _, p := range t.WaitFor {
-			if p >= 0 && p < n && p != i {
-				b.Edge(p, i)
-			}
-		}
-	}
+	// Program-order edges go in first, so each task's same-node predecessor
+	// heads its predecessor list and reach's greedy decomposition extends
+	// that node's chain before considering a wait arc: the chain count then
+	// stays at or below the number of nodes in use.
 	if sameNodeOrder {
 		lastOn := make(map[int]int)
 		for i, t := range tasks {
@@ -54,6 +52,13 @@ func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks
 				b.Edge(prev, i)
 			}
 			lastOn[int(t.Node)] = i
+		}
+	}
+	for i, t := range tasks {
+		for _, p := range t.WaitFor {
+			if p >= 0 && p < n && p != i {
+				b.Edge(p, i)
+			}
 		}
 	}
 	ix, stuck := b.Build(chainBudget(maxClosureTasks, n))

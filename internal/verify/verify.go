@@ -9,12 +9,12 @@
 // system executes: the simulator visits tasks in ID order and serializes
 // tasks sharing a node, and the generated per-node programs preserve the
 // same order; across nodes only WaitFor arcs order tasks. The verifier
-// builds a chain-decomposed reachability index over that relation
-// (BuildClosure, backed by internal/reach — linear in tasks times chains,
-// so full-size schedules verify without a task cap), enumerates
-// instance-level accesses from the affine/indirect
-// access functions in internal/ir exactly the way the emitters resolve them
-// (same AddrOf calls, same fallback anchoring, and the emitter's own
+// builds one chain-decomposed reachability index over that relation
+// (BuildClosure, backed by internal/reach — linear in tasks times the mesh
+// nodes in use, so full-size schedules verify without a task cap),
+// enumerates instance-level accesses from the affine/indirect access
+// functions in internal/ir exactly the way the emitters resolve them (same
+// address arithmetic, same fallback anchoring, and the emitter's own
 // first-touch page table), and then replays the schedule's fetches and
 // stores at cache-line granularity checking every RAW, WAR and WAW pair
 // against the closure.
@@ -112,9 +112,11 @@ type Options struct {
 	// MaxClosureTasks is a soft memory bound on the reachability index: it
 	// is converted into an indexed-chain budget equal to what the old
 	// ancestor-bitset closure would have spent at that many tasks (n²/8
-	// bytes). Schedules of any size are accepted — queries past the budget
-	// fall back to an on-demand BFS, trading time, never correctness.
-	// Default 20000 (~50 MB of chain labels).
+	// bytes), clamped to [16, 512] chains. Schedules of any size are
+	// accepted — queries past the budget fall back to an on-demand BFS,
+	// trading time, never correctness. The index holds one chain per mesh
+	// node in use at most, so it costs 4 bytes × tasks × min(used nodes,
+	// budget): about 0.6 MB for a 4,000-task schedule on 6×6. Default 20000.
 	MaxClosureTasks int
 }
 
@@ -135,7 +137,9 @@ const noTask = -1
 // problems (missing inputs); semantic findings land in the report, whose
 // Err method turns violations into an error. There is no task-count
 // refusal: the chain-decomposed closure handles production-size schedules,
-// with MaxClosureTasks only bounding the index's memory.
+// with MaxClosureTasks only bounding the index's memory. One index serves
+// every check, so a run costs O(tasks × used nodes) plus the accesses the
+// instance enumeration and the race replay visit.
 func Check(in Input, o Options) (*Report, error) {
 	o = o.withDefaults()
 	if in.Schedule == nil {
@@ -173,7 +177,7 @@ func Check(in Input, o Options) (*Report, error) {
 		checkBounds(in, o, rep)
 	}
 	checkRaces(in, o, rep, hb)
-	checkRedundancy(in, o, rep)
+	checkRedundancy(in, o, rep, hb)
 	return rep, nil
 }
 
@@ -215,12 +219,28 @@ func lineOf(in Input, va uint64) (uint64, bool) {
 // coherent hardware and is a Violation.
 func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 	tasks := in.Schedule.Tasks
-	lastWrite := make(map[uint64]int)       // line -> writer task
-	readers := make(map[uint64]map[int]int) // line -> node -> last reader task
-	copies := make(map[uint64]map[int]int)  // line -> node -> task that created the L1 copy
-	reported := make(map[[3]uint64]bool)    // (earlier, later, line) dedup
-	pair := func(a, b int, line uint64) [3]uint64 {
-		return [3]uint64{uint64(a), uint64(b), line}
+	lines := make(map[uint64]int32) // line -> index into states
+	var states []lineState
+	reported := make(map[[3]uint64]bool) // (earlier, later, line) dedup
+	// firstReport records the pair and reports whether it is new.
+	firstReport := func(a, b int, line uint64) bool {
+		k := [3]uint64{uint64(a), uint64(b), line}
+		if reported[k] {
+			return false
+		}
+		reported[k] = true
+		return true
+	}
+	// stateOf returns the line's record; the pointer stays valid until the
+	// next stateOf call.
+	stateOf := func(line uint64) *lineState {
+		i, ok := lines[line]
+		if !ok {
+			i = int32(len(states))
+			lines[line] = i
+			states = append(states, lineState{})
+		}
+		return &states[i]
 	}
 	diag := func(kind Kind, earlier, later *core.Task, line uint64, detail string) RaceDiagnostic {
 		return RaceDiagnostic{
@@ -235,16 +255,17 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 	}
 
 	for _, t := range tasks {
+		node := int(t.Node)
 		for _, f := range t.Fetches {
-			if w, ok := lastWrite[f.Line]; ok && w != t.ID {
+			st := stateOf(f.Line)
+			if w := st.writer; st.written && w != t.ID {
 				rep.DepsChecked++
-				if !hb.Ordered(w, t.ID) && !reported[pair(w, t.ID, f.Line)] {
-					reported[pair(w, t.ID, f.Line)] = true
+				if !hb.Ordered(w, t.ID) && firstReport(w, t.ID, f.Line) {
 					rep.addViolation(diag(KindRAW, tasks[w], t, f.Line,
 						"flow dependence unordered: no wait path from the write to the read"), o.MaxDiagnostics)
 				}
 				if f.L1Hit {
-					c, okc := copies[f.Line][int(t.Node)]
+					c, okc := lookup(st.copies, node)
 					switch {
 					case okc && c >= w:
 						// Local reuse: the node's copy postdates the write.
@@ -253,12 +274,8 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 						// writer's node — where the only post-invalidation copy
 						// lives — and is ordered after the write, so the fresh
 						// line rides the producer handshake into this node's L1.
-						if copies[f.Line] == nil {
-							copies[f.Line] = make(map[int]int)
-						}
-						copies[f.Line][int(t.Node)] = t.ID
-					case !reported[pair(w, t.ID, f.Line)]:
-						reported[pair(w, t.ID, f.Line)] = true
+						st.copies = record(st.copies, node, t.ID)
+					case firstReport(w, t.ID, f.Line):
 						detail := fmt.Sprintf("L1 hit but the write invalidated the node's copy; a coherent machine would refetch (write by task %d)", w)
 						if okc {
 							detail = fmt.Sprintf("L1 copy created by task %d predates the write; a coherent machine would refetch", c)
@@ -267,62 +284,114 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 					}
 				}
 			}
-			if readers[f.Line] == nil {
-				readers[f.Line] = make(map[int]int)
-			}
-			readers[f.Line][int(t.Node)] = t.ID
-			if !f.L1Hit {
-				// A real fetch refreshes the node's copy; an L1 hit keeps
-				// whatever vintage the copy already had.
-				if copies[f.Line] == nil {
-					copies[f.Line] = make(map[int]int)
-				}
-				copies[f.Line][int(t.Node)] = t.ID
-			} else if _, okc := copies[f.Line][int(t.Node)]; !okc {
-				if copies[f.Line] == nil {
-					copies[f.Line] = make(map[int]int)
-				}
-				copies[f.Line][int(t.Node)] = t.ID
+			st.readers = record(st.readers, node, t.ID)
+			// A real fetch refreshes the node's copy; an L1 hit keeps
+			// whatever vintage the copy already had.
+			if _, okc := lookup(st.copies, node); !f.L1Hit || !okc {
+				st.copies = record(st.copies, node, t.ID)
 			}
 		}
 		if !t.IsRoot {
 			continue
 		}
 		line := t.ResultLine
-		if w, ok := lastWrite[line]; ok && w != t.ID {
+		st := stateOf(line)
+		if w := st.writer; st.written && w != t.ID {
 			rep.DepsChecked++
-			if !hb.Ordered(w, t.ID) && !reported[pair(w, t.ID, line)] {
-				reported[pair(w, t.ID, line)] = true
+			if !hb.Ordered(w, t.ID) && firstReport(w, t.ID, line) {
 				rep.addViolation(diag(KindWAW, tasks[w], t, line,
 					"output dependence unordered: two stores to the line race"), o.MaxDiagnostics)
 			}
 		}
-		// Scan reader nodes in ascending order for deterministic reports.
-		if rs := readers[line]; len(rs) > 0 {
-			for n := 0; n < in.Mesh.Nodes(); n++ {
-				r, ok := rs[n]
-				if !ok || r == t.ID {
-					continue
-				}
-				rep.DepsChecked++
-				if !hb.Ordered(r, t.ID) && !reported[pair(r, t.ID, line)] {
-					reported[pair(r, t.ID, line)] = true
-					rep.addViolation(diag(KindWAR, tasks[r], t, line,
-						"anti dependence unordered: the store can overtake the read"), o.MaxDiagnostics)
-				}
+		// The reader set is sorted by node, so reports come out in
+		// ascending node order.
+		for _, r := range st.readers {
+			if r.task == t.ID {
+				continue
+			}
+			rep.DepsChecked++
+			if !hb.Ordered(r.task, t.ID) && firstReport(r.task, t.ID, line) {
+				rep.addViolation(diag(KindWAR, tasks[r.task], t, line,
+					"anti dependence unordered: the store can overtake the read"), o.MaxDiagnostics)
 			}
 		}
-		delete(readers, line)
-		lastWrite[line] = t.ID
+		st.readers = st.readers[:0]
+		st.written, st.writer = true, t.ID
 		// Write-invalidate: the store leaves exactly one valid copy of the
 		// line — the writer's node.
-		copies[line] = map[int]int{int(t.Node): t.ID}
+		st.copies = append(st.copies[:0], nodeTask{node, t.ID})
 	}
 }
 
+// lineState is the race replay's record of one line: its latest writer,
+// the last reader on each node since that write, and the nodes holding an
+// L1 copy with the task that created each. Both node lists are sorted by
+// node.
+type lineState struct {
+	written         bool
+	writer          int
+	readers, copies []nodeTask
+}
+
+// nodeTask pairs a mesh node with a task.
+type nodeTask struct{ node, task int }
+
+// lookup returns the task recorded for node in the sorted list.
+func lookup(list []nodeTask, node int) (int, bool) {
+	for _, e := range list {
+		if e.node >= node {
+			return e.task, e.node == node
+		}
+	}
+	return 0, false
+}
+
+// record sets node's task in the sorted list, inserting it in order.
+func record(list []nodeTask, node, task int) []nodeTask {
+	i := 0
+	for i < len(list) && list[i].node < node {
+		i++
+	}
+	if i < len(list) && list[i].node == node {
+		list[i].task = task
+		return list
+	}
+	list = append(list, nodeTask{})
+	copy(list[i+1:], list[i:])
+	list[i] = nodeTask{node, task}
+	return list
+}
+
+// refView is the iteration-independent view of one reference that
+// checkInstances caches: its array and, for an affine subscript, the affine
+// form. It is the verifier's own cache, deliberately not shared with the
+// emitters' locator, so the oracle resolves addresses independently.
+type refView struct {
+	ref    *ir.Ref
+	arr    *ir.Array
+	aff    ir.Affine
+	affine bool
+}
+
+func viewOf(prog *ir.Program, ref *ir.Ref) refView {
+	v := refView{ref: ref, arr: prog.Array(ref.Array)}
+	v.aff, v.affine = ir.SubscriptOf(ref)
+	return v
+}
+
+// addr resolves the reference's virtual address under env: affine
+// subscripts from the cached form, everything else through Prog.AddrOf.
+func (v *refView) addr(prog *ir.Program, env map[string]int, store *ir.Store) (uint64, error) {
+	if v.affine && v.arr != nil {
+		return v.arr.AddrOfIndex(v.aff.Eval(env)), nil
+	}
+	return prog.AddrOf(v.ref, env, store)
+}
+
 // checkInstances enumerates each statement instance's accesses from the IR
-// — resolving subscripts with the same AddrOf calls and fallback anchoring
-// the emitters use, through the emitter's own page table — and checks the
+// — resolving subscripts the way the emitters do (ir.Array.AddrOfIndex over
+// the affine form, Prog.AddrOf for indirect refs, the same fallback
+// anchoring), through the emitter's own page table — and checks the
 // schedule carries them: every required operand line is fetched by some task
 // of the instance, and the instance's root stores the line the IR writes.
 func checkInstances(in Input, o Options, rep *Report) {
@@ -331,122 +400,147 @@ func checkInstances(in Input, o Options, rep *Report) {
 	if m == 0 {
 		return
 	}
-	type instKey struct{ iter, stmt int }
-	fetched := make(map[instKey]map[uint64]bool, in.Schedule.Instances)
-	rootOf := make(map[instKey]*core.Task, in.Schedule.Instances)
+	instances := in.Nest.Iterations() * m
+	// Per-instance fetched lines (CSR over the dense instance index) and
+	// roots; tasks naming an instance outside the nest are never asked for.
+	inst := func(t *core.Task) int {
+		if t.Stmt < 0 || t.Stmt >= m || t.Iter < 0 || t.Iter >= instances/m {
+			return -1
+		}
+		return t.Iter*m + t.Stmt
+	}
+	start := make([]int32, instances+1)
+	rootOf := make([]*core.Task, instances)
 	for _, t := range in.Schedule.Tasks {
-		k := instKey{t.Iter, t.Stmt}
-		if fetched[k] == nil {
-			fetched[k] = make(map[uint64]bool, len(t.Fetches))
+		if k := inst(t); k >= 0 {
+			start[k+1] += int32(len(t.Fetches))
+			if t.IsRoot {
+				rootOf[k] = t
+			}
 		}
-		for _, f := range t.Fetches {
-			fetched[k][f.Line] = true
+	}
+	for k := 0; k < instances; k++ {
+		start[k+1] += start[k]
+	}
+	fetched := make([]uint64, start[instances])
+	fill := append([]int32(nil), start[:instances]...)
+	for _, t := range in.Schedule.Tasks {
+		if k := inst(t); k >= 0 {
+			for _, f := range t.Fetches {
+				fetched[fill[k]] = f.Line
+				fill[k]++
+			}
 		}
-		if t.IsRoot {
-			rootOf[k] = t
+	}
+	fetches := func(k int, line uint64) bool {
+		for _, l := range fetched[start[k]:start[k+1]] {
+			if l == line {
+				return true
+			}
 		}
+		return false
 	}
 
 	// The value operands are the nested-set leaves — exactly what the
 	// partitioner plans fetches for (inner indirect-subscript references
-	// resolve addresses but are not themselves fetched); cached per
-	// statement since the leaf set is iteration-independent.
-	leavesOf := make([][]*ir.Ref, m)
+	// resolve addresses but are not themselves fetched). Leaf sets, output
+	// views and array base lines are iteration-independent.
+	type stmtView struct {
+		lhs      refView
+		baseLine uint64
+		baseOK   bool
+		leaves   []refView
+	}
+	views := make([]stmtView, m)
 	for si, stmt := range body {
-		leavesOf[si] = ir.NestedSets(stmt.RHS).Leaves(nil)
+		sv := &views[si]
+		sv.lhs = viewOf(in.Prog, stmt.LHS)
+		if sv.lhs.arr != nil {
+			sv.baseLine, sv.baseOK = lineOf(in, sv.lhs.arr.Base)
+		}
+		for _, ref := range ir.NestedSets(stmt.RHS).Leaves(nil) {
+			sv.leaves = append(sv.leaves, viewOf(in.Prog, ref))
+		}
 	}
 
-	instances := in.Nest.Iterations() * m
 	var env map[string]int
 	for k := 0; k < instances; k++ {
 		iter := k / m
 		si := k % m
 		if si == 0 {
-			env = in.Nest.IterationEnv(iter)
+			env = in.Nest.IterationEnvInto(env, iter)
 		}
 		if in.Completed != nil && in.Completed(iter, si) {
 			continue // finished before the checkpoint; not in the residual
 		}
-		stmt := body[si]
-		key := instKey{iter, si}
-
-		resolve := func(ref *ir.Ref, fallback uint64, haveFallback bool) (uint64, bool) {
-			va, err := in.Prog.AddrOf(ref, env, in.Store)
-			if err != nil {
-				if !haveFallback {
-					return 0, false
-				}
-				rep.addWarning(RaceDiagnostic{
-					Kind: KindUnresolved, EarlierTask: noTask, LaterTask: noTask,
-					LaterIter: iter, LaterStmt: si,
-					Detail: fmt.Sprintf("iter %d stmt %d: %v; emitter fallback anchoring assumed", iter, si, err),
-				}, o.MaxDiagnostics)
-				return fallback, true
-			}
-			line, ok := lineOf(in, va)
-			if !ok {
-				rep.addViolation(RaceDiagnostic{
-					Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
-					LaterIter: iter, LaterStmt: si,
-					Detail: fmt.Sprintf("iter %d stmt %d: %s resolves to va %#x on a page the emitter never translated", iter, si, ref.Array, va),
-				}, o.MaxDiagnostics)
-				return 0, false
-			}
-			return line, true
-		}
+		sv := &views[si]
 
 		// The write: unresolvable outputs anchor at the array base, exactly
 		// the emitters' documented fallback.
 		var writeLine uint64
-		arr := in.Prog.Array(stmt.LHS.Array)
-		if arr == nil {
+		if sv.lhs.arr == nil {
 			rep.addViolation(RaceDiagnostic{
 				Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
 				LaterIter: iter, LaterStmt: si,
-				Detail: fmt.Sprintf("statement %d writes undeclared array %s", si, stmt.LHS.Array),
+				Detail: fmt.Sprintf("statement %d writes undeclared array %s", si, sv.lhs.ref.Array),
 			}, o.MaxDiagnostics)
 			continue
 		}
-		baseLine, baseOK := lineOf(in, arr.Base)
-		if va, err := in.Prog.AddrOf(stmt.LHS, env, in.Store); err == nil {
+		if va, err := sv.lhs.addr(in.Prog, env, in.Store); err == nil {
 			line, ok := lineOf(in, va)
 			if !ok {
 				rep.addViolation(RaceDiagnostic{
 					Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
 					LaterIter: iter, LaterStmt: si,
-					Detail: fmt.Sprintf("iter %d stmt %d: output %s resolves to va %#x on a page the emitter never translated", iter, si, stmt.LHS.Array, va),
+					Detail: fmt.Sprintf("iter %d stmt %d: output %s resolves to va %#x on a page the emitter never translated", iter, si, sv.lhs.ref.Array, va),
 				}, o.MaxDiagnostics)
 				continue
 			}
 			writeLine = line
 		} else {
-			if !baseOK {
+			if !sv.baseOK {
 				continue
 			}
 			rep.addWarning(RaceDiagnostic{
 				Kind: KindUnresolved, EarlierTask: noTask, LaterTask: noTask,
 				LaterIter: iter, LaterStmt: si,
-				Detail: fmt.Sprintf("iter %d stmt %d: output %s unresolvable (%v); anchored at array base", iter, si, stmt.LHS.Array, err),
+				Detail: fmt.Sprintf("iter %d stmt %d: output %s unresolvable (%v); anchored at array base", iter, si, sv.lhs.ref.Array, err),
 			}, o.MaxDiagnostics)
-			writeLine = baseLine
+			writeLine = sv.baseLine
 		}
 
-		for _, ref := range leavesOf[si] {
-			line, ok := resolve(ref, writeLine, true)
-			if !ok {
-				continue
+		for li := range sv.leaves {
+			leaf := &sv.leaves[li]
+			line := writeLine // unresolvable operands anchor at the write
+			va, err := leaf.addr(in.Prog, env, in.Store)
+			if err != nil {
+				rep.addWarning(RaceDiagnostic{
+					Kind: KindUnresolved, EarlierTask: noTask, LaterTask: noTask,
+					LaterIter: iter, LaterStmt: si,
+					Detail: fmt.Sprintf("iter %d stmt %d: %v; emitter fallback anchoring assumed", iter, si, err),
+				}, o.MaxDiagnostics)
+			} else {
+				var ok bool
+				if line, ok = lineOf(in, va); !ok {
+					rep.addViolation(RaceDiagnostic{
+						Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
+						LaterIter: iter, LaterStmt: si,
+						Detail: fmt.Sprintf("iter %d stmt %d: %s resolves to va %#x on a page the emitter never translated", iter, si, leaf.ref.Array, va),
+					}, o.MaxDiagnostics)
+					continue
+				}
 			}
-			if !fetched[key][line] {
+			if !fetches(k, line) {
 				rep.addViolation(RaceDiagnostic{
 					Kind: KindMissingFetch, EarlierTask: noTask, LaterTask: noTask,
 					LaterIter: iter, LaterStmt: si,
 					Array: name(in, line), Line: line,
-					Detail: fmt.Sprintf("iter %d stmt %d reads %s(%s) but no task of the instance fetches %s", iter, si, ref.Array, subscriptString(ref), name(in, line)),
+					Detail: fmt.Sprintf("iter %d stmt %d reads %s(%s) but no task of the instance fetches %s", iter, si, leaf.ref.Array, subscriptString(leaf.ref), name(in, line)),
 				}, o.MaxDiagnostics)
 			}
 		}
 
-		root := rootOf[key]
+		root := rootOf[k]
 		if root == nil {
 			rep.addViolation(RaceDiagnostic{
 				Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
@@ -478,17 +572,53 @@ func subscriptString(ref *ir.Ref) string {
 	return "<indirect>"
 }
 
-// checkRedundancy flags WaitFor arcs the arc-only closure already implies:
-// an arc p -> t is redundant when another producer q of t is (strictly)
-// reachable from p, or duplicates p outright. This is the sync-sufficiency
-// view that cross-validates core.ReduceSyncs — removing a flagged arc can
-// never change the partial order.
-func checkRedundancy(in Input, o Options, rep *Report) {
-	arcHB, _ := buildClosureBounded(in.Schedule.Tasks, false, o.MaxClosureTasks)
-	if arcHB == nil {
-		return // cycle already reported as a deadlock by the caller
+// checkRedundancy flags WaitFor arcs the remaining arcs already imply: an
+// arc p -> t is redundant when another producer q of t is reachable from p
+// along WaitFor arcs alone, or duplicates p outright. This is the
+// sync-sufficiency view that cross-validates core.ReduceSyncs — removing a
+// flagged arc can never change the partial order.
+//
+// Arc-only reachability is answered by walks over WaitFor lists, started
+// only from tasks with two or more producers, and pruned by hb: arcs are a
+// subset of happens-before, so a vertex hb does not order after p cannot
+// lie on an arc path from p.
+func checkRedundancy(in Input, o Options, rep *Report, hb *Closure) {
+	tasks := in.Schedule.Tasks
+	var seen []int32 // walk stamps, allocated on the first walk
+	var stamp int32
+	var stack []int
+	// arcPath reports whether WaitFor arcs lead from p to q (p != q),
+	// walking back from q over producers hb orders after p.
+	arcPath := func(p, q int) bool {
+		n := len(tasks)
+		if p < 0 || p >= n || q < 0 || q >= n || !hb.Ordered(p, q) {
+			return false
+		}
+		if seen == nil {
+			seen = make([]int32, n)
+		}
+		stamp++
+		seen[q] = stamp
+		stack = append(stack[:0], q)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range tasks[u].WaitFor {
+				if v < 0 || v >= n || v == u {
+					continue // ignored by the closure as well
+				}
+				if v == p {
+					return true
+				}
+				if seen[v] != stamp && hb.Ordered(p, v) {
+					seen[v] = stamp
+					stack = append(stack, v)
+				}
+			}
+		}
+		return false
 	}
-	for _, t := range in.Schedule.Tasks {
+	for _, t := range tasks {
 		if len(t.WaitFor) < 2 {
 			continue
 		}
@@ -498,7 +628,7 @@ func checkRedundancy(in Input, o Options, rep *Report) {
 				if j == i {
 					continue
 				}
-				if (p == q && j > i) || (p != q && arcHB.Ordered(p, q)) {
+				if (p == q && j > i) || (p != q && arcPath(p, q)) {
 					red = true
 					break
 				}
@@ -507,9 +637,9 @@ func checkRedundancy(in Input, o Options, rep *Report) {
 				rep.RedundantArcs++
 				rep.addWarning(RaceDiagnostic{
 					Kind: KindRedundantArc, EarlierTask: p, LaterTask: t.ID,
-					EarlierIter: in.Schedule.Tasks[p].Iter, EarlierStmt: in.Schedule.Tasks[p].Stmt,
+					EarlierIter: tasks[p].Iter, EarlierStmt: tasks[p].Stmt,
 					LaterIter: t.Iter, LaterStmt: t.Stmt,
-					EarlierNode: int(in.Schedule.Tasks[p].Node), LaterNode: int(t.Node),
+					EarlierNode: int(tasks[p].Node), LaterNode: int(t.Node),
 					Detail: "arc already implied by the remaining wait structure",
 				}, o.MaxDiagnostics)
 			}

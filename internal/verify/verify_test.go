@@ -421,3 +421,31 @@ func TestCheckerGatesCandidates(t *testing.T) {
 		t.Fatalf("checker kept state from the rejected candidate: %v", err)
 	}
 }
+
+// TestWARReaderOnOutOfRangeNode checks that a structurally broken schedule
+// is still analysed for races: a read on a node outside the mesh followed by
+// an unordered store to the same line is a WAR violation, next to the
+// structural finding about the node.
+func TestWARReaderOnOutOfRangeNode(t *testing.T) {
+	m := mesh.MustNew(2, 2)
+	const line = uint64(64)
+	reader := &core.Task{ID: 0, Node: 7, Iter: 0, Fetches: []core.Fetch{{From: 1, Line: line}}}
+	writer := &core.Task{ID: 1, Node: 1, Iter: 1, IsRoot: true, ResultLine: line}
+	s := &core.Schedule{Tasks: []*core.Task{reader, writer}, Instances: 1}
+	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counts[verify.KindStructural] == 0 {
+		t.Errorf("out-of-range node not reported as structural: %v", rep.Lines())
+	}
+	found := false
+	for _, d := range rep.Violations {
+		if d.Kind == verify.KindWAR && d.EarlierTask == 0 && d.LaterTask == 1 && d.EarlierNode == 7 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("WAR against the out-of-range reader not reported: %v", rep.Lines())
+	}
+}
