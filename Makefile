@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates bench-closure bench bench-json bench-gate bench-test bench-smoke bench-diff check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates jobs-identical bench-closure bench-test bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -85,12 +85,12 @@ verifybig:
 #                deadline probes return verifier-clean incumbents
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
-# plus each gate's byte-identity at -j 1 vs -j 8, and (internal/verify) the
-# verifier's reports deep-equal to its test-only pre-rework reference.
+# plus each gate's byte-identity at -j 1 vs -j 8 and its Runner experiment
+# wrapper (one subtest per gate), and (internal/verify) the verifier's reports
+# deep-equal to its test-only pre-rework reference.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
 	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
-	TestVerifyDifferentialDeterministicAcrossJobs TestFaultSweepDeterministicAcrossJobs \
-	TestOnlineSweepJobsDeterminism TestChurnSweepJobsDeterminism TestFusionSweepJobsDeterminism \
+	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments \
 	TestCheckMatchesReference
 empty :=
 space := $(empty) $(empty)
@@ -98,28 +98,22 @@ space := $(empty) $(empty)
 gates:
 	$(GO) test ./internal/exp/ ./internal/verify/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
 
+# Every table of the experiment suite at the default (EXPERIMENTS.md) scale
+# must be byte-identical serial and parallel: one build, `-run all -markdown`
+# at -j 1 and at -j 8, then cmp. -j is pinned at 8 rather than the CPU count
+# so the worker pool fans out even on a 1-CPU host. About 1 min on 2 vCPUs.
+jobs-identical:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/experiments" ./cmd/experiments && \
+	"$$dir/experiments" -run all -markdown -j 1 > "$$dir/j1.md" && \
+	"$$dir/experiments" -run all -markdown -j 8 > "$$dir/j8.md" && \
+	cmp "$$dir/j1.md" "$$dir/j8.md" && \
+	echo "jobs-identical: -j 1 and -j 8 tables are byte-identical ($$(grep -c '^## ' "$$dir/j1.md") experiments)"
+
 # Closure construction/query microbenchmarks, interval index vs the bitset
 # reference (numbers recorded in EXPERIMENTS.md).
 bench-closure:
 	$(GO) test ./internal/verify/ -run '^$$' -bench BenchmarkClosure -benchmem
-
-# Per-experiment benchmarks (one per table/figure of the paper).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Benchmark-trajectory harness: micro hot-path costs + serial-vs-parallel
-# suite timings + table byte-identity check, recorded to BENCH_$(PR).json.
-# PR names the record and is required, so no run overwrites an older one:
-# `make bench-json PR=<n>` writes BENCH_<n>.json.
-bench-json: build
-	@[ -n "$(PR)" ] || { echo "bench-json: set PR=<n>; the record is written to BENCH_<n>.json"; exit 2; }
-	$(GO) run ./cmd/dmacp bench -o BENCH_$(PR).json
-
-# The pre-PR form of bench-json: the same harness and table byte-identity
-# gate, with the record written to a temporary file that is then removed, so
-# the gate never touches a committed BENCH_*.json.
-bench-gate: build
-	@out=$$(mktemp); $(GO) run ./cmd/dmacp bench -o "$$out"; st=$$?; rm -f "$$out"; exit $$st
 
 # The benchmark module's own tests: bench/ is a separate Go module, so the
 # root `go test ./...` never runs its determinism and movement checks.
@@ -131,10 +125,5 @@ bench-test:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# Trajectory guard: diff the two newest BENCH_*.json records and fail on any
-# per-metric regression above 10% (ns/op, allocs/op, B/op, suite seconds).
-bench-diff: build
-	$(GO) run ./cmd/experiments -bench-diff
-
-check: build vet lint staticcheck test race verifybig gates bench-test bench-smoke bench-gate
+check: build vet lint staticcheck test race verifybig gates bench-test bench-smoke jobs-identical
 	@echo "check: all gates passed"

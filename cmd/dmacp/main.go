@@ -38,13 +38,6 @@
 //
 //	dmacp faults -links 3 -tiles 1 -online -at 0.5
 //
-// The bench subcommand is the benchmark-trajectory harness: it measures the
-// hot-path micro costs, times the experiment suite serial versus parallel,
-// asserts the two runs produce byte-identical tables, and prints the record
-// as JSON on stdout unless -o names a file:
-//
-//	dmacp bench -o BENCH_<n>.json
-//
 // All commands accept -j N to bound the worker pool (<= 0 means one worker
 // per CPU, 1 forces serial execution); results are identical at every setting.
 package main
@@ -299,10 +292,6 @@ func main() {
 		runFaults(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		runBench(os.Args[2:])
-		return
-	}
 	var (
 		stmts   = flag.String("stmts", "A(8*i) = B(8*i)+C(16*i)+D(8*i+64)+E(24*i)\nX(8*i) = Y(8*i)+C(16*i)", "loop body statements (';' or newline separated)")
 		iters   = flag.Int("iters", 256, "iterations of the i loop")
@@ -322,6 +311,10 @@ func main() {
 		nofuse  = flag.Bool("nofuse", false, "disable the producer→consumer fusion pre-pass")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "dmacp: unknown command %q (commands: verify, faults; run with flags only for the default report)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	k := pipeline.Kernel{
 		Name:       "kernel",

@@ -17,7 +17,7 @@
 // (internal/baseline), the 12-application workload suite
 // (internal/workloads), and the experiment harness (internal/exp).
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; `go run ./cmd/experiments -run all` prints them with
-// the paper's claims side by side.
+// `go run ./cmd/experiments -run all` regenerates every table and figure of
+// the paper's evaluation and prints them with the paper's claims side by
+// side.
 package dmacp

@@ -120,12 +120,13 @@ func TestCallGraphDeterministicDump(t *testing.T) {
 }
 
 // TestDiagnosticsJSONDeterministic pins the full pipeline end to end: two
-// independent loads and runs of the whole suite over the cross-package
-// detflow fixture must produce byte-identical -json output, and that
-// output must contain the cross-package findings.
+// independent loads and runs of the whole suite over every analyzer fixture
+// must produce byte-identical -json output, and that output must carry
+// findings from each of the eight analyzers (so the comparison is never
+// between two empty lists) and the cross-package detflow findings.
 func TestDiagnosticsJSONDeterministic(t *testing.T) {
 	run := func() []byte {
-		pkgs := loadFixturePkgs(t, "./testdata/src/detflow/...")
+		pkgs := loadFixturePkgs(t, "./testdata/src/...")
 		out, err := DiagnosticsJSON(Run(pkgs, All()))
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +137,11 @@ func TestDiagnosticsJSONDeterministic(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("-json output differs across independent runs:\n--- first\n%s\n--- second\n%s", j1, j2)
 	}
-	for _, frag := range []string{`"analyzer": "detflow"`, "map-iteration-ordered"} {
+	frags := []string{"map-iteration-ordered"}
+	for _, a := range All() {
+		frags = append(frags, `"analyzer": "`+a.Name+`"`)
+	}
+	for _, frag := range frags {
 		if !bytes.Contains(j1, []byte(frag)) {
 			t.Errorf("-json output missing %q:\n%s", frag, j1)
 		}

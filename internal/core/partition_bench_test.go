@@ -1,18 +1,19 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
 	"dmacp/internal/predictor"
+	"dmacp/internal/sim"
 	"dmacp/internal/workloads"
 )
 
-// BenchmarkPartition mirrors the `dmacp bench` core/Partition micro (Barnes
-// force at bench scale, fixed window 4) so the hot path can be profiled with
-// the standard tooling.
+// BenchmarkPartition partitions Barnes' force nest at a fixed window of 4,
+// so the partitioner's hot path can be profiled with the standard tooling.
 func BenchmarkPartition(b *testing.B) {
 	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 64, Elems: 1 << 14})
 	if err != nil {
@@ -63,5 +64,51 @@ func BenchmarkPartitionSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReintegrateOnline times one re-integration decision round (pricing,
+// movement accounting and the verifier gate) on its own. Set-up partitions
+// Barnes' force nest, checkpoints a mid-run fault set, repairs the residual
+// schedule around it, and then revives every dead element.
+func BenchmarkReintegrateOnline(b *testing.B) {
+	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 48, Elems: 1 << 13})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.FixedWindow = 4
+	m := opts.Mesh
+	part, err := core.Partition(app.Prog, app.Nests[0], app.Store, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	simCfg := sim.DefaultConfig(m)
+	base, err := sim.Run(part.Schedule, simCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := mesh.Inject(m, 1, 3, 0, 1, true)
+	simCfg.FaultEvents = []sim.FaultEvent{{Cycle: base.Cycles / 2, Faults: faults}}
+	run, err := sim.Run(part.Schedule, simCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	residual, _, err := core.RepairOnline(part.Schedule, run.Checkpoints[0], m, faults, core.RepairOptions{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cleared := faults.Clone()
+	cleared.Revive(faults.RecoveryAll())
+	revived := mesh.RevivedNodes(m, faults, cleared)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn := core.NewChurnState()
+		churn.Observe(m, faults)
+		churn.Observe(m, cleared)
+		if _, _, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared, revived, core.RepairOptions{}, churn, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
