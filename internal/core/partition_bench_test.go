@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dmacp/internal/core"
@@ -110,5 +111,57 @@ func BenchmarkReintegrateOnline(b *testing.B) {
 		if _, _, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared, revived, core.RepairOptions{}, churn, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReduceSyncs times the transitive sync reduction on both of its
+// paths. "suite" is Barnes' force nest partitioned at window 4 (about 2,400
+// tasks, the online-repair average) with implied arcs re-inserted; the
+// walks answer every task. "longchain" is the long-chain kernel's unreduced
+// schedule at 8,192 iterations (24,572 tasks); it exhausts the walk budget
+// and falls back to the reachability index. Each iteration reduces a fresh
+// copy.
+func BenchmarkReduceSyncs(b *testing.B) {
+	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 64, Elems: 1 << 14})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.FixedWindow = 4
+	part, err := core.Partition(app.Prog, app.Nests[0], app.Store, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite := cloneTasks(part.Schedule.Tasks)
+	addImpliedArcs(suite, rand.New(rand.NewSource(1)), 4, 4)
+	prog, nest, store := extKernel(b, longChainKernel, 8192)
+	chain, err := core.EmitUnreduced(prog, nest, store, opts, opts.FixedWindow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	core.DedupeWaits(chain.Tasks)
+	// Copies are made in batches outside the timer, amortizing its cost;
+	// the long chain's op is long enough to take them one at a time, which
+	// keeps its live heap, and so the collector's work, small.
+	for _, c := range []struct {
+		name  string
+		tasks []*core.Task
+		batch int
+	}{{"suite", suite, 32}, {"longchain", chain.Tasks, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			copies := make([][]*core.Task, c.batch)
+			for i := 0; i < b.N; i += c.batch {
+				b.StopTimer()
+				k := min(c.batch, b.N-i)
+				for j := range copies[:k] {
+					copies[j] = cloneTasks(c.tasks)
+				}
+				b.StartTimer()
+				for _, tasks := range copies[:k] {
+					core.ReduceSyncs(tasks)
+				}
+			}
+		})
 	}
 }

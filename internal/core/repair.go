@@ -15,7 +15,7 @@ type AssignStrategy int
 
 const (
 	// AssignAuto (the default) solves the batched min-cost assignment and
-	// the greedy ID-order placement on separate clones and commits whichever
+	// the greedy ID-order placement on separate copies and commits whichever
 	// repaired schedule moves less data, tie-breaking toward the batched
 	// result. The accepted repair is therefore never worse than the PR 3
 	// greedy baseline.
@@ -151,9 +151,10 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // a Clone (RepairVerified does).
 //
 // With the default AssignAuto strategy the stranded-task placement is
-// solved twice on clones — once as a batched min-cost assignment, once with
-// the greedy ID-order baseline — and the schedule that moves less data is
-// committed, tie-breaking toward the batched result.
+// solved twice — once as a batched min-cost assignment, in place on s, and
+// once with the greedy ID-order baseline on a single Clone — and the
+// schedule that moves less data is committed, tie-breaking toward the
+// batched result.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	if o.Strategy == AssignAuto && !o.Full && !f.Empty() {
 		return repairBestOf(s, m, f, o)
@@ -161,20 +162,20 @@ func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 	return repairSchedule(s, m, f, o)
 }
 
-// repairBestOf runs the batched min-cost and the greedy repair on separate
-// clones and commits whichever produced less post-repair movement into s.
-// Ties go to the batched assignment, so the accepted repair is by
-// construction never worse than the greedy baseline.
+// repairBestOf runs the batched min-cost repair in place on s and the
+// greedy repair on a clone taken beforehand, and copies the greedy result
+// into s only when it produced strictly less post-repair movement (or the
+// min-cost pass failed). Ties go to the batched assignment, so the accepted
+// repair is by construction never worse than the greedy baseline. One deep
+// copy per call: s is already the caller's clone in RepairVerifiedCtx.
 func repairBestOf(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	oMC, oGr := o, o
 	oMC.Strategy, oGr.Strategy = AssignMinCost, AssignGreedy
-	cMC := s.Clone()
-	repMC, errMC := repairSchedule(cMC, m, f, oMC)
 	cGr := s.Clone()
+	repMC, errMC := repairSchedule(s, m, f, oMC)
 	repGr, errGr := repairSchedule(cGr, m, f, oGr)
 	switch {
 	case errMC == nil && (errGr != nil || repMC.MovementAfter <= repGr.MovementAfter):
-		*s = *cMC
 		return repMC, nil
 	case errGr == nil:
 		*s = *cGr

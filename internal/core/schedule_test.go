@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dmacp/internal/mesh"
@@ -140,6 +141,37 @@ func TestReduceSyncsPreservesOrder(t *testing.T) {
 	}
 	if !reach[0] {
 		t.Error("transitive order to task 0 lost")
+	}
+}
+
+// TestReduceSyncsRequiresTopologicalIDs pins the precondition: ReduceSyncs
+// leaves input whose WaitFor entries are not all below their task's ID
+// untouched and returns 0, although task 2's arc from 0 is implied.
+func TestReduceSyncsRequiresTopologicalIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  *Task
+	}{
+		{"forward arc", &Task{ID: 3, WaitFor: []int{2, 4}, WaitHops: []int{1, 1}}},
+		{"self arc", &Task{ID: 3, WaitFor: []int{3}, WaitHops: []int{0}}},
+	} {
+		tasks := []*Task{
+			{ID: 0},
+			{ID: 1, WaitFor: []int{0}, WaitHops: []int{1}},
+			{ID: 2, WaitFor: []int{1, 0}, WaitHops: []int{1, 2}},
+			tc.bad,
+			{ID: 4},
+		}
+		badWaits := append([]int(nil), tc.bad.WaitFor...)
+		if removed := ReduceSyncs(tasks); removed != 0 {
+			t.Errorf("%s: removed = %d, want 0", tc.name, removed)
+		}
+		if !slices.Equal(tasks[2].WaitFor, []int{1, 0}) || !slices.Equal(tasks[2].WaitHops, []int{1, 2}) {
+			t.Errorf("%s: task 2 rewritten to %v hops %v", tc.name, tasks[2].WaitFor, tasks[2].WaitHops)
+		}
+		if !slices.Equal(tc.bad.WaitFor, badWaits) {
+			t.Errorf("%s: task 3 rewritten to %v", tc.name, tc.bad.WaitFor)
+		}
 	}
 }
 

@@ -2,6 +2,10 @@
 // DAGs with dense integer vertex IDs. It replaces the O(n²/64)-word
 // ancestor-bitset closure the verifier used before: memory there grew
 // quadratically, which is why schedules above 20k tasks had to be refused.
+// It has two users: the verifier's happens-before index (verify.Closure,
+// wait arcs plus per-node program order), and core.ReduceSyncs, which
+// walks the wait arcs first and builds an arc-only index over the waited-on
+// tasks only when its walk budget runs out on a long carried chain.
 //
 // The index is a chain decomposition in the style of Jagadish's
 // path-compression labeling: vertices are greedily covered by chains
