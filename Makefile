@@ -102,14 +102,23 @@ gates:
 # Every table of the experiment suite at the default (EXPERIMENTS.md) scale
 # must be byte-identical serial and parallel: one build, `-run all -markdown`
 # at -j 1 and at -j 8, then cmp. -j is pinned at 8 rather than the CPU count
-# so the worker pool fans out even on a 1-CPU host. About 1 min on 2 vCPUs.
+# so the worker pool fans out even on a 1-CPU host. The tables must also
+# match the ones EXPERIMENTS.md records: the -j 1 output from its first
+# `## Table 1` heading to the end is cmp'd against the same span of the file.
+# About 1 min on 2 vCPUs.
+TABLES_SPAN = sed -n '/^\#\# Table 1/,$$p'
 jobs-identical:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/experiments" ./cmd/experiments && \
 	"$$dir/experiments" -run all -markdown -j 1 > "$$dir/j1.md" && \
 	"$$dir/experiments" -run all -markdown -j 8 > "$$dir/j8.md" && \
 	cmp "$$dir/j1.md" "$$dir/j8.md" && \
-	echo "jobs-identical: -j 1 and -j 8 tables are byte-identical ($$(grep -c '^## ' "$$dir/j1.md") experiments)"
+	echo "jobs-identical: -j 1 and -j 8 tables are byte-identical ($$(grep -c '^## ' "$$dir/j1.md") experiments)" && \
+	$(TABLES_SPAN) "$$dir/j1.md" > "$$dir/j1.tables" && \
+	$(TABLES_SPAN) EXPERIMENTS.md > "$$dir/doc.tables" && \
+	test -s "$$dir/doc.tables" && \
+	cmp "$$dir/doc.tables" "$$dir/j1.tables" && \
+	echo "jobs-identical: the tables match EXPERIMENTS.md"
 
 # Closure construction/query microbenchmarks, interval index vs the bitset
 # reference (numbers recorded in EXPERIMENTS.md).

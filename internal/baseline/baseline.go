@@ -229,7 +229,6 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				ID:     len(sched.Tasks),
 				Node:   node,
 				Ops:    opWeighted(stmt, opts.DivWeight),
-				Mix:    stmt.OpMix(),
 				IsRoot: true,
 				Stmt:   si,
 				Iter:   it,

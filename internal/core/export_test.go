@@ -14,5 +14,5 @@ func EmitUnreduced(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Option
 	if err != nil {
 		return nil, err
 	}
-	return runPass(tr, &opts, window).schedule, nil
+	return runPass(tr, &opts, window, true).schedule, nil
 }

@@ -50,10 +50,10 @@ type Locator struct {
 	// it ("B[24]"), for code generation and diagnostics.
 	labels map[uint64]string
 	// statics caches the iteration-independent view of each reference the
-	// locator has seen: its array and the affine form of its subscript. The
-	// body's *Ref nodes are shared across all iterations, so keying by
-	// pointer turns the per-instance affine re-analysis (AnalyzeAffine and
-	// its coefficient maps, the hottest allocation site of the window sweep)
+	// locator has seen: its array and its compiled subscript. The body's
+	// *Ref nodes are shared across all iterations, so keying by pointer
+	// turns the per-instance subscript analysis (AnalyzeAffine and its
+	// coefficient maps, on an indirect reference's inner subscripts as well)
 	// into a single map probe.
 	statics map[*ir.Ref]refStatic
 
@@ -62,9 +62,8 @@ type Locator struct {
 
 // refStatic is the cached compile-time view of one reference.
 type refStatic struct {
-	arr    *ir.Array
-	aff    ir.Affine
-	affine bool
+	arr *ir.Array
+	sub ir.Subscript
 }
 
 // NewLocator creates a locator for the given options. The allocator models
@@ -147,22 +146,16 @@ func (loc *Locator) Locate(va uint64) LineLoc {
 func (loc *Locator) LocateRef(prog *ir.Program, ref *ir.Ref, env map[string]int, store *ir.Store) (LineLoc, bool) {
 	st, ok := loc.statics[ref]
 	if !ok {
-		st.arr = prog.Array(ref.Array)
-		st.aff, st.affine = ir.SubscriptOf(ref)
+		st = refStatic{arr: prog.Array(ref.Array), sub: prog.CompileSubscript(ref)}
 		loc.statics[ref] = st
 	}
 	loc.refs++
-	if st.affine {
+	if st.sub.Analyzable() {
 		loc.analyzable++
 	}
-	var idx int
-	if st.affine {
-		idx = st.aff.Eval(env)
-	} else {
-		var err error
-		if idx, err = prog.IndexOf(ref, env, store); err != nil {
-			return LineLoc{}, false
-		}
+	idx, err := st.sub.Index(env, store)
+	if err != nil {
+		return LineLoc{}, false
 	}
 	if st.arr == nil {
 		return LineLoc{}, false

@@ -34,9 +34,9 @@ func BenchmarkPartition(b *testing.B) {
 
 // BenchmarkPartitionSweep partitions the same nest with the evaluation's
 // adaptive window search (windows 1..8, L2 predictor on), serially, on a
-// 6x6 and a 32x32 mesh. Unlike BenchmarkPartition it pays for the location
-// pass and the sync reduction of the selected window as well as the eight
-// trial passes.
+// 6x6 and a 32x32 mesh. Where BenchmarkPartition runs one emitting pass, it
+// pays for eight decision-only trial passes plus the emitting re-run of the
+// selected window; both include the location pass and the sync reduction.
 func BenchmarkPartitionSweep(b *testing.B) {
 	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 64, Elems: 1 << 14})
 	if err != nil {

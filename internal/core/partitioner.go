@@ -158,29 +158,34 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 		return nil, err
 	}
 	// Window-size trials are independent: they share the location trace
-	// read-only, and each pass owns only its shadow L1s and emission state.
-	// They fan out on the worker pool; results land in indexed slots and are
-	// folded in window order below, so the selected pass — first minimum in
-	// window order — matches the serial sweep exactly.
+	// read-only, and each pass owns only its shadow L1s and decision state.
+	// A trial only scores its window, so the sweep's passes make decisions
+	// without materializing tasks; they fan out on the worker pool, land in
+	// indexed slots and are folded in window order, so the selected window —
+	// first minimum in window order — matches the serial sweep exactly. The
+	// winner is then re-run once with emission on the calling goroutine;
+	// emission never feeds back into a decision, so its Stats equal the
+	// trial's score. A singleton window set (FixedWindow, or MaxWindow=1)
+	// has nothing to select and runs its one emitting pass directly.
 	sizes := opts.windowSizes()
 	prs := make([]*passResult, len(sizes))
 	if len(sizes) == 1 {
-		// Singleton window set (FixedWindow, or MaxWindow=1): there is no
-		// sweep to fan out, so skip the worker-pool scaffolding and run the
-		// single pass inline on the calling goroutine.
-		prs[0] = runPass(tr, &opts, sizes[0])
+		prs[0] = runPass(tr, &opts, sizes[0], true)
 	} else if err := par.ForEach(opts.Jobs, len(sizes), func(i int) {
-		prs[i] = runPass(tr, &opts, sizes[i])
+		prs[i] = runPass(tr, &opts, sizes[i], false)
 	}); err != nil {
 		return nil, err
 	}
-	var best *passResult
+	best := prs[0]
 	for i, pr := range prs {
 		res.MovementBySize[sizes[i]] = pr.stats.TotalMovement
 		res.L1HitBySize[sizes[i]] = pr.stats.L1HitRate
-		if best == nil || pr.stats.TotalMovement < best.stats.TotalMovement {
+		if pr.stats.TotalMovement < best.stats.TotalMovement {
 			best = pr
 		}
+	}
+	if best.schedule == nil {
+		best = runPass(tr, &opts, best.window, true)
 	}
 
 	// Selection reads only TotalMovement, which sync reduction never
@@ -212,7 +217,8 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	return res, nil
 }
 
-// passResult is one window-size trial.
+// passResult is one scheduling pass: the window's score, plus the schedule
+// and its offload tally when the pass emitted (both nil for a trial).
 type passResult struct {
 	window     int
 	schedule   *Schedule
@@ -275,7 +281,7 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 	// Statement-shape invariants — the nested variable sets, leaf list, op mix
 	// and op weight depend only on the statement, not the iteration — are
 	// computed once per statement instead of once per instance. The mix map is
-	// shared across instances; emitTasks only reads it.
+	// shared across instances; the emitting pass only reads it.
 	body := nest.Body
 	m := len(body)
 	tr := &locTrace{pre: make([]stmtPre, m), prefix: make([]int, m)}
@@ -340,7 +346,11 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 type passScratch struct {
 	builder planBuilder
 	an      PlanAnalysis
-	// taskOf is emitTasks' vertex -> task table.
+	// placed lists the instance's tasks in emission order; lines holds
+	// their fetched lines, placed[i] owning lines[placed[i].lo:placed[i].hi].
+	placed []placedTask
+	lines  []uint64
+	// taskOf is the emitting pass's vertex -> task table.
 	taskOf []*Task
 	// readerPool recycles the per-line reader maps that write-invalidation
 	// retires (delete from lastReaders) back to later lines.
@@ -349,6 +359,16 @@ type passScratch struct {
 	readerNodes []mesh.NodeID
 	// reuseBuf[l] backs the reuse-candidate list of the instance's l-th leaf.
 	reuseBuf [][]mesh.NodeID
+}
+
+// placedTask is one task of the current instance as placement decided it:
+// its ID, its load-balanced node and its range of passScratch.lines. task
+// is the materialized Task, nil in a decision-only pass.
+type placedTask struct {
+	id     int
+	node   mesh.NodeID
+	lo, hi int
+	task   *Task
 }
 
 // getReaderMap returns an empty per-line reader map, recycled if available.
@@ -361,54 +381,80 @@ func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
 	return make(map[mesh.NodeID]int)
 }
 
+// pass is one scheduling pass over a located nest at a fixed statement
+// window. Every pass makes the decisions a window is scored on: placement
+// under load balancing, the reuse map, the shadow L1s with their
+// write-invalidation, and the Stats. An emitting pass (sched != nil) also
+// materializes them: tasks, fetches with their hit flags, flow and WAR
+// arcs, and the offload tally. Emission never feeds back into a decision.
+type pass struct {
+	dt *mesh.DistanceTable
+	// l1 are the per-node shadow caches that model reuse validity and
+	// pollution.
+	l1 []*cache.Cache
+	lt *loadTracker
+	// varMap (variable2node): which nodes fetched a line earlier in the
+	// current window (Algorithm 1 line 34). Cleared at window boundaries.
+	varMap map[uint64][]mesh.NodeID
+	// lastReaders: per line, the most recent task on each node that fetched
+	// it since the line was last written. Write-invalidation consults its
+	// nodes; the WAR arcs of an emitting pass, its tasks. Earlier same-node
+	// readers are implied by per-node program order, so one reader per node
+	// suffices.
+	lastReaders map[uint64]map[mesh.NodeID]int
+	// tasks counts the tasks placed so far: the next task's ID.
+	tasks int
+	sc    passScratch
+
+	// Emission state, nil in a decision-only pass. lastWriter is the most
+	// recent root task writing each line, for inter-statement flow arcs.
+	sched      *Schedule
+	lastWriter map[uint64]int
+	offload    map[ir.OpClass]int
+}
+
 // runPass performs one complete scheduling pass over the located nest with a
-// fixed statement-window size. Sync reduction is left to the caller, which
-// applies it to the selected pass only.
-func runPass(tr *locTrace, opts *Options, window int) *passResult {
-	// Per-node L1 shadow caches model reuse validity and pollution.
-	l1 := make([]*cache.Cache, opts.Mesh.Nodes())
-	for i := range l1 {
-		l1[i] = cache.MustNew(cache.Config{
+// fixed statement-window size, materializing the schedule only when emit is
+// set. Sync reduction is left to the caller.
+func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
+	p := &pass{
+		dt:          opts.Mesh.DistanceTable(),
+		l1:          make([]*cache.Cache, opts.Mesh.Nodes()),
+		lt:          newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold),
+		varMap:      make(map[uint64][]mesh.NodeID),
+		lastReaders: make(map[uint64]map[mesh.NodeID]int),
+	}
+	for i := range p.l1 {
+		p.l1[i] = cache.MustNew(cache.Config{
 			SizeBytes: opts.L1Bytes,
 			LineBytes: opts.Layout.LineBytes,
 			Ways:      opts.L1Ways,
 		})
 	}
-
-	sched := &Schedule{}
-	lt := newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold)
-	// variable2node: which nodes fetched a line earlier in the current
-	// window (Algorithm 1 line 34). Cleared at window boundaries.
-	varMap := make(map[uint64][]mesh.NodeID)
-	// lastWriter: most recent root task writing a line, for inter-statement
-	// flow dependences.
-	lastWriter := make(map[uint64]int)
-	// lastReaders: per line, the most recent task on each node that fetched
-	// it since the line was last written, for inter-statement anti (WAR)
-	// dependences. Earlier same-node readers are implied by per-node program
-	// order, so one reader per node suffices.
-	lastReaders := make(map[uint64]map[mesh.NodeID]int)
+	p.sc.builder.dt = p.dt
 
 	m := len(tr.pre)
 	instances := len(tr.stores)
-	sched.Instances = instances
+	if emit {
+		p.sched = &Schedule{Instances: instances}
+		p.lastWriter = make(map[uint64]int)
+		p.offload = make(map[ir.OpClass]int)
+	}
 
 	stats := Stats{Instances: instances}
-	offload := make(map[ir.OpClass]int)
 	var sumPar, sumSub float64
 
-	dt := opts.Mesh.DistanceTable()
 	// infos is keyed by leaf ref and fully rebuilt per instance; reusing one
 	// map (and one lookup closure) avoids re-allocating it per instance.
 	infos := make(map[*ir.Ref]operandInfo)
 	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
-	sc := &passScratch{builder: planBuilder{dt: dt}}
+	sc := &p.sc
 
 	for k := 0; k < instances; k++ {
 		if k%window == 0 {
 			// New window: the compiler's reuse map does not cross windows
 			// (Section 4.4; the S22 example of Figure 12).
-			clear(varMap)
+			clear(p.varMap)
 		}
 		iter := k / m
 		stmtIdx := k % m
@@ -427,8 +473,8 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 				// The candidate list lives in per-leaf scratch: it is only
 				// read while this instance's plan is built.
 				buf := sc.reuseBuf[li][:0]
-				for _, n := range varMap[ll.Line] {
-					if n != ll.Node() && l1[n].Contains(ll.Line) {
+				for _, n := range p.varMap[ll.Line] {
+					if n != ll.Node() && p.l1[n].Contains(ll.Line) {
 						buf = append(buf, n)
 					}
 				}
@@ -442,102 +488,11 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 
 		plan := sc.builder.build(ps.set, lookup, storeLoc)
 		an := plan.AnalyzeInto(&sc.an)
-
-		root, extra := sched.emitTasks(dt, plan, an, stmtIdx, iter, k/window, ps.opWeight, ps.mix, ps.ops, lt, sc)
-
-		// Inter-statement flow dependences: the root (and any task fetching
-		// a previously written line) must follow the writer. When the fetch
-		// already sources the writer's node — the only location holding a
-		// valid copy after write-invalidation — the fresh line rides the
-		// producer handshake into the consumer's L1 (store-to-load
-		// forwarding), so the fetch is serviced at L1 cost rather than
-		// re-reading the L2 bank or DRAM.
-		for ti := len(sched.Tasks) - 1; ti >= 0 && sched.Tasks[ti].Iter == iter && sched.Tasks[ti].Stmt == stmtIdx; ti-- {
-			t := sched.Tasks[ti]
-			for fi := range t.Fetches {
-				f := &t.Fetches[fi]
-				if w, ok := lastWriter[f.Line]; ok {
-					t.addWait(w, dt.Between(sched.Tasks[w].Node, t.Node))
-					sched.SyncsBefore++
-					if sched.Tasks[w].Node == f.From {
-						f.L1Hit = true
-						f.L2Miss = false
-					}
-				}
-			}
+		extra := p.place(plan, an, ps, stmtIdx, iter, k/window)
+		if p.sched != nil {
+			p.emitArcs(storeLoc)
 		}
-		// Inter-statement anti dependences (WAR): the root's store must not
-		// overtake earlier reads of the output line issued from other nodes.
-		// Same-node readers are already ordered by the per-node program order
-		// the simulator and codegen preserve, so they need no arc; readers
-		// are visited in ascending node order to keep emission deterministic.
-		if readers := lastReaders[storeLoc.Line]; len(readers) > 0 {
-			keys := sc.readerNodes[:0]
-			for n := range readers {
-				keys = append(keys, n)
-			}
-			slices.Sort(keys)
-			sc.readerNodes = keys
-			for _, n := range keys {
-				if n != root.Node {
-					root.addWait(readers[n], dt.Between(n, root.Node))
-					sched.SyncsBefore++
-				}
-			}
-		}
-		root.ResultLine = storeLoc.Line
-		lastWriter[storeLoc.Line] = root.ID
-
-		// Update the reuse map and L1 models with what this statement pulled
-		// where: every fetched line lands in the L1 of the task that consumed
-		// it (that is where a later statement can find a copy — the C(i) in
-		// n_D's L1 of Figure 11).
-		for ti := len(sched.Tasks) - an.countTasks(); ti < len(sched.Tasks); ti++ {
-			task := sched.Tasks[ti]
-			for fi := range task.Fetches {
-				f := &task.Fetches[fi]
-				// Physical locality: a line still resident in the consuming
-				// node's L1 (from any earlier access, window or not) is an
-				// L1 hit and needs no L2/DRAM service.
-				if l1[task.Node].Contains(f.Line) {
-					f.L1Hit = true
-					f.L2Miss = false
-				}
-				l1[task.Node].Access(f.Line)
-				varMap[f.Line] = appendNode(varMap[f.Line], task.Node)
-				lr := lastReaders[f.Line]
-				if lr == nil {
-					lr = sc.getReaderMap()
-					lastReaders[f.Line] = lr
-				}
-				lr[task.Node] = task.ID
-			}
-		}
-		// The store supersedes all recorded readers of the output line: this
-		// instance's own reads happen before its root's write (tree arcs plus
-		// per-node order guarantee it), and later writers are ordered against
-		// the root through lastWriter.
-		//
-		// Write-invalidate: the store also kills every remote copy of the
-		// line in both copy models — the shadow L1s and the reuse map — so
-		// no later statement plans an L1 reuse from a pre-write copy. The
-		// verifier replays the same model and rejects stale hits outright.
-		// Only the recorded readers can hold a remote copy: every shadow-L1
-		// insert is either a fetch, recorded in lastReaders until the line's
-		// next write, or the store at the line's home, which keeps its copy.
-		if retired := lastReaders[storeLoc.Line]; retired != nil {
-			//lint:dmacp-allow maporder each invalidation touches only its own node's L1
-			for n := range retired {
-				if n != storeLoc.Home {
-					l1[n].Invalidate(storeLoc.Line)
-				}
-			}
-			clear(retired)
-			sc.readerPool = append(sc.readerPool, retired)
-			delete(lastReaders, storeLoc.Line)
-		}
-		l1[storeLoc.Home].Access(storeLoc.Line)
-		varMap[storeLoc.Line] = appendNode(varMap[storeLoc.Line][:0], storeLoc.Home)
+		p.touch(storeLoc)
 
 		// Aggregate statement metrics.
 		mv := plan.Movement + extra
@@ -551,13 +506,6 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		}
 		sumSub += float64(an.Subcomputations)
 		stats.ReuseHits += int64(plan.ReuseHits)
-		for _, t := range sched.Tasks[len(sched.Tasks)-an.countTasks():] {
-			if !t.IsRoot {
-				for c, n := range t.Mix {
-					offload[c] += n
-				}
-			}
-		}
 	}
 
 	if instances > 0 {
@@ -566,28 +514,116 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
 	var l1Stats cache.Stats
-	for _, c := range l1 {
+	for _, c := range p.l1 {
 		s := c.Stats()
 		l1Stats.Hits += s.Hits
 		l1Stats.Misses += s.Misses
 	}
 	stats.L1HitRate = l1Stats.HitRate()
-	stats.Imbalance = lt.Imbalance()
+	stats.Imbalance = p.lt.Imbalance()
 
-	return &passResult{window: window, schedule: sched, stats: stats, offloadMix: offload}
+	return &passResult{window: window, schedule: p.sched, stats: stats, offloadMix: p.offload}
 }
 
-// countTasks returns how many tasks the analyzed plan emits (vertices with
-// ops plus the root).
-func (a *PlanAnalysis) countTasks() int {
-	n := 0
-	root := a.PostOrder[len(a.PostOrder)-1]
-	for _, v := range a.PostOrder {
-		if a.OpsAt[v] > 0 || v == root {
-			n++
+// emitArcs adds the instance's inter-statement arcs to its placed tasks and
+// records its root as the output line's last writer.
+func (p *pass) emitArcs(storeLoc LineLoc) {
+	sched, dt := p.sched, p.dt
+	// Flow dependences: the root (and any task fetching a previously
+	// written line) must follow the writer. When the fetch already sources
+	// the writer's node — the only location holding a valid copy after
+	// write-invalidation — the fresh line rides the producer handshake into
+	// the consumer's L1 (store-to-load forwarding), so the fetch is serviced
+	// at L1 cost rather than re-reading the L2 bank or DRAM.
+	for _, pt := range p.sc.placed {
+		t := pt.task
+		for fi := range t.Fetches {
+			f := &t.Fetches[fi]
+			if w, ok := p.lastWriter[f.Line]; ok {
+				t.addWait(w, dt.Between(sched.Tasks[w].Node, t.Node))
+				sched.SyncsBefore++
+				if sched.Tasks[w].Node == f.From {
+					f.L1Hit = true
+					f.L2Miss = false
+				}
+			}
 		}
 	}
-	return n
+	// Anti dependences (WAR): the root's store must not overtake earlier
+	// reads of the output line issued from other nodes. Same-node readers
+	// are already ordered by the per-node program order the simulator and
+	// codegen preserve, so they need no arc; readers are visited in
+	// ascending node order to keep emission deterministic.
+	root := p.sc.placed[len(p.sc.placed)-1].task
+	if readers := p.lastReaders[storeLoc.Line]; len(readers) > 0 {
+		keys := p.sc.readerNodes[:0]
+		for n := range readers {
+			keys = append(keys, n)
+		}
+		slices.Sort(keys)
+		p.sc.readerNodes = keys
+		for _, n := range keys {
+			if n != root.Node {
+				root.addWait(readers[n], dt.Between(n, root.Node))
+				sched.SyncsBefore++
+			}
+		}
+	}
+	root.ResultLine = storeLoc.Line
+	p.lastWriter[storeLoc.Line] = root.ID
+}
+
+// touch updates the reuse map and the shadow L1s with what the instance
+// pulled where, then applies its store: every fetched line lands in the L1
+// of the task that consumed it (that is where a later statement can find a
+// copy — the C(i) in n_D's L1 of Figure 11).
+func (p *pass) touch(storeLoc LineLoc) {
+	sc := &p.sc
+	for _, pt := range sc.placed {
+		c := p.l1[pt.node]
+		for fi, line := range sc.lines[pt.lo:pt.hi] {
+			// Physical locality: a line still resident in the consuming
+			// node's L1 (from any earlier access, window or not) is an L1
+			// hit and needs no L2/DRAM service.
+			if c.Access(line) && pt.task != nil {
+				f := &pt.task.Fetches[fi]
+				f.L1Hit = true
+				f.L2Miss = false
+			}
+			p.varMap[line] = appendNode(p.varMap[line], pt.node)
+			lr := p.lastReaders[line]
+			if lr == nil {
+				lr = sc.getReaderMap()
+				p.lastReaders[line] = lr
+			}
+			lr[pt.node] = pt.id
+		}
+	}
+	// The store supersedes all recorded readers of the output line: this
+	// instance's own reads happen before its root's write (tree arcs plus
+	// per-node order guarantee it), and later writers are ordered against
+	// the root through lastWriter.
+	//
+	// Write-invalidate: the store also kills every remote copy of the line
+	// in both copy models — the shadow L1s and the reuse map — so no later
+	// statement plans an L1 reuse from a pre-write copy. The verifier
+	// replays the same model and rejects stale hits outright. Only the
+	// recorded readers can hold a remote copy: every shadow-L1 insert is
+	// either a fetch, recorded in lastReaders until the line's next write,
+	// or the store at the line's home, which keeps its copy.
+	if retired := p.lastReaders[storeLoc.Line]; retired != nil {
+		//lint:dmacp-allow maporder each invalidation touches only its own node's L1
+		for n := range retired {
+			if n != storeLoc.Home {
+				p.l1[n].Invalidate(storeLoc.Line)
+			}
+		}
+		clear(retired)
+		sc.readerPool = append(sc.readerPool, retired)
+		delete(p.lastReaders, storeLoc.Line)
+	}
+	p.l1[storeLoc.Home].Access(storeLoc.Line)
+	p.varMap[storeLoc.Line] = appendNode(p.varMap[storeLoc.Line][:0], storeLoc.Home)
 }
 
 // appendNode appends n to nodes if absent.

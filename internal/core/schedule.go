@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dmacp/internal/ir"
-	"dmacp/internal/mesh"
-)
+import "dmacp/internal/mesh"
 
 // Fetch is a plain data access consumed by a task: the line travels from its
 // resident node to the task's node as an ordinary cache request (no
@@ -25,8 +22,6 @@ type Task struct {
 	Node mesh.NodeID
 	// Ops is the weighted operation cost (division counted at DivWeight).
 	Ops float64
-	// Mix tallies the unweighted ops by class, for Table 3.
-	Mix map[ir.OpClass]int
 	// Fetches are the plain line accesses the task performs.
 	Fetches []Fetch
 	// WaitFor lists producer task IDs whose computed results this task
@@ -72,12 +67,6 @@ func (s *Schedule) Clone() *Schedule {
 	}
 	for i, t := range s.Tasks {
 		ct := *t
-		if t.Mix != nil {
-			ct.Mix = make(map[ir.OpClass]int, len(t.Mix))
-			for k, v := range t.Mix {
-				ct.Mix[k] = v
-			}
-		}
 		ct.Fetches = append([]Fetch(nil), t.Fetches...)
 		ct.WaitFor = append([]int(nil), t.WaitFor...)
 		ct.WaitHops = append([]int(nil), t.WaitHops...)
@@ -148,9 +137,11 @@ func (lt *loadTracker) Imbalance() float64 {
 	return lt.max1 / (sum / float64(len(lt.load)))
 }
 
-// emitTasks converts one analyzed statement plan into tasks appended to the
-// schedule, applying load balancing. It returns the root task and the extra
-// data movement incurred by load-balancing hoists.
+// place assigns the analyzed plan's tasks to nodes under load balancing and
+// records each one's fetched lines in the scratch; an emitting pass also
+// builds the Task objects with their fetches and tree arcs, and tallies the
+// offloaded ops. It returns the extra data movement incurred by
+// load-balancing hoists.
 //
 // Vertices that perform no ops are folded into their parent's fetches: their
 // lines travel as ordinary cache requests. A vertex whose node fails the
@@ -158,34 +149,19 @@ func (lt *loadTracker) Imbalance() float64 {
 // instead, and its lines are fetched individually across the connecting edge
 // (costing (inputs-1) * edge weight extra movement, since the partial no
 // longer collapses to one transfer).
-func (s *Schedule) emitTasks(dt *mesh.DistanceTable, plan *StatementPlan, an *PlanAnalysis,
-	stmtIdx, iter, window int, opWeight float64, mix map[ir.OpClass]int, totalOps int,
-	lt *loadTracker, sc *passScratch) (*Task, int) {
-
-	taskOf := sc.taskOf
-	if cap(taskOf) < len(plan.Vertices) {
-		taskOf = make([]*Task, len(plan.Vertices))
-	} else {
-		taskOf = taskOf[:len(plan.Vertices)]
-		for i := range taskOf {
-			taskOf[i] = nil
+func (p *pass) place(plan *StatementPlan, an *PlanAnalysis, ps *stmtPre, stmtIdx, iter, window int) int {
+	sc := &p.sc
+	sc.placed = sc.placed[:0]
+	sc.lines = sc.lines[:0]
+	if p.sched != nil {
+		if cap(sc.taskOf) < len(plan.Vertices) {
+			sc.taskOf = make([]*Task, len(plan.Vertices))
+		} else {
+			sc.taskOf = sc.taskOf[:len(plan.Vertices)]
+			clear(sc.taskOf)
 		}
 	}
-	sc.taskOf = taskOf
 	extraMovement := 0
-
-	mixShare := func(ops int) map[ir.OpClass]int {
-		if totalOps == 0 || ops == 0 {
-			return nil
-		}
-		out := make(map[ir.OpClass]int, len(mix))
-		for c, n := range mix {
-			if share := n * ops / totalOps; share > 0 {
-				out[c] = share
-			}
-		}
-		return out
-	}
 
 	for _, v := range an.PostOrder {
 		ops := an.OpsAt[v]
@@ -194,11 +170,11 @@ func (s *Schedule) emitTasks(dt *mesh.DistanceTable, plan *StatementPlan, an *Pl
 			continue // pure data vertex: parent fetches its lines directly
 		}
 		node := plan.Vertices[v].Node
-		cost := float64(ops) * opWeight
-		if !isRoot && cost > 0 && lt.wouldOverload(node, cost) {
+		cost := float64(ops) * ps.opWeight
+		if !isRoot && cost > 0 && p.lt.wouldOverload(node, cost) {
 			parent := an.Parent[v]
 			pnode := plan.Vertices[parent].Node
-			if pnode != node && !lt.wouldOverload(pnode, cost) {
+			if pnode != node && !p.lt.wouldOverload(pnode, cost) {
 				node = pnode
 				inputs := len(plan.Vertices[v].Lines) + len(an.Children[v])
 				if inputs > 1 {
@@ -206,46 +182,66 @@ func (s *Schedule) emitTasks(dt *mesh.DistanceTable, plan *StatementPlan, an *Pl
 				}
 			}
 		}
-		t := &Task{
-			ID:     len(s.Tasks),
-			Node:   node,
-			Ops:    cost,
-			Mix:    mixShare(ops),
-			IsRoot: isRoot,
-			Stmt:   stmtIdx,
-			Iter:   iter,
-			Window: window,
-		}
-		t.Fetches = appendVertexFetches(t.Fetches, plan, v, node)
+		// The task fetches its own vertex's lines, then those of every
+		// child that runs no task of its own (children with ops precede
+		// it in post-order and send their partials over a sync arc).
+		pt := placedTask{id: p.tasks, node: node, lo: len(sc.lines)}
+		sc.lines = append(sc.lines, plan.Vertices[v].Lines...)
 		for _, c := range an.Children[v] {
-			if ct := taskOf[c]; ct != nil {
-				t.addWait(ct.ID, dt.Between(ct.Node, node))
-				s.SyncsBefore++
-				continue
+			if an.OpsAt[c] == 0 {
+				sc.lines = append(sc.lines, plan.Vertices[c].Lines...)
 			}
-			t.Fetches = appendVertexFetches(t.Fetches, plan, c, node)
 		}
-		lt.add(node, cost)
-		s.Tasks = append(s.Tasks, t)
-		taskOf[v] = t
+		pt.hi = len(sc.lines)
+		if p.sched != nil {
+			t := &Task{
+				ID:     pt.id,
+				Node:   node,
+				Ops:    cost,
+				IsRoot: isRoot,
+				Stmt:   stmtIdx,
+				Iter:   iter,
+				Window: window,
+			}
+			if pt.hi > pt.lo {
+				t.Fetches = make([]Fetch, 0, pt.hi-pt.lo)
+			}
+			t.Fetches = appendVertexFetches(t.Fetches, plan, v, node)
+			for _, c := range an.Children[v] {
+				if ct := sc.taskOf[c]; ct != nil {
+					t.addWait(ct.ID, p.dt.Between(ct.Node, node))
+					p.sched.SyncsBefore++
+					continue
+				}
+				t.Fetches = appendVertexFetches(t.Fetches, plan, c, node)
+			}
+			p.sched.Tasks = append(p.sched.Tasks, t)
+			sc.taskOf[v] = t
+			pt.task = t
+			// Table 3 tallies the ops re-mapped off the root.
+			if !isRoot && ps.ops > 0 {
+				for c, n := range ps.mix {
+					if share := n * ops / ps.ops; share > 0 {
+						p.offload[c] += share
+					}
+				}
+			}
+		}
+		p.lt.add(node, cost)
+		p.tasks++
+		sc.placed = append(sc.placed, pt)
 	}
-	return taskOf[plan.Root], extraMovement
+	return extraMovement
 }
 
-// vertexFetches lists the line accesses a vertex contributes: one per
-// resident line, flagged with its service level. ReusedLines promised an
-// L1 copy at the vertex's planned node; when the consuming task runs
-// elsewhere (load-balance hoist, or a pure data vertex folded into a
-// parent on another node) the hit claim does not transfer — the line must
-// travel from the planned node — so L1Hit is only kept when the task node
-// matches. The emission loop re-marks genuine hits against the consuming
-// node's shadow L1 afterwards.
-func vertexFetches(plan *StatementPlan, v int, taskNode mesh.NodeID) []Fetch {
-	return appendVertexFetches(nil, plan, v, taskNode)
-}
-
-// appendVertexFetches is vertexFetches appending into a caller-owned slice,
-// so the emission loop builds each task's fetch list in one allocation.
+// appendVertexFetches appends the line accesses vertex v contributes to a
+// task on taskNode: one per resident line, flagged with its service level.
+// ReusedLines promised an L1 copy at the vertex's planned node; when the
+// consuming task runs elsewhere (load-balance hoist, or a pure data vertex
+// folded into a parent on another node) the hit claim does not transfer —
+// the line must travel from the planned node — so L1Hit is only kept when
+// the task node matches. The pass re-marks genuine hits against the
+// consuming node's shadow L1 afterwards.
 func appendVertexFetches(dst []Fetch, plan *StatementPlan, v int, taskNode mesh.NodeID) []Fetch {
 	pv := plan.Vertices[v]
 	for _, line := range pv.Lines {

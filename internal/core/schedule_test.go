@@ -189,8 +189,10 @@ func TestAnalyzeSingleVertexPlan(t *testing.T) {
 	if an.Syncs != 0 || an.Subcomputations != 0 {
 		t.Errorf("syncs=%d subs=%d", an.Syncs, an.Subcomputations)
 	}
-	if an.countTasks() != 1 {
-		t.Errorf("countTasks = %d, want 1 (the root)", an.countTasks())
+	p := &pass{lt: newLoadTracker(1, 0)}
+	p.place(plan, an, &stmtPre{opWeight: 1}, 0, 0, 0)
+	if len(p.sc.placed) != 1 {
+		t.Errorf("placed %d tasks, want 1 (the root)", len(p.sc.placed))
 	}
 }
 

@@ -108,6 +108,7 @@ type planBuilder struct {
 	nItems   int
 	stack    []*planItem
 	comp     []int
+	pairs    []pairDist
 }
 
 // newItem returns a reset item from the arena.
@@ -327,27 +328,38 @@ func (b *planBuilder) mstOver(start int) *planItem {
 		b.comp = append(b.comp, i)
 	}
 	comp := b.comp
-	remaining := len(items)
+	// pairs[i*n+j] (i < j) caches closestPair(items[i], items[j]). An
+	// item's nodes change only when a commit pins it, so each level computes
+	// every pair once and a commit refreshes only the pairs of the endpoints
+	// it pinned; the scan below still picks the lexicographic first minimum.
+	n := len(items)
+	if cap(b.pairs) < n*n {
+		b.pairs = make([]pairDist, n*n)
+	}
+	pairs := b.pairs[:n*n]
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs[i*n+j] = b.closestPair(items[i], items[j])
+		}
+	}
+	remaining := n
 	for remaining > 1 {
 		bi, bj := -1, -1
-		var bn1, bn2 mesh.NodeID
 		best := 1 << 30
-		for i := 0; i < len(items); i++ {
-			for j := i + 1; j < len(items); j++ {
-				if comp[i] == comp[j] {
-					continue
-				}
-				n1, n2, d := b.closestPair(items[i], items[j])
-				if d < best {
-					best, bi, bj, bn1, bn2 = d, i, j, n1, n2
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if comp[i] != comp[j] && pairs[i*n+j].d < best {
+					best, bi, bj = pairs[i*n+j].d, i, j
 				}
 			}
 		}
 		// Commit: pin endpoints and add the concrete edge.
-		b.pin(items[bi], bn1)
-		b.pin(items[bj], bn2)
-		v1 := b.vertexAt(items[bi], bn1)
-		v2 := b.vertexAt(items[bj], bn2)
+		bp := pairs[bi*n+bj]
+		pinned1, pinned2 := items[bi].pinned, items[bj].pinned
+		b.pin(items[bi], bp.n1)
+		b.pin(items[bj], bp.n2)
+		v1 := b.vertexAt(items[bi], bp.n1)
+		v2 := b.vertexAt(items[bj], bp.n2)
 		b.edges = append(b.edges, PlanEdge{From: v1, To: v2, Weight: best})
 		// Merge components.
 		from, to := comp[bj], comp[bi]
@@ -357,6 +369,12 @@ func (b *planBuilder) mstOver(start int) *planItem {
 			}
 		}
 		remaining--
+		if !pinned1 {
+			b.refreshPairs(items, pairs, bi)
+		}
+		if !pinned2 {
+			b.refreshPairs(items, pairs, bj)
+		}
 	}
 	// Collapse all items into one pinned component.
 	merged := b.newItem()
@@ -370,6 +388,19 @@ func (b *planBuilder) mstOver(start int) *planItem {
 	return merged
 }
 
+// refreshPairs recomputes the cached pairs of item k with every item still in
+// another component (pairs within one component are never read again).
+func (b *planBuilder) refreshPairs(items []*planItem, pairs []pairDist, k int) {
+	n := len(items)
+	for i := 0; i < n; i++ {
+		if b.comp[i] == b.comp[k] {
+			continue
+		}
+		lo, hi := min(i, k), max(i, k)
+		pairs[lo*n+hi] = b.closestPair(items[lo], items[hi])
+	}
+}
+
 // pinDefault pins a still-unpinned leaf to its primary location (no edge
 // ever constrained it — e.g. a single-operand statement).
 func (b *planBuilder) pinDefault(it *planItem) {
@@ -378,9 +409,15 @@ func (b *planBuilder) pinDefault(it *planItem) {
 	}
 }
 
+// pairDist is the closest node pair between two items and its distance.
+type pairDist struct {
+	n1, n2 mesh.NodeID
+	d      int
+}
+
 // closestPair returns the node pair (one from each item) with minimum
 // Manhattan distance, breaking ties deterministically by (node1, node2).
-func (b *planBuilder) closestPair(a, c *planItem) (mesh.NodeID, mesh.NodeID, int) {
+func (b *planBuilder) closestPair(a, c *planItem) pairDist {
 	var bn1, bn2 mesh.NodeID
 	best := 1 << 30
 	an, cn := b.itemLen(a), b.itemLen(c)
@@ -394,5 +431,5 @@ func (b *planBuilder) closestPair(a, c *planItem) (mesh.NodeID, mesh.NodeID, int
 			}
 		}
 	}
-	return bn1, bn2, best
+	return pairDist{bn1, bn2, best}
 }

@@ -1,19 +1,24 @@
 package core_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"dmacp/internal/core"
 	"dmacp/internal/exp"
+	"dmacp/internal/ir"
 	"dmacp/internal/workloads"
 )
 
-// TestSweepWinnerMatchesFixedWindow pins the sharing inside the window
-// sweep: every trial reads one location trace, and only the selected pass is
-// sync-reduced. Neither may leak across trials, so the adaptive result must
-// equal a single pass at the window it selected, field for field, on every
-// workload with the evaluation predictor.
+// TestSweepWinnerMatchesFixedWindow pins the split inside the window sweep:
+// every trial reads one location trace and only makes decisions, and only
+// the selected window is re-run to emit and sync-reduce its schedule. So
+// every trial's score must equal a fixed-window run's at that window, and
+// the adaptive result must equal a single pass at the window it selected,
+// field for field. It runs every workload with the evaluation predictor,
+// plus seeded random kernels whose indirect references and accumulators
+// stress the inspector path and the flow and WAR arcs.
 func TestSweepWinnerMatchesFixedWindow(t *testing.T) {
 	sc := workloads.TestScale()
 	opts := exp.NewRunner(sc).Opts
@@ -23,17 +28,51 @@ func TestSweepWinnerMatchesFixedWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nest := range app.Nests {
-			res, err := core.Partition(app.Prog, nest, app.Store, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", nest.Name, err)
-			}
-			fixed := opts
-			fixed.FixedWindow = res.WindowSize
-			ref, err := core.Partition(app.Prog, nest, app.Store, fixed)
-			if err != nil {
-				t.Fatalf("%s (window %d): %v", nest.Name, res.WindowSize, err)
-			}
-			compareResults(t, nest.Name, res, ref)
+			checkSweep(t, nest.Name, app.Prog, nest, app.Store, opts)
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for k := 0; k < 20; k++ {
+		src := exp.RandomProgram(rng)
+		body, err := ir.ParseStatements(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		nest := &ir.Nest{Name: src, Loops: []ir.Loop{{Var: "i", Lower: 0, Upper: 32, Step: 1}}, Body: body}
+		prog := ir.NewProgram()
+		prog.DeclareFromNest(nest, 1<<9, 8)
+		prog.Nests = append(prog.Nests, nest)
+		store := ir.NewStore(prog)
+		store.FillRandom(prog, int64(k))
+		checkSweep(t, src, prog, nest, store, opts)
+	}
+}
+
+// checkSweep compares the adaptive run over nest with a fixed-window run at
+// every window: trial scores at each, and the whole result at the selected
+// one.
+func checkSweep(t *testing.T, name string, prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options) {
+	t.Helper()
+	res, err := core.Partition(prog, nest, store, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(res.MovementBySize) != opts.MaxWindow {
+		t.Errorf("%s: %d trials, want %d", name, len(res.MovementBySize), opts.MaxWindow)
+	}
+	for w := 1; w <= opts.MaxWindow; w++ {
+		fixed := opts
+		fixed.FixedWindow = w
+		ref, err := core.Partition(prog, nest, store, fixed)
+		if err != nil {
+			t.Fatalf("%s (window %d): %v", name, w, err)
+		}
+		if res.MovementBySize[w] != ref.MovementBySize[w] || res.L1HitBySize[w] != ref.L1HitBySize[w] {
+			t.Errorf("%s: window %d trial scores movement %d, L1 hit %v; fixed run %d, %v", name, w,
+				res.MovementBySize[w], res.L1HitBySize[w], ref.MovementBySize[w], ref.L1HitBySize[w])
+		}
+		if w == res.WindowSize {
+			compareResults(t, name, res, ref)
 		}
 	}
 }
@@ -42,13 +81,8 @@ func TestSweepWinnerMatchesFixedWindow(t *testing.T) {
 // differs from the fixed-window result want.
 func compareResults(t *testing.T, name string, got, want *core.Result) {
 	t.Helper()
-	w := got.WindowSize
-	if want.WindowSize != w {
+	if w := got.WindowSize; want.WindowSize != w {
 		t.Errorf("%s: window %d, fixed run reports %d", name, w, want.WindowSize)
-	}
-	if got.MovementBySize[w] != want.MovementBySize[w] || got.L1HitBySize[w] != want.L1HitBySize[w] {
-		t.Errorf("%s: window %d trial differs: movement %d vs %d, L1 hit %v vs %v", name, w,
-			got.MovementBySize[w], want.MovementBySize[w], got.L1HitBySize[w], want.L1HitBySize[w])
 	}
 	gs, ws := got.Schedule, want.Schedule
 	if gs.SyncsBefore != ws.SyncsBefore || gs.SyncsAfter != ws.SyncsAfter || gs.Instances != ws.Instances {

@@ -207,72 +207,114 @@ func (p *Program) AddrOf(ref *Ref, env map[string]int, store *Store) (uint64, er
 }
 
 // IndexOf resolves the element index accessed by ref under env, consulting
-// store for indirect subscripts.
+// store for indirect subscripts. It compiles the subscript on every call;
+// callers that resolve one reference repeatedly cache CompileSubscript's
+// result instead.
 func (p *Program) IndexOf(ref *Ref, env map[string]int, store *Store) (int, error) {
-	if ref.Index == nil {
-		return 0, nil
-	}
-	if aff, ok := AnalyzeAffine(ref.Index); ok {
-		return aff.Eval(env), nil
-	}
-	if store == nil {
-		return 0, fmt.Errorf("ir: indirect reference %s needs runtime values", ref)
-	}
-	v, err := p.evalIndex(ref.Index, env, store)
-	if err != nil {
-		return 0, err
-	}
-	return v, nil
+	sub := p.CompileSubscript(ref)
+	return sub.Index(env, store)
 }
 
-func (p *Program) evalIndex(e Expr, env map[string]int, store *Store) (int, error) {
+// Subscript is a reference's subscript compiled once: its affine form when
+// the subscript is analyzable, otherwise an evaluator over the indirect
+// expression whose inner subscripts are compiled too. A Subscript never
+// changes after compilation; callers cache one per *Ref, so resolving an
+// instance costs no affine analysis.
+type Subscript struct {
+	ref    *Ref
+	aff    Affine
+	affine bool
+	eval   func(env map[string]int, store *Store) (int, error)
+}
+
+// CompileSubscript compiles ref's subscript against p's arrays. Scalars (nil
+// subscript) compile to constant zero.
+func (p *Program) CompileSubscript(ref *Ref) Subscript {
+	s := Subscript{ref: ref}
+	if s.aff, s.affine = SubscriptOf(ref); !s.affine {
+		s.eval = p.compileIndex(ref.Index)
+	}
+	return s
+}
+
+// Analyzable reports whether the subscript is affine, i.e. whether the
+// reference counts toward Table 1's compile-time analyzable fraction.
+func (s *Subscript) Analyzable() bool { return s.affine }
+
+// Index resolves the element index under env, consulting store for indirect
+// subscripts.
+func (s *Subscript) Index(env map[string]int, store *Store) (int, error) {
+	if s.affine {
+		return s.aff.Eval(env), nil
+	}
+	if store == nil {
+		return 0, fmt.Errorf("ir: indirect reference %s needs runtime values", s.ref)
+	}
+	return s.eval(env, store)
+}
+
+// compileIndex compiles an indirect subscript expression into its evaluator:
+// literals and loop variables read directly, array elements through the
+// store at their own compiled subscript, binary operators on integers.
+func (p *Program) compileIndex(e Expr) func(env map[string]int, store *Store) (int, error) {
 	switch n := e.(type) {
 	case *Num:
-		return int(n.Val), nil
+		v := int(n.Val)
+		return func(map[string]int, *Store) (int, error) { return v, nil }
 	case *Ref:
+		name := n.Array
 		if n.Index == nil {
-			return env[n.Array], nil // loop variable
+			return func(env map[string]int, _ *Store) (int, error) { return env[name], nil } // loop variable
 		}
-		inner, err := p.IndexOf(n, env, store)
-		if err != nil {
-			return 0, err
+		inner := p.CompileSubscript(n)
+		known := p.Arrays[name] != nil
+		return func(env map[string]int, store *Store) (int, error) {
+			idx, err := inner.Index(env, store)
+			if err != nil {
+				return 0, err
+			}
+			if !known {
+				return 0, fmt.Errorf("ir: unknown array %q", name)
+			}
+			return int(store.At(name, idx)), nil
 		}
-		arr := p.Arrays[n.Array]
-		if arr == nil {
-			return 0, fmt.Errorf("ir: unknown array %q", n.Array)
-		}
-		return int(store.At(n.Array, inner)), nil
 	case *Bin:
-		l, err := p.evalIndex(n.L, env, store)
-		if err != nil {
-			return 0, err
-		}
-		r, err := p.evalIndex(n.R, env, store)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case OpAdd:
-			return l + r, nil
-		case OpSub:
-			return l - r, nil
-		case OpMul:
-			return l * r, nil
-		case OpDiv:
-			if r == 0 {
-				return 0, fmt.Errorf("ir: division by zero in subscript")
+		l, r, op := p.compileIndex(n.L), p.compileIndex(n.R), n.Op
+		return func(env map[string]int, store *Store) (int, error) {
+			lv, err := l(env, store)
+			if err != nil {
+				return 0, err
 			}
-			return l / r, nil
-		case OpMod:
-			if r == 0 {
-				return 0, fmt.Errorf("ir: modulo by zero in subscript")
+			rv, err := r(env, store)
+			if err != nil {
+				return 0, err
 			}
-			return l % r, nil
-		case OpAnd:
-			return l & r, nil
-		case OpOr:
-			return l | r, nil
+			switch op {
+			case OpAdd:
+				return lv + rv, nil
+			case OpSub:
+				return lv - rv, nil
+			case OpMul:
+				return lv * rv, nil
+			case OpDiv:
+				if rv == 0 {
+					return 0, fmt.Errorf("ir: division by zero in subscript")
+				}
+				return lv / rv, nil
+			case OpMod:
+				if rv == 0 {
+					return 0, fmt.Errorf("ir: modulo by zero in subscript")
+				}
+				return lv % rv, nil
+			case OpAnd:
+				return lv & rv, nil
+			case OpOr:
+				return lv | rv, nil
+			}
+			return 0, fmt.Errorf("ir: unsupported subscript expression")
 		}
 	}
-	return 0, fmt.Errorf("ir: unsupported subscript expression")
+	return func(map[string]int, *Store) (int, error) {
+		return 0, fmt.Errorf("ir: unsupported subscript expression")
+	}
 }

@@ -168,6 +168,51 @@ func TestAddrOfIndirect(t *testing.T) {
 	}
 }
 
+// TestCompiledSubscriptReuse: one compiled subscript resolves every
+// iteration of a nested indirect reference, reads the store at each call
+// (never at compile time), and keeps IndexOf's failures.
+func TestCompiledSubscriptReuse(t *testing.T) {
+	p := NewProgram()
+	p.AddArray("X", 100, 8)
+	p.AddArray("Y", 100, 8)
+	p.AddArray("Z", 100, 8)
+	store := NewStore(p)
+	ref := MustParseStatement("x = X(Y(2*i)+Z(Y(i+1))-i)").Inputs()[0]
+	sub := p.CompileSubscript(ref)
+	if sub.Analyzable() {
+		t.Fatal("indirect subscript compiled as affine")
+	}
+	for i := 0; i < 10; i++ {
+		store.Set("Y", 2*i, float64(3*i))
+		store.Set("Y", i+1, float64(i+5))
+		store.Set("Z", i+5, float64(7*i))
+		env := map[string]int{"i": i}
+		got, err := sub.Index(env, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.IndexOf(ref, env, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y2i := int(store.At("Y", 2*i)); got != want || got != y2i+int(store.At("Z", int(store.At("Y", i+1))))-i {
+			t.Errorf("i=%d: compiled %d, IndexOf %d", i, got, want)
+		}
+	}
+	if _, err := sub.Index(map[string]int{"i": 0}, nil); err == nil {
+		t.Error("indirect subscript resolved without a store")
+	}
+	bad := MustParseStatement("x = X(Q(i))").Inputs()[0]
+	badSub := p.CompileSubscript(bad)
+	if _, err := badSub.Index(map[string]int{"i": 0}, store); err == nil {
+		t.Error("unknown inner array accepted")
+	}
+	aff := p.CompileSubscript(MustParseStatement("x = X(2*i+1)").Inputs()[0])
+	if idx, err := aff.Index(map[string]int{"i": 4}, nil); !aff.Analyzable() || err != nil || idx != 9 {
+		t.Errorf("affine subscript: analyzable %v, index %d, %v", aff.Analyzable(), idx, err)
+	}
+}
+
 func TestAddrOfUnknownArray(t *testing.T) {
 	p := NewProgram()
 	ref := MustParseStatement("x = Q(i)").Inputs()[0]

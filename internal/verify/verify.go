@@ -363,35 +363,36 @@ func record(list []nodeTask, node, task int) []nodeTask {
 }
 
 // refView is the iteration-independent view of one reference that
-// checkInstances caches: its array and, for an affine subscript, the affine
-// form. It is the verifier's own cache, deliberately not shared with the
-// emitters' locator, so the oracle resolves addresses independently.
+// checkInstances caches: its array and its compiled subscript. It is the
+// verifier's own cache, deliberately not shared with the emitters' locator,
+// so the oracle resolves addresses independently.
 type refView struct {
-	ref    *ir.Ref
-	arr    *ir.Array
-	aff    ir.Affine
-	affine bool
+	ref *ir.Ref
+	arr *ir.Array
+	sub ir.Subscript
 }
 
 func viewOf(prog *ir.Program, ref *ir.Ref) refView {
-	v := refView{ref: ref, arr: prog.Array(ref.Array)}
-	v.aff, v.affine = ir.SubscriptOf(ref)
-	return v
+	return refView{ref: ref, arr: prog.Array(ref.Array), sub: prog.CompileSubscript(ref)}
 }
 
-// addr resolves the reference's virtual address under env: affine
-// subscripts from the cached form, everything else through Prog.AddrOf.
-func (v *refView) addr(prog *ir.Program, env map[string]int, store *ir.Store) (uint64, error) {
-	if v.affine && v.arr != nil {
-		return v.arr.AddrOfIndex(v.aff.Eval(env)), nil
+// addr resolves the reference's virtual address under env, as Prog.AddrOf
+// does, from the cached subscript.
+func (v *refView) addr(env map[string]int, store *ir.Store) (uint64, error) {
+	if v.arr == nil {
+		return 0, fmt.Errorf("ir: unknown array %q", v.ref.Array)
 	}
-	return prog.AddrOf(v.ref, env, store)
+	idx, err := v.sub.Index(env, store)
+	if err != nil {
+		return 0, err
+	}
+	return v.arr.AddrOfIndex(idx), nil
 }
 
 // checkInstances enumerates each statement instance's accesses from the IR
-// — resolving subscripts the way the emitters do (ir.Array.AddrOfIndex over
-// the affine form, Prog.AddrOf for indirect refs, the same fallback
-// anchoring), through the emitter's own page table — and checks the
+// — resolving subscripts the way the emitters do (a compiled ir.Subscript
+// per reference, ir.Array.AddrOfIndex, the same fallback anchoring),
+// through the emitter's own page table — and checks the
 // schedule carries them: every required operand line is fetched by some task
 // of the instance, and the instance's root stores the line the IR writes.
 func checkInstances(in Input, o Options, rep *Report) {
@@ -486,7 +487,7 @@ func checkInstances(in Input, o Options, rep *Report) {
 			}, o.MaxDiagnostics)
 			continue
 		}
-		if va, err := sv.lhs.addr(in.Prog, env, in.Store); err == nil {
+		if va, err := sv.lhs.addr(env, in.Store); err == nil {
 			line, ok := lineOf(in, va)
 			if !ok {
 				rep.addViolation(RaceDiagnostic{
@@ -512,7 +513,7 @@ func checkInstances(in Input, o Options, rep *Report) {
 		for li := range sv.leaves {
 			leaf := &sv.leaves[li]
 			line := writeLine // unresolvable operands anchor at the write
-			va, err := leaf.addr(in.Prog, env, in.Store)
+			va, err := leaf.addr(env, in.Store)
 			if err != nil {
 				rep.addWarning(RaceDiagnostic{
 					Kind: KindUnresolved, EarlierTask: noTask, LaterTask: noTask,
