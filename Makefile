@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/exp/ -run '^FuzzPartition$$' -fuzz FuzzPartition -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify/ -run '^FuzzClosureDiff$$' -fuzz FuzzClosureDiff -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^FuzzReduceSyncs$$' -fuzz FuzzReduceSyncs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/assign/ -run '^FuzzMinCost$$' -fuzz FuzzMinCost -fuzztime $(FUZZTIME)
 
 # Static schedule race detection over the default kernel, both schedules.
 # -strict: advisory warnings also fail the gate (the emitters ship

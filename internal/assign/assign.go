@@ -14,10 +14,20 @@
 // is pushed per iteration, so exactly n paths are computed. The result is
 // a minimum-cost assignment, bit-identical across runs and worker counts:
 // nothing in the algorithm depends on map order, time, or randomness.
+//
+// One call allocates its working set once: a flat n x m cost matrix, the
+// distance, predecessor and potential vectors, a typed binary heap of
+// tasks, and per-slot occupant lists. A round costs O(n·m) relaxations,
+// O(m) per slot it settles, and the heap traffic of the assigned tasks it
+// reaches. Unassigned tasks start every round at distance 0 and relax
+// their slots directly instead of passing through the heap, the next slot
+// to settle is found by a scan over the m slots, and a settled slot reads
+// its reverse arcs from its occupant list rather than scanning every task.
+// The pop order, and so the assignment, is exactly that of a single
+// lazily pruned heap over all tasks and slots.
 package assign
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -54,95 +64,119 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 		return nil, 0, ErrInfeasible
 	}
 
-	// Dense cost matrix once: cost is consulted O(n*m) times per Dijkstra
-	// pass and must not be recomputed n times over.
-	c := make([][]int64, n)
-	for i := range c {
-		c[i] = make([]int64, m)
+	// Dense row-major cost matrix once: cost is consulted O(n*m) times per
+	// Dijkstra pass and must not be recomputed n times over.
+	c := make([]int64, n*m)
+	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			v := cost(i, j)
 			if v < 0 {
 				return nil, 0, fmt.Errorf("assign: negative cost %d for task %d slot %d", v, i, j)
 			}
-			c[i][j] = v
+			c[i*m+j] = v
 		}
 	}
 
-	// Residual state. assigned[i] is task i's slot (-1 = none); used[j]
-	// counts slot j's occupants. Potentials keep reduced costs non-negative
-	// across iterations (Johnson's trick), with one potential per task node
-	// and one per slot node.
+	// Residual state. assigned[i] is task i's slot (-1 = none); occupants[j]
+	// lists slot j's tasks (in no particular order: each task has exactly
+	// one reverse arc, so the order they relax in cannot change a distance
+	// or a predecessor) and at[i] is task i's index in its slot's list.
+	// Potentials keep reduced costs non-negative across iterations
+	// (Johnson's trick), one per task node and one per slot node.
 	assigned := make([]int, n)
+	at := make([]int, n)
 	for i := range assigned {
 		assigned[i] = -1
 	}
-	used := make([]int, m)
+	occupants := make([][]int, m)
 	potTask := make([]float64, n)
 	potSlot := make([]float64, m)
 
-	var totalCost int64
+	// Per-round buffers, allocated once. The search is Dijkstra over graph
+	// nodes tasks [0, n) and slots [n, n+m), popping in (distance, node)
+	// order. Tasks wait in a binary heap with lazy deletion; the m slots
+	// are few, so the next slot is kept in best and found by a scan only
+	// when the previous best pops. A slot is queued exactly when its
+	// distance fell below the one it last popped at (settled, +Inf before
+	// its first pop) — the live entry a lazily pruned heap would hold. A
+	// task's only reverse arc comes from its own slot, so the path needs
+	// no task-side predecessor: it is assigned[i].
+	distTask := make([]float64, n)
+	distSlot := make([]float64, m)
+	settled := make([]float64, m)
+	prevTaskOfSlot := make([]int, m) // task whose forward arc reached the slot
+	var pq taskHeap
+	best := -1
+	slotFirst := func(j, k int) bool { // does slot j pop before slot k?
+		return distSlot[j] < distSlot[k] || (distSlot[j] == distSlot[k] && j < k)
+	}
+	// relax scans task i's forward arcs to every slot but its own.
+	relax := func(i int) {
+		row := c[i*m : i*m+m]
+		di, pi, own := distTask[i], potTask[i], assigned[i]
+		for j, cij := range row {
+			if j == own {
+				continue // forward arc already saturated
+			}
+			if nd := di + (float64(cij) + pi - potSlot[j]); nd < distSlot[j] {
+				distSlot[j] = nd
+				prevTaskOfSlot[j] = i
+				if best < 0 || slotFirst(j, best) {
+					best = j
+				}
+			}
+		}
+	}
+
 	for round := 0; round < n; round++ {
 		// Shortest augmenting path from the super-source (all unassigned
 		// tasks at distance 0) to any slot with spare capacity, over reduced
-		// costs. Graph nodes: tasks [0,n), slots [n, n+m).
-		distTask := make([]float64, n)
-		distSlot := make([]float64, m)
+		// costs.
 		for i := range distTask {
 			distTask[i] = math.Inf(1)
 		}
 		for j := range distSlot {
 			distSlot[j] = math.Inf(1)
+			settled[j] = math.Inf(1)
 		}
-		prevSlotOfTask := make([]int, n) // slot whose reverse arc reached the task
-		prevTaskOfSlot := make([]int, m) // task whose forward arc reached the slot
-		for i := range prevSlotOfTask {
-			prevSlotOfTask[i] = -1
-		}
-		for j := range prevTaskOfSlot {
-			prevTaskOfSlot[j] = -1
-		}
-
-		pq := &pathHeap{}
+		pq, best = pq[:0], -1
+		// The unassigned tasks hold the lowest keys, (0, i) in index order,
+		// and no other node can reach distance 0 before they are all
+		// popped, so they are relaxed directly, in the order a heap would
+		// pop them.
 		for i := 0; i < n; i++ {
 			if assigned[i] < 0 {
 				distTask[i] = 0
-				heap.Push(pq, pathItem{dist: 0, node: i})
+				relax(i)
 			}
 		}
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(pathItem)
-			if it.node < n {
-				i := it.node
-				if it.dist > distTask[i] {
-					continue
+		for {
+			for len(pq) > 0 && pq[0].dist > distTask[pq[0].task] {
+				pq.pop() // superseded by a later, shorter entry
+			}
+			// On equal distance the task pops first: its node index is the
+			// lower one.
+			if len(pq) > 0 && (best < 0 || pq[0].dist <= distSlot[best]) {
+				relax(pq.pop().task)
+				continue
+			}
+			if best < 0 {
+				break
+			}
+			j := best
+			settled[j] = distSlot[j]
+			// Reverse arcs: slots with occupants can release a task.
+			for _, i := range occupants[j] {
+				rc := -float64(c[i*m+j]) - potTask[i] + potSlot[j]
+				if nd := distSlot[j] + rc; nd < distTask[i] {
+					distTask[i] = nd
+					pq.push(taskItem{dist: nd, task: i})
 				}
-				for j := 0; j < m; j++ {
-					if assigned[i] == j {
-						continue // forward arc already saturated
-					}
-					rc := float64(c[i][j]) + potTask[i] - potSlot[j]
-					if nd := distTask[i] + rc; nd < distSlot[j] {
-						distSlot[j] = nd
-						prevTaskOfSlot[j] = i
-						heap.Push(pq, pathItem{dist: nd, node: n + j})
-					}
-				}
-			} else {
-				j := it.node - n
-				if it.dist > distSlot[j] {
-					continue
-				}
-				// Reverse arcs: slots with occupants can release a task.
-				for i := 0; i < n; i++ {
-					if assigned[i] != j {
-						continue
-					}
-					rc := -float64(c[i][j]) - potTask[i] + potSlot[j]
-					if nd := distSlot[j] + rc; nd < distTask[i] {
-						distTask[i] = nd
-						prevSlotOfTask[i] = j
-						heap.Push(pq, pathItem{dist: nd, node: i})
-					}
+			}
+			best = -1
+			for k := range distSlot {
+				if distSlot[k] < settled[k] && (best < 0 || slotFirst(k, best)) {
+					best = k
 				}
 			}
 		}
@@ -151,7 +185,7 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 		// break toward the lower slot index by scan order.
 		endSlot := -1
 		for j := 0; j < m; j++ {
-			if used[j] >= cap[j] || math.IsInf(distSlot[j], 1) {
+			if len(occupants[j]) >= cap[j] || math.IsInf(distSlot[j], 1) {
 				continue
 			}
 			if endSlot < 0 || distSlot[j] < distSlot[endSlot] {
@@ -178,13 +212,21 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 			}
 		}
 
-		// Augment one unit along the alternating path, flipping assignments.
-		used[endSlot]++
+		// Augment one unit along the alternating path, flipping assignments
+		// and moving each flipped task between occupant lists.
 		j := endSlot
 		for {
 			i := prevTaskOfSlot[j]
-			prevJ := prevSlotOfTask[i] // slot i was assigned to, or -1 at path start
+			prevJ := assigned[i] // the slot i leaves, or -1 at path start
+			if prevJ >= 0 {
+				occ := occupants[prevJ]
+				last := occ[len(occ)-1]
+				occ[at[i]], at[last] = last, at[i]
+				occupants[prevJ] = occ[:len(occ)-1]
+			}
 			assigned[i] = j
+			at[i] = len(occupants[j])
+			occupants[j] = append(occupants[j], i)
 			if prevJ < 0 {
 				break
 			}
@@ -192,35 +234,69 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 		}
 	}
 
+	var totalCost int64
 	for i, j := range assigned {
-		totalCost += c[i][j]
+		totalCost += c[i*m+j]
 	}
 	return assigned, totalCost, nil
 }
 
-// pathItem is one priority-queue entry of the Dijkstra pass.
-type pathItem struct {
+// taskItem is one task entry of the Dijkstra pass's queue.
+type taskItem struct {
 	dist float64
-	node int
+	task int
 }
 
-// pathHeap orders items by distance, breaking ties toward the lower node
-// index so the search (and therefore the assignment) is deterministic.
-type pathHeap []pathItem
-
-func (h pathHeap) Len() int { return len(h) }
-func (h pathHeap) Less(a, b int) bool {
-	if h[a].dist != h[b].dist {
-		return h[a].dist < h[b].dist
+// less orders entries by distance, breaking ties toward the lower task
+// index so the search (and therefore the assignment) is deterministic. No
+// two entries share a key — a task is re-queued only at a strictly lower
+// distance — so the pop sequence is fixed by the entries alone, whatever
+// the heap's internal layout.
+func (a taskItem) less(b taskItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return h[a].node < h[b].node
+	return a.task < b.task
 }
-func (h pathHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *pathHeap) Push(x any)   { *h = append(*h, x.(pathItem)) }
-func (h *pathHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// taskHeap is a binary min-heap of task entries.
+type taskHeap []taskItem
+
+func (h *taskHeap) push(it taskItem) {
+	q := append(*h, it)
+	k := len(q) - 1
+	for k > 0 {
+		p := (k - 1) / 2
+		if !q[k].less(q[p]) {
+			break
+		}
+		q[k], q[p] = q[p], q[k]
+		k = p
+	}
+	*h = q
+}
+
+func (h *taskHeap) pop() taskItem {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	k := 0
+	for {
+		l := 2*k + 1
+		if l >= last {
+			break
+		}
+		if r := l + 1; r < last && q[r].less(q[l]) {
+			l = r
+		}
+		if !q[l].less(q[k]) {
+			break
+		}
+		q[k], q[l] = q[l], q[k]
+		k = l
+	}
+	*h = q
+	return top
 }

@@ -2,7 +2,9 @@ package assign
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -228,6 +230,146 @@ func TestMinCostTieBreakUnderPermutedInput(t *testing.T) {
 				t.Fatalf("perm %v: unique task %d moved from slot %d to %d under relabeling",
 					p, src, base[src], got[i])
 			}
+		}
+	}
+}
+
+// randomInstance draws one tie-heavy assignment instance: capacities of
+// ceil(2n/m) (the repair path's rule) with roughly one slot in five zeroed,
+// and costs uniform in [0, span).
+func randomInstance(rng *rand.Rand, n, m int, span int64) ([]int, [][]int64) {
+	per := (2*n + m - 1) / m
+	cap := make([]int, m)
+	for j := range cap {
+		if rng.Intn(5) > 0 {
+			cap[j] = per
+		}
+	}
+	c := make([][]int64, n)
+	for i := range c {
+		c[i] = make([]int64, m)
+		for j := range c[i] {
+			c[i][j] = rng.Int63n(span)
+		}
+	}
+	return cap, c
+}
+
+// sameResult reports whether MinCost and the reference agree on the
+// assignment, its cost and the error.
+func sameResult(n int, cap []int, c [][]int64) error {
+	got, gotCost, gotErr := MinCost(n, cap, costFn(c))
+	want, wantCost, wantErr := referenceMinCost(n, cap, costFn(c))
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		return fmt.Errorf("error %v, reference %v", gotErr, wantErr)
+	}
+	if gotCost != wantCost {
+		return fmt.Errorf("cost %d, reference %d", gotCost, wantCost)
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("assignment %v, reference %v", got, want)
+	}
+	return nil
+}
+
+// TestMinCostMatchesReference requires MinCost to return exactly what the
+// pre-rework solver returns — the same assignment, not just the same
+// optimum — over seeded instances with n up to 120 tasks, m up to 36 slots,
+// zeroed capacities (some instances infeasible) and narrow cost spans that
+// make ties the rule rather than the exception.
+func TestMinCostMatchesReference(t *testing.T) {
+	trials := 3000
+	if testing.Short() {
+		trials = 300
+	}
+	spans := []int64{1, 2, 3, 8, 100}
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(120)
+		m := 1 + rng.Intn(36)
+		span := spans[trial%len(spans)]
+		cap, c := randomInstance(rng, n, m, span)
+		if err := sameResult(n, cap, c); err != nil {
+			t.Fatalf("trial %d (n=%d m=%d span=%d cap=%v): %v", trial, n, m, span, cap, err)
+		}
+	}
+}
+
+// FuzzMinCost checks MinCost against the reference on instances decoded
+// from the fuzz input: n, m, a cost span, then per-slot capacities (0..4)
+// and costs read cyclically from the remaining bytes.
+func FuzzMinCost(f *testing.F) {
+	f.Add([]byte{5, 3, 2, 2, 0, 3, 1, 0, 1, 1, 0})
+	f.Add([]byte{40, 12, 100, 4, 4, 0, 4, 4, 4, 4, 0, 4, 4, 4, 4, 7, 9, 3})
+	f.Add([]byte{1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n, m, span := 1+int(data[0])%48, 1+int(data[1])%16, 1+int64(data[2])
+		rest := data[3:]
+		next := func(k int) byte {
+			if len(rest) == 0 {
+				return byte(k)
+			}
+			return rest[k%len(rest)]
+		}
+		cap := make([]int, m)
+		for j := range cap {
+			cap[j] = int(next(j)) % 5
+		}
+		c := make([][]int64, n)
+		for i := range c {
+			c[i] = make([]int64, m)
+			for j := range c[i] {
+				c[i][j] = int64(next(m+i*m+j)) % span
+			}
+		}
+		if err := sameResult(n, cap, c); err != nil {
+			t.Fatalf("n=%d m=%d span=%d cap=%v c=%v: %v", n, m, span, cap, c, err)
+		}
+	})
+}
+
+// BenchmarkMinCost solves one batch the size a one-tile fault strands on
+// the 6x6 mesh at the benchmark scale: 300 tasks over the 34 surviving
+// nodes, each task costing the summed hops from its three fetch sources,
+// with the repair path's ceil(2n/m) capacities.
+func BenchmarkMinCost(b *testing.B) {
+	const n, side = 300, 6
+	dead := map[int]bool{14: true, 21: true}
+	var cands []int
+	for v := 0; v < side*side; v++ {
+		if !dead[v] {
+			cands = append(cands, v)
+		}
+	}
+	m := len(cands)
+	hops := func(a, b int) int64 {
+		dx, dy := a%side-b%side, a/side-b/side
+		return int64(max(dx, -dx) + max(dy, -dy))
+	}
+	rng := rand.New(rand.NewSource(1))
+	c := make([][]int64, n)
+	for i := range c {
+		srcs := []int{rng.Intn(side * side), rng.Intn(side * side), rng.Intn(side * side)}
+		c[i] = make([]int64, m)
+		for j, v := range cands {
+			for _, s := range srcs {
+				c[i][j] += hops(s, v)
+			}
+		}
+	}
+	cap := make([]int, m)
+	for j := range cap {
+		cap[j] = (2*n + m - 1) / m
+	}
+	cost := costFn(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := MinCost(n, cap, cost); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -101,6 +101,8 @@ type ReintegrateReport struct {
 // MigrationTraffic <= MovementBefore. On any rejection — pricing failure,
 // verifier, accounting, or context expiry — the stay-put residual is
 // returned with Accepted=false; re-integration never makes things worse.
+// Only a malformed schedule (see RepairSchedule) or a checkpoint of the
+// wrong length is an error.
 //
 // The no-thrash invariant follows by construction: a task returns only when
 // its saving clears the hysteresis margin, and after an element's second
@@ -113,13 +115,62 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
+	if err := checkShape(s, m); err != nil {
+		return nil, nil, err
+	}
+	if ck != nil && len(ck.Done) != len(s.Tasks) {
+		return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
+	}
 	rep := &ReintegrateReport{}
+	plan := planReintegration(s, ck, m, f, revived, o, churn, rep)
+	if plan.moved == nil || ctx.Err() != nil {
+		return plan.residual, rep, nil
+	}
 
+	c := plan.moved
+	added, removed := replayArcs(c, plan.dist)
+	after, err := MovementOn(c, m, f)
+	if err != nil || after+plan.traffic > rep.MovementBefore || ctx.Err() != nil {
+		return plan.residual, rep, nil
+	}
+	if verr := ValidateScheduleOn(c, m, f); verr != nil {
+		return plan.residual, rep, nil
+	}
+	if cerr := check(c); cerr != nil {
+		return plan.residual, rep, nil
+	}
+
+	rep.Accepted = true
+	rep.Migrated = plan.returns
+	rep.MigrationTraffic = plan.traffic
+	rep.MovementAfter = after
+	rep.AddedArcs = added
+	rep.RemovedArcs = removed
+	return c, rep, nil
+}
+
+// reintegrationPlan is ReintegrateOnline's decision, before the dependence
+// replay and the commit gates.
+type reintegrationPlan struct {
+	// residual is the stay-put residual, its hops refreshed on the
+	// post-recovery mesh; dist holds that mesh's live-route distances.
+	residual *Schedule
+	dist     [][]int
+	// moved is a clone of residual with the accepted returns applied (nil
+	// when no task returns); its arc set is not yet replayed. returns counts
+	// the moved tasks and traffic their migration cost.
+	moved   *Schedule
+	returns int
+	traffic int64
+}
+
+// planReintegration cuts the residual, refreshes its hops, prices every
+// residual task's return to a revived node, and applies the accepted
+// returns on a clone, filling rep's split, candidate and movement-before
+// fields.
+func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
 	var residual *Schedule
 	if ck != nil {
-		if len(ck.Done) != len(s.Tasks) {
-			return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
-		}
 		var st residualStats
 		residual, st = buildResidual(s, ck)
 		rep.CompletedTasks = st.completed
@@ -134,6 +185,7 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 	// on the live mesh, not on the planner's stale metadata. This keeps even
 	// the stay-put residual verifier-clean on the recovered topology.
 	dist := m.AllDistancesAvoiding(f)
+	plan := reintegrationPlan{residual: residual, dist: dist}
 	for _, t := range residual.Tasks {
 		for j, p := range t.WaitFor {
 			if d := dist[residual.Tasks[p].Node][t.Node]; d >= 0 {
@@ -151,13 +203,13 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 		}
 	}
 	if len(targets) == 0 || len(residual.Tasks) == 0 {
-		return residual, rep, nil
+		return plan
 	}
 	before, err := MovementOn(residual, m, f)
 	if err != nil {
 		// The residual cannot be priced on this mesh (partitioned pair):
 		// nothing to optimize, stay put.
-		return residual, rep, nil
+		return plan
 	}
 	rep.MovementBefore = before
 	rep.MovementAfter = before
@@ -290,20 +342,19 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 		}
 		moves = append(moves, move{idx: i, to: bestR, cost: migCost})
 	}
-	if len(moves) == 0 || ctx.Err() != nil {
-		return residual, rep, nil
+	if len(moves) == 0 {
+		return plan
 	}
 
 	// Apply the accepted moves on a clone, mirroring repair's migration
 	// side effects: warm copies are lost, local-bank flags fixed, migrated
 	// roots reacquire their result line from the node that held it.
 	c := residual.Clone()
-	var traffic int64
 	for _, mv := range moves {
 		t := c.Tasks[mv.idx]
 		from := t.Node
 		t.Node = mv.to
-		traffic += mv.cost
+		plan.traffic += mv.cost
 		for fi := range t.Fetches {
 			fe := &t.Fetches[fi]
 			fe.L1Hit = false
@@ -318,36 +369,6 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 			})
 		}
 	}
-	for _, t := range c.Tasks {
-		for j, p := range t.WaitFor {
-			t.WaitHops[j] = dist[c.Tasks[p].Node][t.Node]
-		}
-	}
-	added := reemitDependenceArcs(c, dist)
-	c.SyncsBefore += added
-	removed := DedupeWaits(c.Tasks) + ReduceSyncs(c.Tasks)
-	arcs := 0
-	for _, t := range c.Tasks {
-		arcs += len(t.WaitFor)
-	}
-	c.SyncsAfter = arcs
-
-	after, err := MovementOn(c, m, f)
-	if err != nil || after+traffic > before || ctx.Err() != nil {
-		return residual, rep, nil
-	}
-	if verr := ValidateScheduleOn(c, m, f); verr != nil {
-		return residual, rep, nil
-	}
-	if cerr := check(c); cerr != nil {
-		return residual, rep, nil
-	}
-
-	rep.Accepted = true
-	rep.Migrated = len(moves)
-	rep.MigrationTraffic = traffic
-	rep.MovementAfter = after
-	rep.AddedArcs = added
-	rep.RemovedArcs = removed
-	return c, rep, nil
+	plan.moved, plan.returns = c, len(moves)
+	return plan
 }

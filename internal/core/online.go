@@ -89,8 +89,9 @@ type OnlineReport struct {
 //     every accepted repair. check should skip completed instances — pass
 //     verify.Input.Completed = ck.CompletedInstances(s).
 //
-// The input schedule is never mutated. The returned schedule is the
-// accepted residual (its task IDs are its own, dense from zero). It is
+// The input schedule is never mutated; a malformed one (see RepairSchedule)
+// is refused before it is cut. The returned schedule is the accepted
+// residual (its task IDs are its own, dense from zero). It is
 // RepairOnlineCtx without a deadline.
 func RepairOnline(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *OnlineReport, error) {
 	return RepairOnlineCtx(context.Background(), s, ck, m, f, o, check)
@@ -102,6 +103,9 @@ func RepairOnline(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o
 // expiry the best verifier-clean residual found so far is returned, or a
 // *RepairFailure at stage "deadline" when none exists yet.
 func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *OnlineReport, error) {
+	if err := checkShape(s, m); err != nil {
+		return nil, nil, err
+	}
 	if len(ck.Done) != len(s.Tasks) {
 		return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
 	}
@@ -182,9 +186,22 @@ type residualStats struct {
 // here, so the two surgeries cannot drift apart.
 func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	var st residualStats
-	rs := &Schedule{}
+	// The residual's tasks, fetches and arcs each take one slab, carved as
+	// Clone carves them.
+	nt, nf, nw := 0, 0, 0
+	for i, t := range s.Tasks {
+		if !ck.Done[i] {
+			nt++
+			nf += len(t.Fetches)
+			nw += len(t.WaitFor)
+		}
+	}
+	rs := &Schedule{Tasks: make([]*Task, 0, nt)}
+	tasks := make([]Task, nt)
+	fetches := make([]Fetch, 0, nf)
+	ints := make([]int, 0, 2*nw)
 	newID := make([]int, len(s.Tasks))
-	lastWriter := make(map[uint64]int) // line -> original ID of last root store
+	lastWriter := make(map[uint64]int, s.Instances) // line -> original ID of last root store
 	for i, t := range s.Tasks {
 		if ck.Done[i] {
 			st.completed++
@@ -194,10 +211,10 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			newID[i] = -1
 			continue
 		}
-		ct := *t
+		ct := &tasks[len(rs.Tasks)]
+		*ct = *t
 		ct.ID = len(rs.Tasks)
-		ct.Fetches = append([]Fetch(nil), t.Fetches...)
-		ct.WaitFor, ct.WaitHops = nil, nil
+		ct.Fetches, fetches = carve(fetches, t.Fetches)
 		for fi := range ct.Fetches {
 			fe := &ct.Fetches[fi]
 			w, wrote := lastWriter[fe.Line]
@@ -222,19 +239,32 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 				st.converted++
 			}
 		}
-		for j, p := range t.WaitFor {
+		// Arcs into completed producers are dropped: execution time orders
+		// them across the cut.
+		a := len(ints)
+		for _, p := range t.WaitFor {
 			if ck.Done[p] {
-				st.dropped++ // execution time orders it across the cut
+				st.dropped++
 				continue
 			}
-			ct.addWait(newID[p], t.WaitHops[j])
+			ints = append(ints, newID[p])
+		}
+		b := len(ints)
+		for j, p := range t.WaitFor {
+			if !ck.Done[p] {
+				ints = append(ints, t.WaitHops[j])
+			}
+		}
+		ct.WaitFor, ct.WaitHops = nil, nil
+		if b > a {
+			ct.WaitFor, ct.WaitHops = ints[a:b:b], ints[b:len(ints):len(ints)]
 		}
 		if t.IsRoot {
 			lastWriter[t.ResultLine] = i
 			rs.Instances++
 		}
 		newID[i] = ct.ID
-		rs.Tasks = append(rs.Tasks, &ct)
+		rs.Tasks = append(rs.Tasks, ct)
 	}
 	arcs := 0
 	for _, t := range rs.Tasks {

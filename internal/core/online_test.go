@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dmacp/internal/mesh"
@@ -135,5 +138,63 @@ func TestRepairOnlineResidualExcludesCompleted(t *testing.T) {
 	}
 	if err := ValidateScheduleOn(res, m, f); err != nil {
 		t.Errorf("residual fails structural validation: %v", err)
+	}
+}
+
+// TestRepairRejectsMalformedArcs corrupts one task's arcs or nodes and
+// requires every repair entry point to refuse the schedule with an error
+// naming the task, instead of panicking on an out-of-range index or — for a
+// forward arc, which the residual cut would silently re-point — succeeding.
+func TestRepairRejectsMalformedArcs(t *testing.T) {
+	probes := []struct {
+		name    string
+		corrupt func(tk *Task)
+	}{
+		{"negative producer", func(tk *Task) { tk.addWait(-1, 0) }},
+		{"producer past the end", func(tk *Task) { tk.addWait(1<<20, 0) }},
+		{"forward arc", func(tk *Task) { tk.addWait(3, 0) }},
+		{"hops without a producer", func(tk *Task) { tk.WaitHops = append(tk.WaitHops, 0) }},
+		{"task off the mesh", func(tk *Task) { tk.Node = 1 << 20 }},
+		{"fetch source off the mesh", func(tk *Task) { tk.Fetches = append(tk.Fetches, Fetch{From: -3}) }},
+	}
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			s, opts := partitioned(t)
+			m := opts.Mesh
+			f := mesh.Inject(m, 3, 3, 0, 1, true)
+			p.corrupt(s.Tasks[2])
+			snapshot := s.Clone()
+			entries := map[string]func() error{
+				"RepairSchedule": func() error {
+					_, err := RepairSchedule(s.Clone(), m, f, RepairOptions{})
+					return err
+				},
+				"RepairVerified": func() error {
+					_, _, err := RepairVerified(s, m, f, RepairOptions{}, nil)
+					return err
+				},
+				"RepairOnline": func() error {
+					_, _, err := RepairOnline(s, emptyCheckpoint(s, m), m, f, RepairOptions{}, nil)
+					return err
+				},
+				"ReintegrateOnline": func() error {
+					_, _, err := ReintegrateOnline(context.Background(), s, nil, m, mesh.NewFaultSet(),
+						[]mesh.NodeID{0}, RepairOptions{}, NewChurnState(), nil)
+					return err
+				},
+			}
+			for name, run := range entries {
+				err := run()
+				if err == nil {
+					t.Fatalf("%s accepted the malformed schedule", name)
+				}
+				if !strings.Contains(err.Error(), "task 2 ") {
+					t.Errorf("%s: error %q does not name task 2", name, err)
+				}
+			}
+			if !reflect.DeepEqual(s, snapshot) {
+				t.Error("a refused repair modified its input")
+			}
+		})
 	}
 }

@@ -114,6 +114,47 @@ func BenchmarkReintegrateOnline(b *testing.B) {
 	}
 }
 
+// BenchmarkRepairSchedule times one AssignAuto repair (both assignment
+// strategies, the dependence replay and the sync reduction) of a residual
+// schedule. Set-up partitions Barnes' force nest, lets 3 dead links and 1
+// dead tile arrive at half the pristine makespan, and cuts the residual at
+// that checkpoint; each iteration repairs a fresh copy.
+func BenchmarkRepairSchedule(b *testing.B) {
+	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 48, Elems: 1 << 13})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.FixedWindow = 4
+	m := opts.Mesh
+	part, err := core.Partition(app.Prog, app.Nests[0], app.Store, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	simCfg := sim.DefaultConfig(m)
+	base, err := sim.Run(part.Schedule, simCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := mesh.Inject(m, 1, 3, 0, 1, true)
+	simCfg.FaultEvents = []sim.FaultEvent{{Cycle: base.Cycles / 2, Faults: faults}}
+	run, err := sim.Run(part.Schedule, simCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	residual := core.ResidualOf(part.Schedule, run.Checkpoints[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := residual.Clone()
+		b.StartTimer()
+		if _, err := core.RepairSchedule(c, m, faults, core.RepairOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReduceSyncs times the transitive sync reduction on both of its
 // paths. "suite" is Barnes' force nest partitioned at window 4 (about 2,400
 // tasks, the online-repair average) with implied arcs re-inserted; the

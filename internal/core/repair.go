@@ -145,10 +145,13 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 //     order, so orderings it silently provided are restored as explicit
 //     arcs, then the arc set is deduplicated and transitively reduced.
 //
-// It fails when no usable memory controller survives — such a mesh cannot
-// serve any schedule (the error wraps mesh.ErrPartitioned) — leaving s
-// partially modified; callers that need the original afterwards should pass
-// a Clone (RepairVerified does).
+// It fails, before touching s, when the schedule is malformed: task IDs not
+// dense, a WaitFor entry that is not an earlier task, WaitFor and WaitHops
+// of different lengths, or a task or fetch source off the mesh (the error
+// names the task). It fails when no usable memory controller survives —
+// such a mesh cannot serve any schedule (the error wraps
+// mesh.ErrPartitioned) — leaving s partially modified; callers that need
+// the original afterwards should pass a Clone (RepairVerified does).
 //
 // With the default AssignAuto strategy the stranded-task placement is
 // solved twice — once as a batched min-cost assignment, in place on s, and
@@ -156,6 +159,9 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // schedule that moves less data is committed, tie-breaking toward the
 // batched result.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
+	if err := checkShape(s, m); err != nil {
+		return nil, err
+	}
 	if o.Strategy == AssignAuto && !o.Full && !f.Empty() {
 		return repairBestOf(s, m, f, o)
 	}
@@ -197,6 +203,25 @@ func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 		rep.MovementAfter = before
 		return rep, nil
 	}
+	dist, err := migrateStranded(s, m, f, o, rep)
+	if err != nil {
+		return nil, err
+	}
+	rep.AddedArcs, rep.RemovedArcs = replayArcs(s, dist)
+	after, err := MovementOn(s, m, f)
+	if err != nil {
+		return nil, fmt.Errorf("core: repaired schedule still crosses faults: %w", err)
+	}
+	rep.MovementAfter = after
+	return rep, nil
+}
+
+// migrateStranded is repair steps 1-3: it moves every task stranded
+// outside the placement region (every task, under o.Full) onto an in-region
+// node and re-homes the fetches whose source left the region, recording
+// the dead nodes, migrations, re-homed fetches and strategy in rep. The arc
+// set is left as it was. It returns the live-route distances on f.
+func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, rep *RepairReport) ([][]int, error) {
 	threshold := o.LoadThreshold
 	if threshold <= 0 {
 		threshold = 0.10
@@ -314,6 +339,7 @@ func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 		}
 		rep.Strategy = strategy.String()
 		if strategy == AssignMinCost {
+			var err error
 			targets, err = placeMinCost(candidates, len(migIdx), cost)
 			if err != nil {
 				return nil, err
@@ -348,29 +374,36 @@ func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 		}
 	}
 
-	// All placements are final: recompute every arc's hop count as the
-	// live-route distance, then restore any dependence ordering migration
-	// took away from per-node program order.
-	for _, t := range s.Tasks {
-		for j, p := range t.WaitFor {
-			t.WaitHops[j] = dist[s.Tasks[p].Node][t.Node]
-		}
-	}
-	rep.AddedArcs = reemitDependenceArcs(s, dist)
-	s.SyncsBefore += rep.AddedArcs
-	rep.RemovedArcs = DedupeWaits(s.Tasks) + ReduceSyncs(s.Tasks)
+	return dist, nil
+}
+
+// replayArcs finishes a migration once every placement is final: each
+// arc's hop count becomes the live-route distance, any dependence ordering
+// migration took away from per-node program order is restored as an
+// explicit arc, and the arc set is deduplicated and transitively reduced.
+// It updates the schedule's sync counts and returns the arcs added and
+// removed.
+func replayArcs(s *Schedule, dist [][]int) (added, removed int) {
+	refreshHops(s, dist)
+	added = reemitDependenceArcs(s, dist)
+	s.SyncsBefore += added
+	removed = DedupeWaits(s.Tasks) + ReduceSyncs(s.Tasks)
 	arcs := 0
 	for _, t := range s.Tasks {
 		arcs += len(t.WaitFor)
 	}
 	s.SyncsAfter = arcs
+	return added, removed
+}
 
-	after, err := MovementOn(s, m, f)
-	if err != nil {
-		return nil, fmt.Errorf("core: repaired schedule still crosses faults: %w", err)
+// refreshHops sets every arc's hop count to the distance between its
+// producer's and consumer's nodes.
+func refreshHops(s *Schedule, dist [][]int) {
+	for _, t := range s.Tasks {
+		for j, p := range t.WaitFor {
+			t.WaitHops[j] = dist[s.Tasks[p].Node][t.Node]
+		}
 	}
-	rep.MovementAfter = after
-	return rep, nil
 }
 
 // placeGreedy is the PR 3 baseline placement: each migrating task, in ID
@@ -469,79 +502,159 @@ func fetchesLine(t *Task, line uint64) bool {
 // reemitDependenceArcs replays the schedule's reads (fetches) and writes
 // (root stores) in task order — the same access model the verifier checks —
 // and inserts an explicit WaitFor arc for every dependence pair the current
-// arc set plus per-node program order no longer orders. Task IDs are
-// topological, so a single forward pass over an incrementally built
-// happens-before bitset closure suffices; by construction the resulting
-// schedule orders every RAW, WAW and WAR pair. Returns the number of arcs
-// added.
+// arc set plus per-node program order no longer orders; by construction the
+// resulting schedule orders every RAW, WAW and WAR pair. Returns the number
+// of arcs added.
+//
+// Task IDs are topological, so one forward pass decides every pair against
+// happens-before labels built as it goes. Program order makes each node's
+// tasks one chain, and a task's ancestors on a chain are always a prefix of
+// it (every earlier task on the node precedes the latest ancestor there),
+// so a task's whole ancestor set is one number per chain: the highest
+// ancestor ID on it, the task itself included. p happens before i exactly
+// when p <= up[i][chain(p)]. The labels take n x (nodes in use) x 4 bytes.
+// It requires the shape checkShape enforces: dense IDs, every WaitFor entry
+// an earlier task, and every node inside dist.
 func reemitDependenceArcs(s *Schedule, dist [][]int) int {
-	n := len(s.Tasks)
-	words := (n + 63) / 64
-	bits := make([]uint64, n*words)
-	row := func(i int) []uint64 { return bits[i*words : (i+1)*words] }
-	ordered := func(a, b int) bool { // a happens before b?
-		return row(b)[a/64]&(1<<(uint(a)%64)) != 0
+	tasks := s.Tasks
+	rp := arcReplay{tasks: tasks, dist: dist, chainOf: make([]int32, len(dist))}
+	for c := range rp.chainOf {
+		rp.chainOf[c] = -1
 	}
-	absorb := func(dst []uint64, p int) {
-		src := row(p)
-		for w := range dst {
-			dst[w] |= src[w]
+	for _, t := range tasks {
+		if rp.chainOf[t.Node] < 0 {
+			rp.chainOf[t.Node] = int32(rp.k)
+			rp.k++
 		}
-		dst[p/64] |= 1 << (uint(p) % 64)
+	}
+	k := rp.k
+	rp.up = make([]int32, len(tasks)*k)
+	lastOnChain := make([]int32, k)
+	for c := range lastOnChain {
+		lastOnChain[c] = -1
 	}
 
-	added := 0
-	lastOnNode := make(map[mesh.NodeID]int)
-	lastWrite := make(map[uint64]int)
-	readers := make(map[uint64]map[mesh.NodeID]int)
+	// Per-line state, dense by first-touch slot: the last root store and
+	// the latest reader on each node since it. A slot's readers are a list
+	// threaded through one arena from firstReader, kept sorted by node so
+	// WAR arcs are visited in ascending node order.
+	slotOf := make(map[uint64]int32, len(tasks))
+	var lastWrite, firstReader []int32
+	var readers []lineReader
+	slot := func(line uint64) int32 {
+		sl, ok := slotOf[line]
+		if !ok {
+			sl = int32(len(lastWrite))
+			slotOf[line] = sl
+			lastWrite = append(lastWrite, -1)
+			firstReader = append(firstReader, -1)
+		}
+		return sl
+	}
 
-	for i, t := range s.Tasks {
-		r := row(i)
-		for _, p := range t.WaitFor {
-			absorb(r, p)
-		}
-		if prev, ok := lastOnNode[t.Node]; ok {
-			absorb(r, prev)
-		}
-		need := func(p int) {
-			if p == i || ordered(p, i) {
-				return
+	for i, t := range tasks {
+		c := rp.chainOf[t.Node]
+		r := rp.up[i*k : i*k+k]
+		if prev := lastOnChain[c]; prev >= 0 {
+			copy(r, rp.up[int(prev)*k:int(prev)*k+k])
+		} else {
+			for x := range r {
+				r[x] = -1
 			}
-			t.addWait(p, dist[s.Tasks[p].Node][t.Node])
-			added++
-			absorb(r, p)
+		}
+		r[c] = int32(i)
+		lastOnChain[c] = int32(i)
+		for _, p := range t.WaitFor {
+			if !rp.ordered(r, p) {
+				rp.absorb(r, p)
+			}
 		}
 
 		for _, fe := range t.Fetches {
-			if w, ok := lastWrite[fe.Line]; ok {
-				need(w) // RAW
+			sl := slot(fe.Line)
+			if w := lastWrite[sl]; w >= 0 {
+				rp.need(t, r, int(w)) // RAW
 			}
-			if readers[fe.Line] == nil {
-				readers[fe.Line] = make(map[mesh.NodeID]int)
-			}
-			readers[fe.Line][t.Node] = i
+			readers = addReader(readers, &firstReader[sl], t.Node, int32(i))
 		}
 		if t.IsRoot {
-			line := t.ResultLine
-			if w, ok := lastWrite[line]; ok {
-				need(w) // WAW
+			sl := slot(t.ResultLine)
+			if w := lastWrite[sl]; w >= 0 {
+				rp.need(t, r, int(w)) // WAW
 			}
-			if rs := readers[line]; len(rs) > 0 {
-				nodes := make([]mesh.NodeID, 0, len(rs))
-				for nd := range rs {
-					nodes = append(nodes, nd)
-				}
-				sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-				for _, nd := range nodes {
-					need(rs[nd]) // WAR
-				}
+			for x := firstReader[sl]; x >= 0; x = readers[x].next {
+				rp.need(t, r, int(readers[x].task)) // WAR
 			}
-			delete(readers, line)
-			lastWrite[line] = i
+			firstReader[sl] = -1
+			lastWrite[sl] = int32(i)
 		}
-		lastOnNode[t.Node] = i
 	}
-	return added
+	return rp.added
+}
+
+// arcReplay is reemitDependenceArcs' happens-before state: chainOf numbers
+// the nodes in use, and up holds k labels per task.
+type arcReplay struct {
+	tasks   []*Task
+	dist    [][]int
+	chainOf []int32
+	k       int
+	up      []int32
+	added   int
+}
+
+// ordered reports whether task p is among the ancestors r labels (or is
+// the labelled task itself).
+func (rp *arcReplay) ordered(r []int32, p int) bool {
+	return r[rp.chainOf[rp.tasks[p].Node]] >= int32(p)
+}
+
+// absorb adds p's ancestors, p included, to the labels r.
+func (rp *arcReplay) absorb(r []int32, p int) {
+	for c, v := range rp.up[p*rp.k : p*rp.k+rp.k] {
+		if v > r[c] {
+			r[c] = v
+		}
+	}
+}
+
+// need orders p before t, whose labels are r, adding the arc p -> t when
+// nothing orders them yet.
+func (rp *arcReplay) need(t *Task, r []int32, p int) {
+	if rp.ordered(r, p) {
+		return
+	}
+	t.addWait(p, rp.dist[rp.tasks[p].Node][t.Node])
+	rp.added++
+	rp.absorb(r, p)
+}
+
+// lineReader is one node's latest read of a line since its last store, a
+// link in the line's node-sorted reader list (next is -1 at its end).
+type lineReader struct {
+	node       mesh.NodeID
+	task, next int32
+}
+
+// addReader records task as node's latest reader in the node-sorted list
+// that starts at *first, appending a new link to the arena when node has
+// not read the line yet; it returns the arena.
+func addReader(arena []lineReader, first *int32, node mesh.NodeID, task int32) []lineReader {
+	prev, x := int32(-1), *first
+	for x >= 0 && arena[x].node < node {
+		prev, x = x, arena[x].next
+	}
+	if x >= 0 && arena[x].node == node {
+		arena[x].task = task
+		return arena
+	}
+	arena = append(arena, lineReader{node: node, task: task, next: x})
+	if prev < 0 {
+		*first = int32(len(arena) - 1)
+	} else {
+		arena[prev].next = int32(len(arena) - 1)
+	}
+	return arena
 }
 
 // RepairChecker validates a candidate repaired schedule; RepairVerified

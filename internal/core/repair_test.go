@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,6 +237,74 @@ func TestCloneIsDeep(t *testing.T) {
 				t.Fatal("WaitFor slice shared between clone and original")
 			}
 			break
+		}
+	}
+
+	// Append to one cloned task's Fetches, WaitFor and WaitHops: Clone
+	// carves every task's slices out of shared slabs, so an append that did
+	// not reallocate would overwrite the next task's entries. The neighbour
+	// and the original must be unchanged.
+	c = s.Clone()
+	appended := false
+	for i := 0; i+1 < len(c.Tasks); i++ {
+		tk, next := c.Tasks[i], c.Tasks[i+1]
+		if len(tk.Fetches) == 0 || len(tk.WaitFor) == 0 || len(next.Fetches) == 0 || len(next.WaitFor) == 0 {
+			continue
+		}
+		nextFetches := append([]Fetch(nil), next.Fetches...)
+		nextWaits := append([]int(nil), next.WaitFor...)
+		nextHops := append([]int(nil), next.WaitHops...)
+		orig := s.Tasks[i]
+		origFetches, origWaits := len(orig.Fetches), len(orig.WaitFor)
+
+		tk.Fetches = append(tk.Fetches, Fetch{From: mesh.InvalidNode, Line: 1 << 60})
+		tk.addWait(-55, -55)
+
+		if !slices.Equal(next.Fetches, nextFetches) || !slices.Equal(next.WaitFor, nextWaits) ||
+			!slices.Equal(next.WaitHops, nextHops) {
+			t.Fatalf("append to task %d's slices overwrote task %d", i, i+1)
+		}
+		if len(orig.Fetches) != origFetches || len(orig.WaitFor) != origWaits || len(orig.WaitHops) != origWaits {
+			t.Fatalf("append to cloned task %d changed the original", i)
+		}
+		if !slices.Equal(s.Tasks[i+1].Fetches, nextFetches) || !slices.Equal(s.Tasks[i+1].WaitFor, nextWaits) {
+			t.Fatalf("append to cloned task %d changed the original's task %d", i, i+1)
+		}
+		appended = true
+		break
+	}
+	if !appended {
+		t.Fatal("no adjacent pair of tasks both carries a fetch and an arc")
+	}
+}
+
+// TestAddReaderKeepsNodeOrder drives the replay's reader lists through an
+// arena that reallocates on almost every append: each list must hold every
+// node once, in ascending order, with its latest task.
+func TestAddReaderKeepsNodeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var arena []lineReader
+		firsts := []int32{-1, -1, -1}
+		want := []map[mesh.NodeID]int32{{}, {}, {}}
+		for task := int32(0); task < 40; task++ {
+			l, node := rng.Intn(len(firsts)), mesh.NodeID(rng.Intn(12))
+			arena = addReader(arena, &firsts[l], node, task)
+			want[l][node] = task
+		}
+		for l, first := range firsts {
+			got := map[mesh.NodeID]int32{}
+			last := mesh.NodeID(-1)
+			for x := first; x >= 0; x = arena[x].next {
+				if arena[x].node <= last {
+					t.Fatalf("trial %d line %d: node %d follows node %d", trial, l, arena[x].node, last)
+				}
+				last = arena[x].node
+				got[last] = arena[x].task
+			}
+			if !maps.Equal(got, want[l]) {
+				t.Fatalf("trial %d line %d: readers %v, want %v", trial, l, got, want[l])
+			}
 		}
 	}
 }

@@ -57,7 +57,11 @@ type Schedule struct {
 }
 
 // Clone returns a deep copy of the schedule; repair mutates the copy so the
-// pristine schedule survives for comparison and for escalation retries.
+// pristine schedule survives for comparison and for escalation retries. The
+// copy takes three allocations beyond its task-pointer slice: one slab each
+// for the tasks, their fetches, and their WaitFor and WaitHops entries.
+// Every sub-slice is capped at its length, so appending to one task's slice
+// reallocates it rather than overwriting its neighbour's.
 func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{
 		Tasks:       make([]*Task, len(s.Tasks)),
@@ -65,14 +69,35 @@ func (s *Schedule) Clone() *Schedule {
 		SyncsAfter:  s.SyncsAfter,
 		Instances:   s.Instances,
 	}
+	nf, nw := 0, 0
+	for _, t := range s.Tasks {
+		nf += len(t.Fetches)
+		nw += len(t.WaitFor) + len(t.WaitHops)
+	}
+	tasks := make([]Task, len(s.Tasks))
+	fetches := make([]Fetch, 0, nf)
+	ints := make([]int, 0, nw)
 	for i, t := range s.Tasks {
-		ct := *t
-		ct.Fetches = append([]Fetch(nil), t.Fetches...)
-		ct.WaitFor = append([]int(nil), t.WaitFor...)
-		ct.WaitHops = append([]int(nil), t.WaitHops...)
-		out.Tasks[i] = &ct
+		ct := &tasks[i]
+		*ct = *t
+		ct.Fetches, fetches = carve(fetches, t.Fetches)
+		ct.WaitFor, ints = carve(ints, t.WaitFor)
+		ct.WaitHops, ints = carve(ints, t.WaitHops)
+		out.Tasks[i] = ct
 	}
 	return out
+}
+
+// carve copies src onto the end of slab and returns the copy, capped at its
+// length (nil when src is empty), along with the grown slab. Callers size
+// the slab's capacity for every copy, so appends never move it.
+func carve[E any](slab, src []E) (cp, grown []E) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	a := len(slab)
+	slab = append(slab, src...)
+	return slab[a:len(slab):len(slab)], slab
 }
 
 // addWait records a synchronization arc from producer to consumer crossing

@@ -96,3 +96,37 @@ func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 	}
 	return nil
 }
+
+// checkShape checks the shape the repair ladder indexes by, before anything
+// is replayed or cut: task IDs dense and ascending, every WaitFor entry an
+// earlier task with a WaitHops entry beside it, and every task node and
+// fetch source on the mesh. The error names the first offending task.
+func checkShape(s *Schedule, m *mesh.Mesh) error {
+	if s == nil {
+		return fmt.Errorf("core: nil schedule")
+	}
+	nodes := m.Nodes()
+	onMesh := func(n mesh.NodeID) bool { return n >= 0 && int(n) < nodes }
+	for i, t := range s.Tasks {
+		switch {
+		case t.ID != i:
+			return fmt.Errorf("core: task %d has ID %d (want dense ascending)", i, t.ID)
+		case !onMesh(t.Node):
+			return fmt.Errorf("core: task %d on invalid node %d", i, t.Node)
+		case len(t.WaitFor) != len(t.WaitHops):
+			return fmt.Errorf("core: task %d WaitFor/WaitHops mismatch (%d vs %d)",
+				i, len(t.WaitFor), len(t.WaitHops))
+		}
+		for _, p := range t.WaitFor {
+			if p < 0 || p >= i {
+				return fmt.Errorf("core: task %d waits on non-earlier task %d", i, p)
+			}
+		}
+		for _, fe := range t.Fetches {
+			if !onMesh(fe.From) {
+				return fmt.Errorf("core: task %d fetches line %#x from invalid node %d", i, fe.Line, fe.From)
+			}
+		}
+	}
+	return nil
+}
