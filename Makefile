@@ -88,17 +88,20 @@ verifybig:
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
 # plus each gate's byte-identity at -j 1 vs -j 8 and its Runner experiment
-# wrapper (one subtest per gate), and (internal/verify) the verifier's reports
-# deep-equal to its test-only pre-rework reference.
+# wrapper (one subtest per gate), (internal/verify) the verifier's reports
+# deep-equal to its test-only pre-rework reference, and (internal/core) the
+# partitioner's identities: every window-sweep trial scores what a
+# fixed-window run does, and every shared reuse-free plan equals a fresh split.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
 	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
 	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments \
-	TestCheckMatchesReference
+	TestCheckMatchesReference TestSweepWinnerMatchesFixedWindow \
+	TestSharedPlansMatchFreshBuild
 empty :=
 space := $(empty) $(empty)
 
 gates:
-	$(GO) test ./internal/exp/ ./internal/verify/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
+	$(GO) test ./internal/exp/ ./internal/verify/ ./internal/core/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
 
 # Every table of the experiment suite at the default (EXPERIMENTS.md) scale
 # must be byte-identical serial and parallel: one build, `-run all -markdown`

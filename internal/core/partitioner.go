@@ -167,7 +167,17 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	// emission never feeds back into a decision, so its Stats equal the
 	// trial's score. A singleton window set (FixedWindow, or MaxWindow=1)
 	// has nothing to select and runs its one emitting pass directly.
+	//
+	// Every trial plans most instances exactly as every other trial does:
+	// an instance none of whose leaves has a reuse candidate gets its
+	// reuse-free plan, a pure function of the trace. A sweep builds those
+	// plans once, before the fan-out, and its passes read them.
 	sizes := opts.windowSizes()
+	if len(sizes) > 1 {
+		if tr.plans, err = buildPlans(tr, opts.Mesh.DistanceTable(), opts.Jobs); err != nil {
+			return nil, err
+		}
+	}
 	prs := make([]*passResult, len(sizes))
 	if len(sizes) == 1 {
 		prs[0] = runPass(tr, &opts, sizes[0], true)
@@ -241,8 +251,10 @@ type stmtPre struct {
 // detection (Section 4.1) for every reference instance of a nest. L2
 // residency, prediction, page allocation and line labels depend only on the
 // order references are located in, never on the statement window, so one
-// serial pass before the sweep serves every trial. The passes read the trace
-// concurrently and never write it.
+// serial pass before the sweep serves every trial. Each located line also
+// gets a dense ID, which the passes index their per-line state by. A sweep
+// adds the instances' reuse-free plans before its fan-out. The passes read
+// the trace concurrently and never write it.
 type locTrace struct {
 	pre []stmtPre
 	// stores[k] locates instance k's output, k = iter*len(pre) + stmt.
@@ -252,6 +264,15 @@ type locTrace struct {
 	leaves  []LineLoc
 	prefix  []int
 	perIter int
+	// storeIDs and leafIDs, parallel to stores and leaves, hold the dense
+	// line IDs: equal lines share an ID, and the IDs are exactly
+	// [0, nLines), numbered in the order the lines were first located.
+	storeIDs []int32
+	leafIDs  []int32
+	nLines   int
+	// plans holds every instance's reuse-free plan; nil when the nest is
+	// partitioned at a single window, whose one pass builds inline.
+	plans *planSlab
 
 	analyzable   float64
 	predAccuracy float64
@@ -259,10 +280,34 @@ type locTrace struct {
 	translations map[uint64]uint64
 }
 
-// leavesOf returns the located input leaves of instance (iter, stmt).
-func (tr *locTrace) leavesOf(iter, stmt int) []LineLoc {
-	off := iter*tr.perIter + tr.prefix[stmt]
-	return tr.leaves[off : off+len(tr.pre[stmt].leaves)]
+// leafOff returns the offset of instance k's first leaf in leaves.
+func (tr *locTrace) leafOff(k int) int {
+	m := len(tr.pre)
+	return k/m*tr.perIter + tr.prefix[k%m]
+}
+
+// leavesOf returns the located input leaves of instance k and their line
+// IDs.
+func (tr *locTrace) leavesOf(k int) ([]LineLoc, []int32) {
+	off := tr.leafOff(k)
+	end := off + len(tr.pre[k%len(tr.pre)].leaves)
+	return tr.leaves[off:end], tr.leafIDs[off:end]
+}
+
+// fillOperands rebuilds infos, the plan builder's operand lookup, for
+// instance k. reuse[l] lists the l-th leaf's reuse candidates; a nil reuse
+// gives every leaf none.
+func (tr *locTrace) fillOperands(infos map[*ir.Ref]operandInfo, k int, reuse [][]mesh.NodeID) {
+	clear(infos)
+	refs := tr.pre[k%len(tr.pre)].leaves
+	leaves, ids := tr.leavesOf(k)
+	for li, ll := range leaves {
+		info := operandInfo{loc: ll, id: ids[li]}
+		if reuse != nil && len(reuse[li]) > 0 {
+			info.reuseNodes = reuse[li]
+		}
+		infos[refs[li]] = info
+	}
 }
 
 // locateNest builds the location trace of a nest: one locator and one
@@ -300,6 +345,17 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 	iters := nest.Iterations()
 	tr.stores = make([]LineLoc, iters*m)
 	tr.leaves = make([]LineLoc, iters*tr.perIter)
+	tr.storeIDs = make([]int32, len(tr.stores))
+	tr.leafIDs = make([]int32, len(tr.leaves))
+	lineIDs := make(map[uint64]int32)
+	intern := func(line uint64) int32 {
+		id, ok := lineIDs[line]
+		if !ok {
+			id = int32(len(lineIDs))
+			lineIDs[line] = id
+		}
+		return id
+	}
 	var env map[string]int
 	for iter := 0; iter < iters; iter++ {
 		env = nest.IterationEnvInto(env, iter)
@@ -314,8 +370,10 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 				}
 				storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
 			}
-			tr.stores[iter*m+s] = storeLoc
-			leaves := tr.leavesOf(iter, s)
+			k := iter*m + s
+			tr.stores[k] = storeLoc
+			tr.storeIDs[k] = intern(storeLoc.Line)
+			leaves, ids := tr.leavesOf(k)
 			for li, ref := range tr.pre[s].leaves {
 				ll, ok := loc.LocateRef(prog, ref, env, store)
 				if !ok {
@@ -325,10 +383,12 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 						PredictedHit: true, ActualHit: true}
 				}
 				leaves[li] = ll
+				ids[li] = intern(ll.Line)
 			}
 		}
 	}
 
+	tr.nLines = len(lineIDs)
 	tr.analyzable = loc.AnalyzableFraction()
 	tr.labels = loc.LineLabels()
 	tr.translations = loc.Allocator().Pages()
@@ -342,21 +402,19 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 // instance loop. A pass runs on exactly one worker goroutine, so the scratch
 // obeys the par ownership rule by construction; every buffer is overwritten
 // (never read) at the start of the instance that uses it, and nothing that
-// escapes into the emitted schedule aliases it.
+// escapes into the emitted schedule aliases it. The builder and an serve
+// only the instances that cannot read a shared plan.
 type passScratch struct {
 	builder planBuilder
 	an      PlanAnalysis
-	// placed lists the instance's tasks in emission order; lines holds
-	// their fetched lines, placed[i] owning lines[placed[i].lo:placed[i].hi].
+	// placed lists the instance's tasks in emission order; lines and ids
+	// hold their fetched lines and those lines' IDs, placed[i] owning
+	// lines[placed[i].lo:placed[i].hi] and the same span of ids.
 	placed []placedTask
 	lines  []uint64
+	ids    []int32
 	// taskOf is the emitting pass's vertex -> task table.
 	taskOf []*Task
-	// readerPool recycles the per-line reader maps that write-invalidation
-	// retires (delete from lastReaders) back to later lines.
-	readerPool []map[mesh.NodeID]int
-	// readerNodes holds the WAR scan's reader nodes, sorted.
-	readerNodes []mesh.NodeID
 	// reuseBuf[l] backs the reuse-candidate list of the instance's l-th leaf.
 	reuseBuf [][]mesh.NodeID
 }
@@ -371,14 +429,11 @@ type placedTask struct {
 	task   *Task
 }
 
-// getReaderMap returns an empty per-line reader map, recycled if available.
-func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
-	if n := len(sc.readerPool); n > 0 {
-		m := sc.readerPool[n-1]
-		sc.readerPool = sc.readerPool[:n-1]
-		return m
-	}
-	return make(map[mesh.NodeID]int)
+// reader is one entry of a line's reader list: the most recent task on
+// node that fetched the line.
+type reader struct {
+	node mesh.NodeID
+	task int
 }
 
 // pass is one scheduling pass over a located nest at a fixed statement
@@ -387,6 +442,7 @@ func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
 // write-invalidation, and the Stats. An emitting pass (sched != nil) also
 // materializes them: tasks, fetches with their hit flags, flow and WAR
 // arcs, and the offload tally. Emission never feeds back into a decision.
+// The per-line state is indexed by the trace's dense line IDs.
 type pass struct {
 	dt *mesh.DistanceTable
 	// l1 are the per-node shadow caches that model reuse validity and
@@ -394,22 +450,28 @@ type pass struct {
 	l1 []*cache.Cache
 	lt *loadTracker
 	// varMap (variable2node): which nodes fetched a line earlier in the
-	// current window (Algorithm 1 line 34). Cleared at window boundaries.
-	varMap map[uint64][]mesh.NodeID
+	// current window (Algorithm 1 line 34). varWin[id] is the window,
+	// counted from 1, in which varMap[id] was last written, and win is the
+	// current one: a list from an earlier window reads as empty, which is
+	// how the map is cleared at window boundaries.
+	varMap [][]mesh.NodeID
+	varWin []int32
+	win    int32
 	// lastReaders: per line, the most recent task on each node that fetched
-	// it since the line was last written. Write-invalidation consults its
-	// nodes; the WAR arcs of an emitting pass, its tasks. Earlier same-node
-	// readers are implied by per-node program order, so one reader per node
-	// suffices.
-	lastReaders map[uint64]map[mesh.NodeID]int
+	// it since the line was last written, one entry per node. Write-
+	// invalidation consults its nodes; the WAR arcs of an emitting pass, its
+	// tasks. Earlier same-node readers are implied by per-node program
+	// order, so one reader per node suffices.
+	lastReaders [][]reader
 	// tasks counts the tasks placed so far: the next task's ID.
 	tasks int
 	sc    passScratch
 
 	// Emission state, nil in a decision-only pass. lastWriter is the most
-	// recent root task writing each line, for inter-statement flow arcs.
+	// recent root task writing each line (-1: none yet), for
+	// inter-statement flow arcs.
 	sched      *Schedule
-	lastWriter map[uint64]int
+	lastWriter []int32
 	offload    map[ir.OpClass]int
 }
 
@@ -421,8 +483,9 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 		dt:          opts.Mesh.DistanceTable(),
 		l1:          make([]*cache.Cache, opts.Mesh.Nodes()),
 		lt:          newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold),
-		varMap:      make(map[uint64][]mesh.NodeID),
-		lastReaders: make(map[uint64]map[mesh.NodeID]int),
+		varMap:      make([][]mesh.NodeID, tr.nLines),
+		varWin:      make([]int32, tr.nLines),
+		lastReaders: make([][]reader, tr.nLines),
 	}
 	for i := range p.l1 {
 		p.l1[i] = cache.MustNew(cache.Config{
@@ -437,25 +500,27 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 	instances := len(tr.stores)
 	if emit {
 		p.sched = &Schedule{Instances: instances}
-		p.lastWriter = make(map[uint64]int)
+		p.lastWriter = make([]int32, tr.nLines)
+		for i := range p.lastWriter {
+			p.lastWriter[i] = -1
+		}
 		p.offload = make(map[ir.OpClass]int)
 	}
 
 	stats := Stats{Instances: instances}
 	var sumPar, sumSub float64
 
-	// infos is keyed by leaf ref and fully rebuilt per instance; reusing one
-	// map (and one lookup closure) avoids re-allocating it per instance.
+	// infos is keyed by leaf ref and fully rebuilt for each instance that
+	// builds its own plan; reusing one map (and one lookup closure) avoids
+	// re-allocating it per instance.
 	infos := make(map[*ir.Ref]operandInfo)
 	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
 	sc := &p.sc
 
 	for k := 0; k < instances; k++ {
-		if k%window == 0 {
-			// New window: the compiler's reuse map does not cross windows
-			// (Section 4.4; the S22 example of Figure 12).
-			clear(p.varMap)
-		}
+		// A new window starts a new varMap: the compiler's reuse map does
+		// not cross windows (Section 4.4; the S22 example of Figure 12).
+		p.win = int32(k/window) + 1
 		iter := k / m
 		stmtIdx := k % m
 		storeLoc := tr.stores[k]
@@ -463,36 +528,44 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 		// Attach in-window L1 copies of every located input leaf as
 		// candidate reuse nodes if the shadow L1 still holds them.
 		ps := &tr.pre[stmtIdx]
-		clear(infos)
 		for gr := len(sc.reuseBuf); gr < len(ps.leaves); gr++ {
 			sc.reuseBuf = append(sc.reuseBuf, nil)
 		}
-		for li, ll := range tr.leavesOf(iter, stmtIdx) {
-			info := operandInfo{loc: ll}
-			if opts.ReuseAware {
+		reuse := false
+		if opts.ReuseAware {
+			leaves, ids := tr.leavesOf(k)
+			for li, ll := range leaves {
 				// The candidate list lives in per-leaf scratch: it is only
 				// read while this instance's plan is built.
 				buf := sc.reuseBuf[li][:0]
-				for _, n := range p.varMap[ll.Line] {
-					if n != ll.Node() && p.l1[n].Contains(ll.Line) {
-						buf = append(buf, n)
+				if id := ids[li]; p.varWin[id] == p.win {
+					for _, n := range p.varMap[id] {
+						if n != ll.Node() && p.l1[n].Contains(ll.Line) {
+							buf = append(buf, n)
+						}
 					}
 				}
 				sc.reuseBuf[li] = buf
-				if len(buf) > 0 {
-					info.reuseNodes = buf
-				}
+				reuse = reuse || len(buf) > 0
 			}
-			infos[ps.leaves[li]] = info
 		}
 
-		plan := sc.builder.build(ps.set, lookup, storeLoc)
-		an := plan.AnalyzeInto(&sc.an)
+		// Without a reuse candidate the instance's plan is its reuse-free
+		// one, which a sweep has already built.
+		var plan *StatementPlan
+		var an *PlanAnalysis
+		if tr.plans != nil && !reuse {
+			plan, an = &tr.plans.plans[k], &tr.plans.ans[k]
+		} else {
+			tr.fillOperands(infos, k, sc.reuseBuf)
+			plan = sc.builder.build(ps.set, lookup, storeLoc)
+			an = plan.AnalyzeInto(&sc.an)
+		}
 		extra := p.place(plan, an, ps, stmtIdx, iter, k/window)
 		if p.sched != nil {
-			p.emitArcs(storeLoc)
+			p.emitArcs(storeLoc, tr.storeIDs[k])
 		}
-		p.touch(storeLoc)
+		p.touch(storeLoc, tr.storeIDs[k])
 
 		// Aggregate statement metrics.
 		mv := plan.Movement + extra
@@ -526,8 +599,8 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 }
 
 // emitArcs adds the instance's inter-statement arcs to its placed tasks and
-// records its root as the output line's last writer.
-func (p *pass) emitArcs(storeLoc LineLoc) {
+// records its root as the last writer of the output line, whose ID is sid.
+func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 	sched, dt := p.sched, p.dt
 	// Flow dependences: the root (and any task fetching a previously
 	// written line) must follow the writer. When the fetch already sources
@@ -537,10 +610,10 @@ func (p *pass) emitArcs(storeLoc LineLoc) {
 	// at L1 cost rather than re-reading the L2 bank or DRAM.
 	for _, pt := range p.sc.placed {
 		t := pt.task
-		for fi := range t.Fetches {
-			f := &t.Fetches[fi]
-			if w, ok := p.lastWriter[f.Line]; ok {
-				t.addWait(w, dt.Between(sched.Tasks[w].Node, t.Node))
+		for fi, id := range p.sc.ids[pt.lo:pt.hi] {
+			if w := p.lastWriter[id]; w >= 0 {
+				f := &t.Fetches[fi]
+				t.addWait(int(w), dt.Between(sched.Tasks[w].Node, t.Node))
 				sched.SyncsBefore++
 				if sched.Tasks[w].Node == f.From {
 					f.L1Hit = true
@@ -553,31 +626,27 @@ func (p *pass) emitArcs(storeLoc LineLoc) {
 	// reads of the output line issued from other nodes. Same-node readers
 	// are already ordered by the per-node program order the simulator and
 	// codegen preserve, so they need no arc; readers are visited in
-	// ascending node order to keep emission deterministic.
+	// ascending node order to keep emission deterministic. touch truncates
+	// the list right after, so sorting it in place is free to reorder it.
 	root := p.sc.placed[len(p.sc.placed)-1].task
-	if readers := p.lastReaders[storeLoc.Line]; len(readers) > 0 {
-		keys := p.sc.readerNodes[:0]
-		for n := range readers {
-			keys = append(keys, n)
-		}
-		slices.Sort(keys)
-		p.sc.readerNodes = keys
-		for _, n := range keys {
-			if n != root.Node {
-				root.addWait(readers[n], dt.Between(n, root.Node))
-				sched.SyncsBefore++
-			}
+	readers := p.lastReaders[sid]
+	slices.SortFunc(readers, func(a, b reader) int { return int(a.node - b.node) })
+	for _, r := range readers {
+		if r.node != root.Node {
+			root.addWait(r.task, dt.Between(r.node, root.Node))
+			sched.SyncsBefore++
 		}
 	}
 	root.ResultLine = storeLoc.Line
-	p.lastWriter[storeLoc.Line] = root.ID
+	p.lastWriter[sid] = int32(root.ID)
 }
 
 // touch updates the reuse map and the shadow L1s with what the instance
-// pulled where, then applies its store: every fetched line lands in the L1
-// of the task that consumed it (that is where a later statement can find a
-// copy — the C(i) in n_D's L1 of Figure 11).
-func (p *pass) touch(storeLoc LineLoc) {
+// pulled where, then applies its store to the output line, whose ID is
+// sid: every fetched line lands in the L1 of the task that consumed it
+// (that is where a later statement can find a copy — the C(i) in n_D's L1
+// of Figure 11).
+func (p *pass) touch(storeLoc LineLoc, sid int32) {
 	sc := &p.sc
 	for _, pt := range sc.placed {
 		c := p.l1[pt.node]
@@ -590,13 +659,13 @@ func (p *pass) touch(storeLoc LineLoc) {
 				f.L1Hit = true
 				f.L2Miss = false
 			}
-			p.varMap[line] = appendNode(p.varMap[line], pt.node)
-			lr := p.lastReaders[line]
-			if lr == nil {
-				lr = sc.getReaderMap()
-				p.lastReaders[line] = lr
+			id := sc.ids[pt.lo+fi]
+			if p.varWin[id] != p.win {
+				p.varWin[id] = p.win
+				p.varMap[id] = p.varMap[id][:0]
 			}
-			lr[pt.node] = pt.id
+			p.varMap[id] = appendNode(p.varMap[id], pt.node)
+			p.lastReaders[id] = setReader(p.lastReaders[id], pt.node, pt.id)
 		}
 	}
 	// The store supersedes all recorded readers of the output line: this
@@ -611,19 +680,15 @@ func (p *pass) touch(storeLoc LineLoc) {
 	// recorded readers can hold a remote copy: every shadow-L1 insert is
 	// either a fetch, recorded in lastReaders until the line's next write,
 	// or the store at the line's home, which keeps its copy.
-	if retired := p.lastReaders[storeLoc.Line]; retired != nil {
-		//lint:dmacp-allow maporder each invalidation touches only its own node's L1
-		for n := range retired {
-			if n != storeLoc.Home {
-				p.l1[n].Invalidate(storeLoc.Line)
-			}
+	for _, r := range p.lastReaders[sid] {
+		if r.node != storeLoc.Home {
+			p.l1[r.node].Invalidate(storeLoc.Line)
 		}
-		clear(retired)
-		sc.readerPool = append(sc.readerPool, retired)
-		delete(p.lastReaders, storeLoc.Line)
 	}
+	p.lastReaders[sid] = p.lastReaders[sid][:0]
 	p.l1[storeLoc.Home].Access(storeLoc.Line)
-	p.varMap[storeLoc.Line] = appendNode(p.varMap[storeLoc.Line][:0], storeLoc.Home)
+	p.varWin[sid] = p.win
+	p.varMap[sid] = append(p.varMap[sid][:0], storeLoc.Home)
 }
 
 // appendNode appends n to nodes if absent.
@@ -634,4 +699,15 @@ func appendNode(nodes []mesh.NodeID, n mesh.NodeID) []mesh.NodeID {
 		}
 	}
 	return append(nodes, n)
+}
+
+// setReader records task as node's most recent reader in readers.
+func setReader(readers []reader, node mesh.NodeID, task int) []reader {
+	for i := range readers {
+		if readers[i].node == node {
+			readers[i].task = task
+			return readers
+		}
+	}
+	return append(readers, reader{node, task})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"reflect"
 	"testing"
 
 	"dmacp/internal/ir"
@@ -103,9 +103,12 @@ func TestPartitionDeterministic(t *testing.T) {
 // TestPartitionDeterministicAcrossJobs asserts the parallel window sweep is
 // invisible: the result at -j 8 is identical to the serial sweep, task by
 // task, because each pass is independent and passes merge in window order.
+// The nest spans several ranges of the shared-plan build, so -j 1 and -j 8
+// also build the plans in different orders.
 func TestPartitionDeterministicAcrossJobs(t *testing.T) {
+	const iters = 3 * planRange / 2 // two statements: 3 plan ranges
 	run := func(jobs int) *Result {
-		prog, nest, store := smallNest(t, 32)
+		prog, nest, store := smallNest(t, iters)
 		opts := testOpts()
 		opts.Jobs = jobs
 		res, err := Partition(prog, nest, store, opts)
@@ -115,14 +118,16 @@ func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 		return res
 	}
 	a, b := run(1), run(8)
+	if a.Stats.Instances <= 2*planRange {
+		t.Fatalf("%d instances fill fewer than 3 plan ranges of %d", a.Stats.Instances, planRange)
+	}
 	if a.WindowSize != b.WindowSize || a.Stats != b.Stats {
 		t.Errorf("jobs changed the result: window %d/%d, stats %+v vs %+v",
 			a.WindowSize, b.WindowSize, a.Stats, b.Stats)
 	}
-	for w, mv := range a.MovementBySize {
-		if b.MovementBySize[w] != mv {
-			t.Errorf("window %d movement differs: %d vs %d", w, mv, b.MovementBySize[w])
-		}
+	if !reflect.DeepEqual(a.MovementBySize, b.MovementBySize) || !reflect.DeepEqual(a.L1HitBySize, b.L1HitBySize) {
+		t.Errorf("jobs changed the trial scores: %v / %v vs %v / %v",
+			a.MovementBySize, a.L1HitBySize, b.MovementBySize, b.L1HitBySize)
 	}
 	if len(a.Schedule.Tasks) != len(b.Schedule.Tasks) {
 		t.Fatalf("task counts differ: %d vs %d", len(a.Schedule.Tasks), len(b.Schedule.Tasks))
@@ -132,13 +137,14 @@ func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 			a.Schedule.SyncsAfter, b.Schedule.SyncsBefore, b.Schedule.SyncsAfter)
 	}
 	// Sync reduction runs on the selected pass after the fan-out, so compare
-	// the surviving arcs and the fetches themselves, not just their counts.
+	// whole tasks — surviving arcs, fetches and flags — not just counts.
 	for i := range a.Schedule.Tasks {
-		ta, tb := a.Schedule.Tasks[i], b.Schedule.Tasks[i]
-		if ta.Node != tb.Node || ta.Ops != tb.Ops || !slices.Equal(ta.WaitFor, tb.WaitFor) ||
-			!slices.Equal(ta.WaitHops, tb.WaitHops) || !slices.Equal(ta.Fetches, tb.Fetches) {
-			t.Fatalf("task %d differs: %+v vs %+v", i, ta, tb)
+		if ta, tb := a.Schedule.Tasks[i], b.Schedule.Tasks[i]; !reflect.DeepEqual(ta, tb) {
+			t.Fatalf("task %d differs: %+v vs %+v", i, *ta, *tb)
 		}
+	}
+	if !reflect.DeepEqual(a.OffloadMix, b.OffloadMix) {
+		t.Errorf("jobs changed the offload mix: %v vs %v", a.OffloadMix, b.OffloadMix)
 	}
 }
 

@@ -163,9 +163,10 @@ func (lt *loadTracker) Imbalance() float64 {
 }
 
 // place assigns the analyzed plan's tasks to nodes under load balancing and
-// records each one's fetched lines in the scratch; an emitting pass also
-// builds the Task objects with their fetches and tree arcs, and tallies the
-// offloaded ops. It returns the extra data movement incurred by
+// records each one's fetched lines and their IDs in the scratch; an
+// emitting pass also builds the Task objects with their fetches and tree
+// arcs, and tallies the offloaded ops. It only reads the plan, which other
+// passes may share. It returns the extra data movement incurred by
 // load-balancing hoists.
 //
 // Vertices that perform no ops are folded into their parent's fetches: their
@@ -178,6 +179,7 @@ func (p *pass) place(plan *StatementPlan, an *PlanAnalysis, ps *stmtPre, stmtIdx
 	sc := &p.sc
 	sc.placed = sc.placed[:0]
 	sc.lines = sc.lines[:0]
+	sc.ids = sc.ids[:0]
 	if p.sched != nil {
 		if cap(sc.taskOf) < len(plan.Vertices) {
 			sc.taskOf = make([]*Task, len(plan.Vertices))
@@ -212,9 +214,11 @@ func (p *pass) place(plan *StatementPlan, an *PlanAnalysis, ps *stmtPre, stmtIdx
 		// it in post-order and send their partials over a sync arc).
 		pt := placedTask{id: p.tasks, node: node, lo: len(sc.lines)}
 		sc.lines = append(sc.lines, plan.Vertices[v].Lines...)
+		sc.ids = append(sc.ids, plan.Vertices[v].LineIDs...)
 		for _, c := range an.Children[v] {
 			if an.OpsAt[c] == 0 {
 				sc.lines = append(sc.lines, plan.Vertices[c].Lines...)
+				sc.ids = append(sc.ids, plan.Vertices[c].LineIDs...)
 			}
 		}
 		pt.hi = len(sc.lines)

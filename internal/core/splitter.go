@@ -5,6 +5,7 @@ import (
 
 	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
+	"dmacp/internal/par"
 )
 
 // operandInfo is the located form of one input reference: where the compiler
@@ -13,6 +14,7 @@ import (
 // variable2node map of Algorithm 1).
 type operandInfo struct {
 	loc        LineLoc
+	id         int32 // loc.Line's dense line ID in the nest's location trace
 	reuseNodes []mesh.NodeID
 }
 
@@ -31,6 +33,9 @@ type PlanVertex struct {
 	// served from DRAM (the compiler's *prediction* decides placement — the
 	// From node — but the service cost follows the modeled ground truth).
 	MissLines []uint64
+	// LineIDs are the dense line IDs of Lines, index for index: the
+	// scheduling pass keys its per-line state by them.
+	LineIDs []int32
 	// IsStore marks the vertex holding the statement's output home.
 	IsStore bool
 }
@@ -139,6 +144,7 @@ func (b *planBuilder) newVertex(node mesh.NodeID, isStore bool) int {
 		v.Lines = v.Lines[:0]
 		v.ReusedLines = v.ReusedLines[:0]
 		v.MissLines = v.MissLines[:0]
+		v.LineIDs = v.LineIDs[:0]
 	} else {
 		b.vertices = append(b.vertices, PlanVertex{Node: node, IsStore: isStore})
 	}
@@ -243,6 +249,7 @@ func (b *planBuilder) processGroup(group *ir.SetNode, ops func(*ir.Ref) operandI
 func (b *planBuilder) setLine(vidx int, info operandInfo) {
 	v := &b.vertices[vidx]
 	v.Lines = append(v.Lines, info.loc.Line)
+	v.LineIDs = append(v.LineIDs, info.id)
 	if !info.loc.ActualHit {
 		v.MissLines = append(v.MissLines, info.loc.Line)
 	}
@@ -432,4 +439,104 @@ func (b *planBuilder) closestPair(a, c *planItem) pairDist {
 		}
 	}
 	return pairDist{bn1, bn2, best}
+}
+
+// planRange is the number of consecutive instances one worker of
+// buildPlans plans with one builder. Every instance owns fixed slab
+// regions, so the range size and the worker count never change a plan.
+const planRange = 256
+
+// planSlab holds the reuse-free plan and analysis of every instance of a
+// nest, in flat per-nest slabs. Each instance owns fixed regions, so ranges
+// build concurrently without sharing a slot: with n leaves, whose lines sit
+// at trace offset off, instance k owns the line slots [off, off+n) and the
+// vertex slots [off+k, off+k+n+1), since a plan has at most one vertex per
+// leaf plus the store's, and each leaf vertex holds one line. Its analysis
+// arrays take five int slots per vertex slot. Every list is a sub-slice
+// capped at its length. The plans keep no Edges: the passes read only the
+// tree view. A slab is written once, before the sweep's fan-out, and only
+// read after it.
+type planSlab struct {
+	plans []StatementPlan
+	ans   []PlanAnalysis
+	verts []PlanVertex
+	lines []uint64
+	miss  []uint64
+	ids   []int32
+	ints  []int
+	kids  [][]int
+}
+
+// buildPlans builds the slab of every instance in tr on the worker pool,
+// one planBuilder per range of planRange instances.
+func buildPlans(tr *locTrace, dt *mesh.DistanceTable, jobs int) (*planSlab, error) {
+	n := len(tr.stores)
+	nVerts := len(tr.leaves) + n
+	s := &planSlab{
+		plans: make([]StatementPlan, n),
+		ans:   make([]PlanAnalysis, n),
+		verts: make([]PlanVertex, nVerts),
+		lines: make([]uint64, len(tr.leaves)),
+		miss:  make([]uint64, len(tr.leaves)),
+		ids:   make([]int32, len(tr.leaves)),
+		ints:  make([]int, 5*nVerts),
+		kids:  make([][]int, nVerts),
+	}
+	err := par.ForEach(jobs, (n+planRange-1)/planRange, func(r int) {
+		s.buildRange(tr, dt, r*planRange, min((r+1)*planRange, n))
+	})
+	return s, err
+}
+
+// buildRange plans instances [lo, hi) into their slab regions.
+func (s *planSlab) buildRange(tr *locTrace, dt *mesh.DistanceTable, lo, hi int) {
+	b := planBuilder{dt: dt}
+	var an PlanAnalysis
+	infos := make(map[*ir.Ref]operandInfo)
+	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
+	for k := lo; k < hi; k++ {
+		tr.fillOperands(infos, k, nil)
+		ps := &tr.pre[k%len(tr.pre)]
+		plan := b.build(ps.set, lookup, tr.stores[k])
+		s.put(k, tr.leafOff(k), len(ps.leaves), plan, plan.AnalyzeInto(&an))
+	}
+}
+
+// put copies instance k, with n leaves at trace offset off, into its slab
+// regions.
+func (s *planSlab) put(k, off, n int, plan *StatementPlan, an *PlanAnalysis) {
+	lines := s.lines[off : off : off+n]
+	miss := s.miss[off : off : off+n]
+	ids := s.ids[off : off : off+n]
+	vo := off + k
+	verts := s.verts[vo : vo : vo+n+1]
+	kids := s.kids[vo : vo : vo+n+1]
+	ints := s.ints[5*vo : 5*vo : 5*(vo+n+1)]
+
+	for _, v := range plan.Vertices {
+		pv := PlanVertex{Node: v.Node, IsStore: v.IsStore}
+		pv.Lines, lines = carve(lines, v.Lines)
+		pv.MissLines, miss = carve(miss, v.MissLines)
+		pv.LineIDs, ids = carve(ids, v.LineIDs)
+		verts = append(verts, pv)
+	}
+	s.plans[k] = StatementPlan{
+		Vertices:  verts[:len(verts):len(verts)],
+		Root:      plan.Root,
+		Movement:  plan.Movement,
+		ReuseHits: plan.ReuseHits,
+	}
+
+	for _, c := range an.Children {
+		var cc []int
+		cc, ints = carve(ints, c)
+		kids = append(kids, cc)
+	}
+	sa := &s.ans[k]
+	sa.Children = kids[:len(kids):len(kids)]
+	sa.Parent, ints = carve(ints, an.Parent)
+	sa.PostOrder, ints = carve(ints, an.PostOrder)
+	sa.OpsAt, ints = carve(ints, an.OpsAt)
+	sa.EdgeUp, _ = carve(ints, an.EdgeUp)
+	sa.Subcomputations, sa.Parallelism, sa.Syncs = an.Subcomputations, an.Parallelism, an.Syncs
 }

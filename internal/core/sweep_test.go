@@ -16,19 +16,44 @@ import (
 // the selected window is re-run to emit and sync-reduce its schedule. So
 // every trial's score must equal a fixed-window run's at that window, and
 // the adaptive result must equal a single pass at the window it selected,
-// field for field. It runs every workload with the evaluation predictor,
-// plus seeded random kernels whose indirect references and accumulators
-// stress the inspector path and the flow and WAR arcs.
+// field for field. A sweep's trials read shared reuse-free plans and a
+// fixed-window run builds every plan inline, so this is also a
+// differential between the two. It runs every workload with the evaluation
+// predictor, plus seeded random kernels.
 func TestSweepWinnerMatchesFixedWindow(t *testing.T) {
+	opts := exp.NewRunner(workloads.TestScale()).Opts
+	forEachSweepNest(t, func(name string, prog *ir.Program, nest *ir.Nest, store *ir.Store) {
+		checkSweep(t, name, prog, nest, store, opts)
+	})
+}
+
+// TestSharedPlansMatchFreshBuild pins the reuse-free plans a sweep builds
+// once per nest and its trials share: on the same nests, every shared plan
+// and analysis must equal a fresh single-statement split with empty reuse
+// lists in each field a pass reads, and the trace's line IDs must be a
+// bijection onto [0, nLines).
+func TestSharedPlansMatchFreshBuild(t *testing.T) {
+	opts := exp.NewRunner(workloads.TestScale()).Opts
+	forEachSweepNest(t, func(name string, prog *ir.Program, nest *ir.Nest, store *ir.Store) {
+		if err := core.CheckSharedPlans(prog, nest, store, opts); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	})
+}
+
+// forEachSweepNest calls fn on every nest of every workload at TestScale,
+// then on seeded random kernels whose indirect references and accumulators
+// stress the inspector path and the flow and WAR arcs.
+func forEachSweepNest(t *testing.T, fn func(name string, prog *ir.Program, nest *ir.Nest, store *ir.Store)) {
+	t.Helper()
 	sc := workloads.TestScale()
-	opts := exp.NewRunner(sc).Opts
 	for _, name := range workloads.Names() {
 		app, err := workloads.Build(name, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, nest := range app.Nests {
-			checkSweep(t, nest.Name, app.Prog, nest, app.Store, opts)
+			fn(nest.Name, app.Prog, nest, app.Store)
 		}
 	}
 	rng := rand.New(rand.NewSource(19))
@@ -44,7 +69,7 @@ func TestSweepWinnerMatchesFixedWindow(t *testing.T) {
 		prog.Nests = append(prog.Nests, nest)
 		store := ir.NewStore(prog)
 		store.FillRandom(prog, int64(k))
-		checkSweep(t, src, prog, nest, store, opts)
+		fn(src, prog, nest, store)
 	}
 }
 
