@@ -28,10 +28,12 @@ vet:
 # The project linter: cmd/dmacplint runs the internal/analysis suite — five
 # syntactic analyzers (maporder, parownership, seeddiscipline, bytehops,
 # ctxdiscipline) plus three interprocedural ones over module-wide call-graph
-# summaries (detflow, lockorder, frozenstate) — over the whole module.
+# summaries (detflow, lockorder, frozenstate) — over the whole module, then
+# over the separate bench/ module, which `./...` does not reach.
 # Stdlib-only, so it works offline; findings are build failures.
 lint: build
 	$(GO) run ./cmd/dmacplint ./...
+	$(GO) -C bench run dmacp/cmd/dmacplint ./...
 
 # staticcheck is pinned and non-optional: the PATH binary is used when
 # present, otherwise the pinned release is fetched via `go run`. When neither

@@ -277,7 +277,7 @@ Exit codes:
 	fmt.Printf("repair:             %s; %d tasks migrated, %d fetches rehomed\n", mode, rep.Migrated, rep.RehomedFetches)
 	fmt.Printf("sync arcs:          %d re-emitted for migrated dependences, %d removed by reduction\n", rep.AddedArcs, rep.RemovedArcs)
 	fmt.Printf("verify:             %s\n", rep.VerifySummary)
-	fmt.Printf("data movement:      %d -> %d links (+%.1f%%)\n", rep.BaseMovement, rep.FaultMovement, rep.MovementDegradation()*100)
+	fmt.Printf("data movement:      %d -> %d links (%+.1f%%)\n", rep.BaseMovement, rep.FaultMovement, rep.MovementDegradation()*100)
 	fmt.Printf("execution time:     %.0f -> %.0f cycles (%.2fx slowdown)\n", rep.BaseCycles, rep.FaultCycles, rep.Slowdown())
 	fmt.Printf("avg net latency:    %.1f -> %.1f cycles\n", rep.BaseAvgNetLatency, rep.FaultAvgNetLatency)
 	fmt.Println("repaired schedule preserves every RAW/WAR/WAW dependence ✓")
@@ -367,12 +367,12 @@ func main() {
 			fmt.Printf("  %s w=%d  %d\n", marker, w, rep.MovementBySize[w])
 		}
 	}
-	fmt.Printf("data movement:      %d -> %d links (-%.1f%%)\n",
-		rep.DefaultMovement, rep.OptimizedMovement, rep.MovementReduction()*100)
+	fmt.Printf("data movement:      %d -> %d links (%+.1f%%)\n",
+		rep.DefaultMovement, rep.OptimizedMovement, -rep.MovementReduction()*100)
 	fmt.Printf("execution time:     %.0f -> %.0f cycles (%.2fx speedup)\n",
 		rep.DefaultCycles, rep.OptimizedCycles, rep.Speedup())
-	fmt.Printf("energy:             %.0f -> %.0f nJ (-%.1f%%)\n",
-		rep.DefaultEnergy, rep.OptimizedEnergy, rep.EnergySavings()*100)
+	fmt.Printf("energy:             %.0f -> %.0f nJ (%+.1f%%)\n",
+		rep.DefaultEnergy, rep.OptimizedEnergy, -rep.EnergySavings()*100)
 	fmt.Printf("L1 hit rate:        %.1f%% -> %.1f%%\n", rep.DefaultL1HitRate*100, rep.OptimizedL1HitRate*100)
 	fmt.Printf("parallelism/stmt:   %.2f   syncs/stmt: %.2f   subcomputations/stmt: %.2f\n",
 		rep.Parallelism, rep.Syncs, rep.Subcomputations)

@@ -42,11 +42,11 @@ XPN(8*i) = XP(8*i) + VXN(8*i)*DT`,
 		rep.AnalyzableFraction*100)
 	fmt.Printf("L2 hit/miss predictor accuracy:  %.1f%%\n", rep.PredictorAccuracy*100)
 	fmt.Println()
-	fmt.Printf("data movement:   %d -> %d links (-%.1f%%)\n",
-		rep.DefaultMovement, rep.OptimizedMovement, rep.MovementReduction()*100)
+	fmt.Printf("data movement:   %d -> %d links (%+.1f%%)\n",
+		rep.DefaultMovement, rep.OptimizedMovement, -rep.MovementReduction()*100)
 	fmt.Printf("execution time:  %.0f -> %.0f cycles (%.2fx)\n",
 		rep.DefaultCycles, rep.OptimizedCycles, rep.Speedup())
-	fmt.Printf("energy:          -%.1f%%\n", rep.EnergySavings()*100)
+	fmt.Printf("energy:          %+.1f%%\n", -rep.EnergySavings()*100)
 
 	// Flow dependences FX -> VX -> XP chain through the three statements;
 	// the scheduler orders the subcomputations and the verification confirms

@@ -3,10 +3,10 @@ package analysis
 // FrozenState enforces publication freezing: a value published for
 // concurrent read must not be mutated after publication. The registry of
 // frozen types has two sources — built-in defaults for the reproduction's
-// shared read-mostly structures (mesh.DistanceTable, which is published
-// through sync.Once and read by every distance query; core.Schedule, whose
-// bytes are the determinism contract once emitted), and a declaration-site
-// annotation for new ones:
+// shared read-mostly structures (mesh.DistanceTable, the distance view
+// built with its mesh or memoized on a fault set and read by every
+// distance query; core.Schedule, whose bytes are the determinism contract
+// once emitted), and a declaration-site annotation for new ones:
 //
 //	//lint:dmacp-frozen
 //	type RouteCache struct { ... }

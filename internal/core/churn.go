@@ -155,7 +155,7 @@ type reintegrationPlan struct {
 	// residual is the stay-put residual, its hops refreshed on the
 	// post-recovery mesh; dist holds that mesh's live-route distances.
 	residual *Schedule
-	dist     [][]int
+	dist     *mesh.DistanceTable
 	// moved is a clone of residual with the accepted returns applied (nil
 	// when no task returns); its arc set is not yet replayed. returns counts
 	// the moved tasks and traffic their migration cost.
@@ -188,7 +188,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 	plan := reintegrationPlan{residual: residual, dist: dist}
 	for _, t := range residual.Tasks {
 		for j, p := range t.WaitFor {
-			if d := dist[residual.Tasks[p].Node][t.Node]; d >= 0 {
+			if d := dist.Between(residual.Tasks[p].Node, t.Node); d >= 0 {
 				t.WaitHops[j] = d
 			}
 		}
@@ -247,7 +247,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 			if fe.L1Hit || fe.From == cur {
 				continue
 			}
-			d := dist[fe.From][cur]
+			d := dist.Between(fe.From, cur)
 			if d < 0 {
 				priceable = false
 				break
@@ -266,7 +266,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 			ok := true
 			// On a new node every warm copy is cold: all fetches pay hops.
 			for _, fe := range t.Fetches {
-				d := dist[fe.From][r]
+				d := dist.Between(fe.From, r)
 				if d < 0 {
 					ok = false
 					break
@@ -276,7 +276,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 			if ok && t.IsRoot && !fetchesLine(t, t.ResultLine) {
 				// A migrated root reacquires its result line from the node
 				// that held it; that fetch is charged like any other.
-				if d := dist[cur][r]; d >= 0 {
+				if d := dist.Between(cur, r); d >= 0 {
 					alt += int64(d)
 				} else {
 					ok = false
@@ -288,7 +288,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 				if !ok {
 					break
 				}
-				d := dist[residual.Tasks[p].Node][r]
+				d := dist.Between(residual.Tasks[p].Node, r)
 				if d < 0 {
 					ok = false
 					break
@@ -300,7 +300,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 					break
 				}
 				cn := residual.Tasks[ci].Node
-				dNew, dOld := dist[r][cn], dist[cur][cn]
+				dNew, dOld := dist.Between(r, cn), dist.Between(cur, cn)
 				if dNew < 0 || dOld < 0 {
 					ok = false
 					break
@@ -326,7 +326,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 			rep.DeclinedChurn++
 			continue
 		}
-		back := dist[cur][bestR]
+		back := dist.Between(cur, bestR)
 		if back < 0 {
 			continue
 		}

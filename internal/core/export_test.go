@@ -39,7 +39,7 @@ func ResidualOf(s *Schedule, ck *Checkpoint) *Schedule {
 // MigrateForReplay runs repair's migration on s under o's strategy and
 // refreshes its hops: the state in which repair hands s to the dependence
 // replay. It returns the live-route distances the replay uses.
-func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) ([][]int, error) {
+func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*mesh.DistanceTable, error) {
 	dist, err := migrateStranded(s, m, f, o, &RepairReport{})
 	if err != nil {
 		return nil, err
@@ -51,7 +51,7 @@ func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptio
 // ReintegrateForReplay returns the schedule ReintegrateOnline would hand
 // the dependence replay, its hops refreshed (nil when no task returns), and
 // the distances the replay uses.
-func ReintegrateForReplay(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState) (*Schedule, [][]int) {
+func ReintegrateForReplay(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState) (*Schedule, *mesh.DistanceTable) {
 	plan := planReintegration(s, ck, m, f, revived, o, churn, &ReintegrateReport{})
 	if plan.moved != nil {
 		refreshHops(plan.moved, plan.dist)

@@ -11,7 +11,7 @@ import (
 // compares the replay against: an n x n/64-word ancestor bitset built
 // incrementally in task order, and per-line reader state in a map of maps
 // sorted by node at every root store.
-func referenceReemit(s *Schedule, dist [][]int) int {
+func referenceReemit(s *Schedule, dist *mesh.DistanceTable) int {
 	n := len(s.Tasks)
 	words := (n + 63) / 64
 	bits := make([]uint64, n*words)
@@ -44,7 +44,7 @@ func referenceReemit(s *Schedule, dist [][]int) int {
 			if p == i || ordered(p, i) {
 				return
 			}
-			t.addWait(p, dist[s.Tasks[p].Node][t.Node])
+			t.addWait(p, dist.Between(s.Tasks[p].Node, t.Node))
 			added++
 			absorb(r, p)
 		}

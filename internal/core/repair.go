@@ -113,7 +113,7 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 			if fe.L1Hit || fe.From == t.Node {
 				continue
 			}
-			d := dist[fe.From][t.Node]
+			d := dist.Between(fe.From, t.Node)
 			if d < 0 {
 				return 0, fmt.Errorf("%w: fetch of line %#x for task %d (%d -> %d)",
 					mesh.ErrPartitioned, fe.Line, t.ID, fe.From, t.Node)
@@ -221,7 +221,7 @@ func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 // node and re-homes the fetches whose source left the region, recording
 // the dead nodes, migrations, re-homed fetches and strategy in rep. The arc
 // set is left as it was. It returns the live-route distances on f.
-func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, rep *RepairReport) ([][]int, error) {
+func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, rep *RepairReport) (*mesh.DistanceTable, error) {
 	threshold := o.LoadThreshold
 	if threshold <= 0 {
 		threshold = 0.10
@@ -246,7 +246,7 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 			if !f.NodeUsable(mc) || !region[mc] {
 				continue
 			}
-			if d := dist[from][mc]; best == mesh.InvalidNode || d < bestD || (d == bestD && mc < best) {
+			if d := dist.Between(from, mc); best == mesh.InvalidNode || d < bestD || (d == bestD && mc < best) {
 				best, bestD = mc, d
 			}
 		}
@@ -314,10 +314,10 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 		t := s.Tasks[migIdx[k]]
 		var c int64
 		for _, fe := range t.Fetches {
-			c += int64(dist[fe.From][n])
+			c += int64(dist.Between(fe.From, n))
 		}
 		if src := resultSrcs[k]; src != mesh.InvalidNode {
-			c += int64(dist[src][n])
+			c += int64(dist.Between(src, n))
 		}
 		return c
 	}
@@ -383,7 +383,7 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 // explicit arc, and the arc set is deduplicated and transitively reduced.
 // It updates the schedule's sync counts and returns the arcs added and
 // removed.
-func replayArcs(s *Schedule, dist [][]int) (added, removed int) {
+func replayArcs(s *Schedule, dist *mesh.DistanceTable) (added, removed int) {
 	refreshHops(s, dist)
 	added = reemitDependenceArcs(s, dist)
 	s.SyncsBefore += added
@@ -398,10 +398,10 @@ func replayArcs(s *Schedule, dist [][]int) (added, removed int) {
 
 // refreshHops sets every arc's hop count to the distance between its
 // producer's and consumer's nodes.
-func refreshHops(s *Schedule, dist [][]int) {
+func refreshHops(s *Schedule, dist *mesh.DistanceTable) {
 	for _, t := range s.Tasks {
 		for j, p := range t.WaitFor {
-			t.WaitHops[j] = dist[s.Tasks[p].Node][t.Node]
+			t.WaitHops[j] = dist.Between(s.Tasks[p].Node, t.Node)
 		}
 	}
 }
@@ -468,7 +468,7 @@ func placeMinCost(candidates []mesh.NodeID, n int, cost func(int, mesh.NodeID) i
 // live-router component containing a usable memory controller, plus that
 // MC (InvalidNode when none survives). Ties break toward the lower MC id,
 // keeping repair deterministic.
-func placementRegion(m *mesh.Mesh, f *mesh.FaultSet, dist [][]int) ([]bool, mesh.NodeID) {
+func placementRegion(m *mesh.Mesh, f *mesh.FaultSet, dist *mesh.DistanceTable) ([]bool, mesh.NodeID) {
 	bestSize, bestMC := -1, mesh.InvalidNode
 	var best []bool
 	for _, mc := range m.MemoryControllers() {
@@ -478,7 +478,7 @@ func placementRegion(m *mesh.Mesh, f *mesh.FaultSet, dist [][]int) ([]bool, mesh
 		member := make([]bool, m.Nodes())
 		size := 0
 		for n := 0; n < m.Nodes(); n++ {
-			if dist[mc][n] >= 0 && f.NodeUsable(mesh.NodeID(n)) {
+			if dist.Between(mc, mesh.NodeID(n)) >= 0 && f.NodeUsable(mesh.NodeID(n)) {
 				member[n] = true
 				size++
 			}
@@ -515,9 +515,9 @@ func fetchesLine(t *Task, line uint64) bool {
 // when p <= up[i][chain(p)]. The labels take n x (nodes in use) x 4 bytes.
 // It requires the shape checkShape enforces: dense IDs, every WaitFor entry
 // an earlier task, and every node inside dist.
-func reemitDependenceArcs(s *Schedule, dist [][]int) int {
+func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 	tasks := s.Tasks
-	rp := arcReplay{tasks: tasks, dist: dist, chainOf: make([]int32, len(dist))}
+	rp := arcReplay{tasks: tasks, dist: dist, chainOf: make([]int32, dist.Nodes())}
 	for c := range rp.chainOf {
 		rp.chainOf[c] = -1
 	}
@@ -596,7 +596,7 @@ func reemitDependenceArcs(s *Schedule, dist [][]int) int {
 // the nodes in use, and up holds k labels per task.
 type arcReplay struct {
 	tasks   []*Task
-	dist    [][]int
+	dist    *mesh.DistanceTable
 	chainOf []int32
 	k       int
 	up      []int32
@@ -624,7 +624,7 @@ func (rp *arcReplay) need(t *Task, r []int32, p int) {
 	if rp.ordered(r, p) {
 		return
 	}
-	t.addWait(p, rp.dist[rp.tasks[p].Node][t.Node])
+	t.addWait(p, rp.dist.Between(rp.tasks[p].Node, t.Node))
 	rp.added++
 	rp.absorb(r, p)
 }

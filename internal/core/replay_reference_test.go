@@ -19,7 +19,7 @@ type replayTally struct{ schedules, added int }
 // sameReplay replays s's dependences on two copies, one with the chain-label
 // replay and one with the bitset reference, and requires identical per-task
 // WaitFor and WaitHops and the same added-arc count.
-func sameReplay(t *testing.T, name string, s *core.Schedule, dist [][]int, tally *replayTally) {
+func sameReplay(t *testing.T, name string, s *core.Schedule, dist *mesh.DistanceTable, tally *replayTally) {
 	t.Helper()
 	got, want := s.Clone(), s.Clone()
 	nGot := core.ReemitDependenceArcs(got, dist)
@@ -125,7 +125,7 @@ func TestReemitMatchesReference(t *testing.T) {
 			for _, p := range tk.WaitFor {
 				if rng.Intn(4) > 0 {
 					waits = append(waits, p)
-					hops = append(hops, dist[c.Tasks[p].Node][tk.Node])
+					hops = append(hops, dist.Between(c.Tasks[p].Node, tk.Node))
 				}
 			}
 			tk.WaitFor, tk.WaitHops = waits, hops

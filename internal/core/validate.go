@@ -31,10 +31,7 @@ func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 	if s == nil {
 		return fmt.Errorf("core: nil schedule")
 	}
-	var dist [][]int
-	if !f.Empty() {
-		dist = m.AllDistancesAvoiding(f)
-	}
+	dist := m.AllDistancesAvoiding(f)
 	type instKey struct{ iter, stmt int }
 	roots := make(map[instKey]int)
 	lastIter, lastStmt := -1, -1
@@ -45,7 +42,7 @@ func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 		if t.Node < 0 || int(t.Node) >= m.Nodes() {
 			return fmt.Errorf("core: task %d on invalid node %d", i, t.Node)
 		}
-		if dist != nil && !f.NodeUsable(t.Node) {
+		if !f.NodeUsable(t.Node) {
 			return fmt.Errorf("core: task %d placed on dead node %d", i, t.Node)
 		}
 		if len(t.WaitFor) != len(t.WaitHops) {
@@ -56,10 +53,8 @@ func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 			if p < 0 || p >= t.ID {
 				return fmt.Errorf("core: task %d waits on non-earlier task %d", i, p)
 			}
-			want := 0
-			if dist == nil {
-				want = m.Distance(s.Tasks[p].Node, t.Node)
-			} else if want = dist[s.Tasks[p].Node][t.Node]; want < 0 {
+			want := dist.Between(s.Tasks[p].Node, t.Node)
+			if want < 0 {
 				return fmt.Errorf("core: task %d arc from %d crosses a partitioned mesh (%d -> %d)",
 					i, p, s.Tasks[p].Node, t.Node)
 			}

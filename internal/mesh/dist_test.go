@@ -1,24 +1,32 @@
 package mesh
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 func TestDistanceTableMatchesDistance(t *testing.T) {
-	m := MustNew(6, 6)
-	dt := m.DistanceTable()
-	for a := NodeID(0); int(a) < m.Nodes(); a++ {
-		for b := NodeID(0); int(b) < m.Nodes(); b++ {
-			if got, want := dt.Between(a, b), m.Distance(a, b); got != want {
-				t.Fatalf("Between(%d,%d) = %d, want %d", a, b, got, want)
+	for _, dims := range [][2]int{{2, 2}, {6, 6}, {8, 5}, {32, 32}} {
+		m := MustNew(dims[0], dims[1])
+		dt := m.DistanceTable()
+		for a := NodeID(0); int(a) < m.Nodes(); a++ {
+			ca := m.CoordOf(a)
+			for b := NodeID(0); int(b) < m.Nodes(); b++ {
+				cb := m.CoordOf(b)
+				want := abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
+				if got := dt.Between(a, b); got != want || m.Distance(a, b) != want {
+					t.Fatalf("%dx%d: Between(%d,%d) = %d, Distance = %d, want %d",
+						dims[0], dims[1], a, b, got, m.Distance(a, b), want)
+				}
 			}
 		}
 	}
 }
 
-// The table is built once and shared read-only; concurrent first use must be
-// safe (this test is meaningful under -race).
+// The view is shared read-only; concurrent readers must be safe (this test
+// is meaningful under -race).
 func TestDistanceTableConcurrent(t *testing.T) {
 	m := MustNew(8, 5)
 	var wg sync.WaitGroup
@@ -38,14 +46,75 @@ func TestDistanceTableConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// The pristine view is O(N): building a 4,096-node mesh and reading its
+// view both ways allocates a few coordinate arrays, not an N x N table
+// (which alone would be 4096² entries).
+func TestDistanceTableLinearMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := MustNew(64, 64)
+	dt := m.DistanceTable()
+	if m.AllDistancesAvoiding(nil) != dt {
+		t.Fatal("AllDistancesAvoiding(nil) is not the mesh's own view")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("64x64 mesh and its distance view allocated %d bytes, want < 1 MB", got)
+	}
+	if d := dt.Between(0, NodeID(m.Nodes()-1)); d != 126 {
+		t.Fatalf("corner-to-corner distance %d, want 126", d)
+	}
+}
+
 func TestAllDistancesAvoidingPristineMatchesManhattan(t *testing.T) {
-	m := MustNew(6, 6)
-	for _, f := range []*FaultSet{nil, NewFaultSet()} {
+	for _, dims := range [][2]int{{2, 2}, {6, 6}, {8, 5}} {
+		m := MustNew(dims[0], dims[1])
+		for _, f := range []*FaultSet{nil, NewFaultSet()} {
+			dist := m.AllDistancesAvoiding(f)
+			if dist != m.DistanceTable() {
+				t.Fatalf("%dx%d: pristine AllDistancesAvoiding is not the mesh's view", dims[0], dims[1])
+			}
+			for a := NodeID(0); int(a) < m.Nodes(); a++ {
+				for b := NodeID(0); int(b) < m.Nodes(); b++ {
+					if got, want := dist.Between(a, b), m.Distance(a, b); got != want {
+						t.Fatalf("%dx%d: Between(%d,%d) = %d, want %d", dims[0], dims[1], a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The degraded view agrees with fault-aware routing on every pair: its hop
+// count is the length of the route RouteAvoiding takes, and it is -1
+// exactly where RouteAvoiding reports a partition.
+func TestDistanceAvoidingMatchesAllDistances(t *testing.T) {
+	for _, tc := range []struct {
+		cols, rows            int
+		seed                  int64
+		links, routers, tiles int
+	}{
+		{2, 2, 1, 1, 0, 0},
+		{6, 6, 5, 5, 1, 0},
+		{6, 6, 9, 12, 3, 2},
+		{8, 5, 3, 6, 2, 1},
+	} {
+		m := MustNew(tc.cols, tc.rows)
+		f := Inject(m, tc.seed, tc.links, tc.routers, tc.tiles, true)
 		dist := m.AllDistancesAvoiding(f)
-		for a := 0; a < m.Nodes(); a++ {
-			for b := 0; b < m.Nodes(); b++ {
-				if dist[a][b] != m.Distance(NodeID(a), NodeID(b)) {
-					t.Fatalf("dist[%d][%d] = %d, want %d", a, b, dist[a][b], m.Distance(NodeID(a), NodeID(b)))
+		for src := NodeID(0); int(src) < m.Nodes(); src++ {
+			for dst := NodeID(0); int(dst) < m.Nodes(); dst++ {
+				d := dist.Between(src, dst)
+				route, err := m.RouteAvoiding(src, dst, f)
+				switch {
+				case errors.Is(err, ErrPartitioned):
+					if d != -1 {
+						t.Fatalf("%dx%d seed %d %d->%d: partitioned but view says %d", tc.cols, tc.rows, tc.seed, src, dst, d)
+					}
+				case err != nil:
+					t.Fatalf("%d->%d: %v", src, dst, err)
+				case len(route) != d:
+					t.Fatalf("%dx%d seed %d %d->%d: route %d links, view %d", tc.cols, tc.rows, tc.seed, src, dst, len(route), d)
 				}
 			}
 		}
@@ -59,22 +128,31 @@ func TestAllDistancesAvoidingMemoizedAndInvalidated(t *testing.T) {
 
 	d1 := m.AllDistancesAvoiding(f)
 	d2 := m.AllDistancesAvoiding(f)
-	if &d1[0][0] != &d2[0][0] {
-		t.Error("repeated calls did not return the memoized table")
+	if d1 != d2 {
+		t.Error("repeated calls did not return the memoized view")
 	}
-	if d1[0][1] != 3 {
-		t.Errorf("detour 0->1 around dead link = %d, want 3", d1[0][1])
+	if d1 == m.DistanceTable() {
+		t.Error("degraded view is the pristine one")
+	}
+	if d := d1.Between(0, 1); d != 3 {
+		t.Errorf("detour 0->1 around dead link = %d, want 3", d)
 	}
 
 	// A mutation must invalidate: killing router 1 partitions nothing else
 	// but makes node 1 unreachable.
 	f.KillRouter(1)
 	d3 := m.AllDistancesAvoiding(f)
-	if &d3[0][0] == &d1[0][0] {
-		t.Error("Kill* did not invalidate the memoized table")
+	if d3 == d1 {
+		t.Error("Kill* did not invalidate the memoized view")
 	}
-	if d3[0][1] != -1 {
-		t.Errorf("dist to dead router = %d, want -1", d3[0][1])
+	if d := d3.Between(0, 1); d != -1 {
+		t.Errorf("dist to dead router = %d, want -1", d)
+	}
+
+	// A view memoized for one mesh is not served for another.
+	other := MustNew(6, 6)
+	if d4 := other.AllDistancesAvoiding(f); d4 == d3 {
+		t.Error("memoized view served for a different mesh")
 	}
 }
 
@@ -88,8 +166,7 @@ func TestAllDistancesAvoidingConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dist := m.AllDistancesAvoiding(f)
-			if dist[7][13] < 1 {
+			if m.AllDistancesAvoiding(f).Between(7, 13) < 1 {
 				t.Error("bad detour distance")
 			}
 		}()

@@ -32,14 +32,14 @@ type FaultSet struct {
 	deadRouters map[NodeID]struct{}
 	deadTiles   map[NodeID]struct{}
 
-	// distMu guards the memoized fault-aware all-pairs distance table.
-	// Repair, validation and the simulator all need the same table; caching
-	// it here amortizes the per-node BFS across those passes. Any Kill* or
-	// Revive* mutation invalidates the cache — revival must clear it too, or
+	// distMu guards the memoized degraded distance view. Repair,
+	// validation and the simulator all read the same view; caching it here
+	// amortizes the per-node BFS across those passes. Any Kill* or Revive*
+	// mutation invalidates the cache — revival must clear it too, or
 	// routing would keep avoiding hardware that is live again.
 	distMu   sync.Mutex
 	distMesh *Mesh
-	dist     [][]int
+	dist     *DistanceTable
 }
 
 // NewFaultSet returns an empty fault set.
@@ -299,62 +299,39 @@ func (m *Mesh) RouteAvoiding(src, dst NodeID, f *FaultSet) ([]Link, error) {
 	return route, nil
 }
 
-// DistanceAvoiding returns the number of links a message crosses from src to
-// dst under the fault set (the degraded-mesh analogue of Distance), or
-// ErrPartitioned when no live route exists.
-func (m *Mesh) DistanceAvoiding(src, dst NodeID, f *FaultSet) (int, error) {
+// AllDistancesAvoiding returns the distance view under the fault set:
+// Between(a, b) is the live hop count from a to b, or -1 when the pair is
+// partitioned. Schedule repair, validation and the simulator read it
+// instead of running BFS per query. A pristine mesh (nil or empty f)
+// returns the mesh's own DistanceTable; a degraded view is memoized on the
+// fault set (cleared by any Kill* or Revive* mutation). Either way the
+// view is shared and read-only.
+func (m *Mesh) AllDistancesAvoiding(f *FaultSet) *DistanceTable {
 	if f.Empty() {
-		return m.Distance(src, dst), nil
-	}
-	route, err := m.RouteAvoiding(src, dst, f)
-	if err != nil {
-		return 0, err
-	}
-	return len(route), nil
-}
-
-// AllDistancesAvoiding returns the fault-aware distance between every node
-// pair: dist[a][b] is the live hop count from a to b, or -1 when the pair is
-// partitioned. Schedule repair, validation and the simulator use it to avoid
-// re-running BFS per query. The result is memoized — on the fault set for a
-// degraded mesh (cleared by any Kill* or Revive* mutation), and on the mesh
-// itself for
-// the pristine case — so the returned table is shared: callers must treat it
-// as read-only.
-func (m *Mesh) AllDistancesAvoiding(f *FaultSet) [][]int {
-	if f.Empty() {
-		dt := m.DistanceTable()
-		rows := make([][]int, dt.n)
-		for a := 0; a < dt.n; a++ {
-			rows[a] = dt.d[a*dt.n : (a+1)*dt.n : (a+1)*dt.n]
-		}
-		return rows
+		return m.dist
 	}
 	f.distMu.Lock()
 	defer f.distMu.Unlock()
-	if f.distMesh == m && f.dist != nil {
-		return f.dist
+	if f.distMesh != m || f.dist == nil {
+		f.distMesh, f.dist = m, m.liveHops(f)
 	}
-	dist := m.computeAllDistancesAvoiding(f)
-	f.distMesh, f.dist = m, dist
-	return dist
+	return f.dist
 }
 
-// computeAllDistancesAvoiding does the actual work: one BFS over live links
-// and routers per source node.
-func (m *Mesh) computeAllDistancesAvoiding(f *FaultSet) [][]int {
+// liveHops builds the degraded view: one BFS over live links and routers
+// per source node.
+func (m *Mesh) liveHops(f *FaultSet) *DistanceTable {
 	n := m.Nodes()
-	dist := make([][]int, n)
+	hops := make([]int32, n*n)
+	for i := range hops {
+		hops[i] = -1
+	}
 	queue := make([]NodeID, 0, n)
 	for a := 0; a < n; a++ {
-		row := make([]int, n)
-		dist[a] = row
-		for b := range row {
-			row[b] = -1
-		}
 		if !f.RouterAlive(NodeID(a)) {
 			continue
 		}
+		row := hops[a*n : (a+1)*n]
 		row[a] = 0
 		queue = append(queue[:0], NodeID(a))
 		for len(queue) > 0 {
@@ -376,17 +353,15 @@ func (m *Mesh) computeAllDistancesAvoiding(f *FaultSet) [][]int {
 			}
 		}
 	}
-	return dist
+	return &DistanceTable{n: n, hops: hops}
 }
 
 // NearestUsableMC returns the memory controller closest to n (live hop
 // count) whose tile and router are both alive, breaking ties toward the
 // lower node id. It returns InvalidNode and an error when every MC is dead
-// or unreachable — a degraded mesh no schedule can be repaired onto.
+// or unreachable — a degraded mesh no schedule can be repaired onto. On a
+// pristine mesh (nil f) it is NearestMC.
 func (m *Mesh) NearestUsableMC(n NodeID, f *FaultSet) (NodeID, error) {
-	if f.Empty() {
-		return m.NearestMC(n), nil
-	}
 	dist := m.AllDistancesAvoiding(f)
 	best := InvalidNode
 	bestD := -1
@@ -394,7 +369,7 @@ func (m *Mesh) NearestUsableMC(n NodeID, f *FaultSet) (NodeID, error) {
 		if !f.NodeUsable(mc) {
 			continue
 		}
-		d := dist[n][mc]
+		d := dist.Between(n, mc)
 		if d < 0 {
 			continue
 		}

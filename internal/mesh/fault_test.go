@@ -213,33 +213,6 @@ func TestInjectProtectsMemoryControllers(t *testing.T) {
 	}
 }
 
-func TestDistanceAvoidingMatchesAllDistances(t *testing.T) {
-	m := MustNew(6, 6)
-	f := Inject(m, 5, 5, 1, 0, true)
-	dist := m.AllDistancesAvoiding(f)
-	for src := NodeID(0); int(src) < m.Nodes(); src++ {
-		for dst := NodeID(0); int(dst) < m.Nodes(); dst++ {
-			d, err := m.DistanceAvoiding(src, dst, f)
-			if err != nil {
-				if dist[src][dst] != -1 {
-					t.Fatalf("%d->%d: DistanceAvoiding partitioned but table says %d", src, dst, dist[src][dst])
-				}
-				continue
-			}
-			if dist[src][dst] != d {
-				t.Fatalf("%d->%d: table %d, query %d", src, dst, dist[src][dst], d)
-			}
-			route, err := m.RouteAvoiding(src, dst, f)
-			if err != nil {
-				t.Fatalf("%d->%d: distance %d but no route: %v", src, dst, d, err)
-			}
-			if len(route) != d {
-				t.Fatalf("%d->%d: route %d links, distance %d", src, dst, len(route), d)
-			}
-		}
-	}
-}
-
 func TestNearestUsableMC(t *testing.T) {
 	m := MustNew(6, 6)
 	mcs := m.MemoryControllers()

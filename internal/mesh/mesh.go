@@ -8,10 +8,7 @@
 // accounting used by the timing simulator to estimate contention.
 package mesh
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // NodeID identifies a node in the mesh. Nodes are numbered row-major:
 // id = y*Cols + x.
@@ -61,11 +58,9 @@ type Mesh struct {
 	cols, rows int
 	mcs        []NodeID
 
-	// distOnce/dist back DistanceTable: the all-pairs Manhattan distances,
-	// built once on first use and read-only afterwards, so the table can be
-	// shared across worker goroutines without locking.
-	distOnce sync.Once
-	dist     *DistanceTable
+	// dist is the pristine distance view, built in New and read-only
+	// afterwards, so it is shared across worker goroutines without locking.
+	dist *DistanceTable
 }
 
 // New creates a mesh with the given dimensions. Both dimensions must be at
@@ -75,6 +70,7 @@ func New(cols, rows int) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: dimensions %dx%d too small (need >= 2x2)", cols, rows)
 	}
 	m := &Mesh{cols: cols, rows: rows}
+	m.dist = m.coordinates()
 	m.mcs = []NodeID{
 		m.NodeAt(0, 0),
 		m.NodeAt(cols-1, 0),
@@ -125,43 +121,50 @@ func (m *Mesh) Valid(n NodeID) bool {
 // Distance returns the Manhattan distance between nodes a and b: the minimum
 // number of network links a message must traverse (MD in the paper).
 func (m *Mesh) Distance(a, b NodeID) int {
-	ca, cb := m.CoordOf(a), m.CoordOf(b)
-	return abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
+	return m.dist.Between(a, b)
 }
 
-// DistanceTable is an immutable all-pairs distance view of a mesh. Lookups
-// replace repeated Distance computations in scheduling hot loops; the table
-// is built once per mesh and safe for concurrent readers.
+// DistanceTable is the one distance view of a mesh: every layer asks it
+// for the hops between two nodes through Between. On a pristine mesh it
+// holds each node's coordinates (O(N)) and answers with the Manhattan
+// distance; on a degraded mesh (AllDistancesAvoiding) it holds one flat
+// table of live hop counts, -1 where the pair is partitioned. A view is
+// immutable once built and safe for concurrent readers.
 //
 //lint:dmacp-frozen
 type DistanceTable struct {
-	n int
-	d []int
+	n    int     // mesh nodes
+	x, y []int32 // pristine: node coordinates; nil on a degraded view
+	hops []int32 // degraded: n x n live hop counts, -1 = partitioned
 }
 
-// DistanceTable returns the mesh's all-pairs Manhattan distance table,
-// building it on first call. The returned table is shared and read-only;
-// repeated calls return the same table and allocate nothing.
+// coordinates builds the mesh's pristine view.
+func (m *Mesh) coordinates() *DistanceTable {
+	n := m.Nodes()
+	t := &DistanceTable{n: n, x: make([]int32, n), y: make([]int32, n)}
+	for i := 0; i < n; i++ {
+		t.x[i], t.y[i] = int32(i%m.cols), int32(i/m.cols)
+	}
+	return t
+}
+
+// DistanceTable returns the mesh's pristine distance view, built with the
+// mesh. The view is shared and read-only; calls allocate nothing.
 func (m *Mesh) DistanceTable() *DistanceTable {
-	m.distOnce.Do(func() {
-		n := m.Nodes()
-		d := make([]int, n*n)
-		for a := 0; a < n; a++ {
-			ca := m.CoordOf(NodeID(a))
-			row := d[a*n : (a+1)*n]
-			for b := 0; b < n; b++ {
-				cb := m.CoordOf(NodeID(b))
-				row[b] = abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
-			}
-		}
-		m.dist = &DistanceTable{n: n, d: d}
-	})
 	return m.dist
 }
 
-// Between returns the Manhattan distance between nodes a and b.
+// Nodes returns the number of mesh nodes the view covers.
+func (t *DistanceTable) Nodes() int { return t.n }
+
+// Between returns the hops from node a to node b: their Manhattan distance
+// on a pristine view, the live-route hop count (-1 when partitioned) on a
+// degraded one.
 func (t *DistanceTable) Between(a, b NodeID) int {
-	return t.d[int(a)*t.n+int(b)]
+	if t.hops != nil {
+		return int(t.hops[int(a)*t.n+int(b)])
+	}
+	return abs(int(t.x[a]-t.x[b])) + abs(int(t.y[a]-t.y[b]))
 }
 
 // MemoryControllers returns the nodes hosting memory controllers, in the
@@ -222,14 +225,8 @@ func (m *Mesh) MCFor(home NodeID, channel int, mode ClusterMode) NodeID {
 // NearestMC returns the memory controller closest (Manhattan distance) to
 // node n, breaking ties toward the lower node id.
 func (m *Mesh) NearestMC(n NodeID) NodeID {
-	best := m.mcs[0]
-	bestD := m.Distance(n, best)
-	for _, mc := range m.mcs[1:] {
-		if d := m.Distance(n, mc); d < bestD || (d == bestD && mc < best) {
-			best, bestD = mc, d
-		}
-	}
-	return best
+	mc, _ := m.NearestUsableMC(n, nil) // every MC is usable on a pristine mesh
+	return mc
 }
 
 // Center returns the node nearest the geometric center of the mesh; used by

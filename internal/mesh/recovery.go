@@ -9,8 +9,8 @@ import (
 
 // Revival: the inverse of Kill*. Real interconnects churn — a link comes back
 // after a retrain, a tile after a power cycle — so a FaultSet must shrink as
-// well as grow. Every Revive* mutation invalidates the memoized avoiding-
-// distance table exactly like Kill* does; a stale table after revival would
+// well as grow. Every Revive* mutation invalidates the memoized degraded
+// distance view exactly like Kill* does; a stale view after revival would
 // silently keep routing around hardware that is live again (or worse, keep a
 // pair marked partitioned forever).
 

@@ -16,7 +16,7 @@ func TestReviveInvalidatesDistanceCache(t *testing.T) {
 	f := NewFaultSet()
 	f.KillLink(a, b)
 	degraded := m.AllDistancesAvoiding(f)
-	if degraded[a][b] == 1 {
+	if degraded.Between(a, b) == 1 {
 		t.Fatalf("dead link %d-%d still at distance 1", a, b)
 	}
 
@@ -26,18 +26,18 @@ func TestReviveInvalidatesDistanceCache(t *testing.T) {
 	// never affect routing).
 	f.KillTile(m.NodeAt(5, 5))
 	revived := m.AllDistancesAvoiding(f)
-	if revived[a][b] != 1 {
-		t.Fatalf("revived link %d-%d still at distance %d, want 1 (stale cache?)", a, b, revived[a][b])
+	if revived.Between(a, b) != 1 {
+		t.Fatalf("revived link %d-%d still at distance %d, want 1 (stale cache?)", a, b, revived.Between(a, b))
 	}
 
 	// Router revival must also clear the cache: node isolation undone.
 	r := m.NodeAt(1, 1)
 	f.KillRouter(r)
-	if d := m.AllDistancesAvoiding(f); d[r][a] != -1 {
-		t.Fatalf("dead router %d reachable at distance %d", r, d[r][a])
+	if d := m.AllDistancesAvoiding(f); d.Between(r, a) != -1 {
+		t.Fatalf("dead router %d reachable at distance %d", r, d.Between(r, a))
 	}
 	f.ReviveRouter(r)
-	if d := m.AllDistancesAvoiding(f); d[r][a] < 0 {
+	if d := m.AllDistancesAvoiding(f); d.Between(r, a) < 0 {
 		t.Fatalf("revived router %d still partitioned (stale cache?)", r)
 	}
 

@@ -325,13 +325,9 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 		if mc := mcMemo[from]; mc != mesh.InvalidNode {
 			return mc, nil
 		}
-		mc := cfg.Mesh.NearestMC(from)
-		if faulty {
-			var err error
-			mc, err = cfg.Mesh.NearestUsableMC(from, cfg.Faults)
-			if err != nil {
-				return mesh.InvalidNode, err
-			}
+		mc, err := cfg.Mesh.NearestUsableMC(from, cfg.Faults)
+		if err != nil {
+			return mesh.InvalidNode, err
 		}
 		mcMemo[from] = mc
 		return mc, nil

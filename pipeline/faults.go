@@ -140,7 +140,7 @@ func (r *FaultReport) Slowdown() float64 {
 
 // String summarizes the report.
 func (r *FaultReport) String() string {
-	return fmt.Sprintf("%s: %s; %d migrated, movement %d->%d (+%.1f%%), cycles %.0f->%.0f (%.2fx slowdown)",
+	return fmt.Sprintf("%s: %s; %d migrated, movement %d->%d (%+.1f%%), cycles %.0f->%.0f (%.2fx slowdown)",
 		r.Kernel, r.Faults, r.Migrated, r.BaseMovement, r.FaultMovement,
 		r.MovementDegradation()*100, r.BaseCycles, r.FaultCycles, r.Slowdown())
 }

@@ -159,13 +159,14 @@ func (r *Report) EnergySavings() float64 {
 	return (r.DefaultEnergy - r.OptimizedEnergy) / r.DefaultEnergy
 }
 
-// String summarizes the report.
+// String summarizes the report. Movement and energy print as signed
+// changes from the default placement: a reduction reads -4.2%, a loss +5.6%.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"%s: window=%d movement %d->%d (-%.1f%%), cycles %.0f->%.0f (%.2fx), energy -%.1f%%, L1 %.1f%%->%.1f%%",
-		r.Kernel, r.WindowSize, r.DefaultMovement, r.OptimizedMovement, r.MovementReduction()*100,
+		"%s: window=%d movement %d->%d (%+.1f%%), cycles %.0f->%.0f (%.2fx), energy %+.1f%%, L1 %.1f%%->%.1f%%",
+		r.Kernel, r.WindowSize, r.DefaultMovement, r.OptimizedMovement, -r.MovementReduction()*100,
 		r.DefaultCycles, r.OptimizedCycles, r.Speedup(),
-		r.EnergySavings()*100, r.DefaultL1HitRate*100, r.OptimizedL1HitRate*100)
+		-r.EnergySavings()*100, r.DefaultL1HitRate*100, r.OptimizedL1HitRate*100)
 }
 
 // build translates the public types into the internal representation.

@@ -1,6 +1,10 @@
 package pipeline
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+)
 
 func testKernel() Kernel {
 	return Kernel{
@@ -287,4 +291,66 @@ func TestCheckAppSchedulesLargeMesh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A report whose optimized side is worse prints signed increases, not a
+// hard-coded minus in front of a negative reduction.
+func TestReportStringSignedChange(t *testing.T) {
+	rep := &Report{
+		Kernel: "worse", WindowSize: 1,
+		DefaultMovement: 1000, OptimizedMovement: 1056,
+		DefaultCycles: 100, OptimizedCycles: 110,
+		DefaultEnergy: 14314442, OptimizedEnergy: 15120761,
+	}
+	s := rep.String()
+	if strings.Contains(s, "--") {
+		t.Fatalf("String() has a double minus: %s", s)
+	}
+	for _, want := range []string{"movement 1000->1056 (+5.6%)", "energy +5.6%"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() = %s, want it to contain %q", s, want)
+		}
+	}
+
+	rep.OptimizedMovement, rep.OptimizedEnergy = 958, 13713258
+	s = rep.String()
+	for _, want := range []string{"movement 1000->958 (-4.2%)", "energy -4.2%"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() = %s, want it to contain %q", s, want)
+		}
+	}
+}
+
+// The CLI's default kernel partitions, simulates and verifies on a
+// 160,000-node mesh in bounded memory: nothing on the path may hold
+// per-node-pair state.
+func TestRunLargeMesh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("partitions on a 400x400 mesh")
+	}
+	k := Kernel{
+		Name:       "kernel",
+		Statements: "A(8*i) = B(8*i)+C(16*i)+D(8*i+64)+E(24*i)\nX(8*i) = Y(8*i)+C(16*i)",
+		Iterations: 256,
+		Sweeps:     3,
+		ArrayLen:   1 << 16,
+		Seed:       1,
+	}
+	cfg := DefaultConfig()
+	cfg.MeshCols, cfg.MeshRows = 400, 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(k, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tasks == 0 {
+		t.Error("no tasks emitted")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 1<<30 {
+		t.Errorf("Run on a 400x400 mesh allocated %d bytes, want < 1 GB", got)
+	}
+	t.Logf("Run on a 400x400 mesh allocated %d MB", got>>20)
 }
