@@ -90,13 +90,16 @@ verifybig:
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
 # plus each gate's byte-identity at -j 1 vs -j 8 and its Runner experiment
-# wrapper (one subtest per gate), (internal/verify) the verifier's reports
-# deep-equal to its test-only pre-rework reference, and (internal/core) the
-# partitioner's identities: every window-sweep trial scores what a
-# fixed-window run does, and every shared reuse-free plan equals a fresh split.
+# wrapper (one subtest per gate), the schedule digests (every workload's
+# partitioned, baseline, checkpoint and online-repair output hashed against
+# internal/exp/testdata/schedule_digests.txt), (internal/verify) the
+# verifier's reports deep-equal to its test-only pre-rework reference, and
+# (internal/core) the partitioner's identities: every window-sweep trial
+# scores what a fixed-window run does, and every shared reuse-free plan
+# equals a fresh split.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
 	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
-	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments \
+	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments TestScheduleDigests \
 	TestCheckMatchesReference TestSweepWinnerMatchesFixedWindow \
 	TestSharedPlansMatchFreshBuild
 empty :=

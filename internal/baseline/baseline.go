@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dmacp/internal/cache"
 	"dmacp/internal/core"
 	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
@@ -186,27 +185,15 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	if err != nil {
 		return nil, err
 	}
-	l1 := make([]*cache.Cache, nodes)
-	for i := range l1 {
-		l1[i] = cache.MustNew(cache.Config{
-			SizeBytes: opts.L1Bytes, LineBytes: opts.Layout.LineBytes, Ways: opts.L1Ways,
-		})
-	}
+	l1 := core.ShadowL1s(&opts)
 	sched := &core.Schedule{Instances: iters * len(nest.Body)}
 	res := &Result{Schedule: sched, ChunkOf: chunkOf}
-	lastWriter := make(map[uint64]int)
-	// lastReaders: per line, the most recent task on each node that fetched
-	// it since the line was last written, for anti (WAR) ordering. One reader
-	// per node suffices: earlier same-node readers are implied by the
-	// per-node program order the simulator preserves.
-	lastReaders := make(map[uint64]map[mesh.NodeID]int)
-	// readerNodes is the reused buffer the WAR scan sorts reader nodes in.
-	var readerNodes []mesh.NodeID
+	// resid is the write-invalidate residency of the emitted lines: the
+	// flow, output and anti orderings read it.
+	var resid core.Residency
 	addWait := func(t *core.Task, producer int) {
-		for _, p := range t.WaitFor {
-			if p == producer {
-				return
-			}
+		if slices.Contains(t.WaitFor, producer) {
+			return
 		}
 		t.WaitFor = append(t.WaitFor, producer)
 		t.WaitHops = append(t.WaitHops, opts.Mesh.Distance(sched.Tasks[producer].Node, t.Node))
@@ -239,6 +226,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				if !ok {
 					ll = storeLL
 				}
+				id := resid.Intern(ll.Line)
 				hit := l1[node].Access(ll.Line)
 				t.Fetches = append(t.Fetches, core.Fetch{
 					From:   ll.Node(),
@@ -252,10 +240,13 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				// Flow ordering on the input line; addWait dedupes the
 				// producer (several inputs of one statement often share a
 				// writer), so SyncsBefore counts distinct arcs — the same
-				// hygiene the optimized emitter applies via DedupeWaits.
-				if w, okw := lastWriter[ll.Line]; okw {
-					addWait(t, w)
+				// hygiene the optimized emitter applies via DedupeWaits. The
+				// read is recorded right away: it can only replace a reader
+				// on this core, which the output ordering below skips.
+				if w, okw := resid.Writer(id); okw {
+					addWait(t, int(w.Task))
 				}
+				resid.Read(id, node, t.ID)
 			}
 			// The result is stored at the output's home node: the writing
 			// core issues a write-allocate (RFO) fetch of the output line
@@ -276,43 +267,28 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			// follow its previous writer (WAW) and every read issued from
 			// another core since that write (WAR). Same-core predecessors are
 			// ordered by the per-core program order the simulator preserves;
-			// readers are visited in ascending node order for deterministic
-			// emission.
+			// readers come in ascending node order, which keeps emission
+			// deterministic.
 			//
 			// Write-invalidate: the store also kills every remote shadow-L1
 			// copy of the output line, so a later read on another core
 			// refetches instead of claiming a hit on a stale copy (which the
 			// verifier rejects as a Violation). Only the cores ordered here
 			// can hold a copy: every shadow-L1 insert is either a read,
-			// recorded in lastReaders until the line's next write, or the
-			// previous writer's store, whose core kept its copy.
-			if w, okw := lastWriter[storeLL.Line]; okw && sched.Tasks[w].Node != node {
-				addWait(t, w)
-				l1[sched.Tasks[w].Node].Invalidate(storeLL.Line)
+			// recorded until the line's next write, or the previous writer's
+			// store, whose core kept its copy.
+			sid := resid.Intern(storeLL.Line)
+			if w, okw := resid.Writer(sid); okw && w.Node != node {
+				addWait(t, int(w.Task))
 			}
-			if readers := lastReaders[storeLL.Line]; len(readers) > 0 {
-				readerNodes = readerNodes[:0]
-				for n := range readers {
-					readerNodes = append(readerNodes, n)
-				}
-				slices.Sort(readerNodes)
-				for _, n := range readerNodes {
-					if n != node {
-						addWait(t, readers[n])
-						l1[n].Invalidate(storeLL.Line)
-					}
+			for _, r := range resid.Readers(sid) {
+				if r.Node != node {
+					addWait(t, int(r.Task))
 				}
 			}
-			// Record this instance's reads, then supersede all readers of the
-			// output line with the store itself.
-			for _, f := range t.Fetches[:len(t.Fetches)-1] {
-				if lastReaders[f.Line] == nil {
-					lastReaders[f.Line] = make(map[mesh.NodeID]int)
-				}
-				lastReaders[f.Line][node] = t.ID
+			for _, n := range resid.Write(sid, node, t.ID) {
+				l1[n].Invalidate(storeLL.Line)
 			}
-			delete(lastReaders, storeLL.Line)
-			lastWriter[storeLL.Line] = t.ID
 			sched.Tasks = append(sched.Tasks, t)
 
 			res.TotalMovement += int64(movement)
@@ -335,13 +311,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	if sched.Instances > 0 {
 		res.AvgMovement = float64(res.TotalMovement) / float64(sched.Instances)
 	}
-	var agg cache.Stats
-	for _, c := range l1 {
-		s := c.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-	}
-	res.L1HitRate = agg.HitRate()
+	res.L1HitRate = core.L1HitRate(l1)
 	res.Translations = emitLoc.Allocator().Pages()
 	return res, nil
 }

@@ -346,28 +346,14 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 		return plan
 	}
 
-	// Apply the accepted moves on a clone, mirroring repair's migration
-	// side effects: warm copies are lost, local-bank flags fixed, migrated
-	// roots reacquire their result line from the node that held it.
+	// Apply the accepted moves on a clone, with repair's migration side
+	// effects (moveTask): migrated roots reacquire their result line from
+	// the node that held it.
 	c := residual.Clone()
 	for _, mv := range moves {
 		t := c.Tasks[mv.idx]
-		from := t.Node
-		t.Node = mv.to
 		plan.traffic += mv.cost
-		for fi := range t.Fetches {
-			fe := &t.Fetches[fi]
-			fe.L1Hit = false
-			if fe.From == t.Node {
-				fe.L2Miss = false // local bank again
-			}
-		}
-		if t.IsRoot && !fetchesLine(t, t.ResultLine) {
-			t.Fetches = append(t.Fetches, Fetch{
-				From: from, Line: t.ResultLine,
-				L2Miss: m.IsMemoryController(from) && from != t.Node,
-			})
-		}
+		moveTask(t, mv.to, t.Node, m)
 	}
 	plan.moved, plan.returns = c, len(moves)
 	return plan

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dmacp/internal/mesh"
 )
@@ -135,23 +135,22 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 		}
 		return int64(best)
 	}
+	// Result-line homes per node, counted in one pass over ck.Home; a home
+	// off the mesh is on no node to lose.
+	homes := make([]int, m.Nodes())
+	//lint:dmacp-allow maporder commutative int accumulation
+	for _, home := range ck.Home {
+		if home >= 0 && int(home) < len(homes) {
+			homes[home]++
+		}
+	}
 	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
 		if region[n] {
 			continue
 		}
-		hops := recoveryHops(n)
 		rep.SpilledL1Lines += len(ck.L1Resident[n])
-		rep.MigrationTraffic += hops * int64(len(ck.L1Resident[n]))
-		pages := 0
-		// Commutative count/sum accumulation: iteration order never escapes.
-		//lint:dmacp-allow maporder commutative int accumulation
-		for _, home := range ck.Home {
-			if home == n {
-				pages++
-			}
-		}
-		rep.RehomedPages += pages
-		rep.MigrationTraffic += hops * int64(pages)
+		rep.RehomedPages += homes[n]
+		rep.MigrationTraffic += recoveryHops(n) * int64(len(ck.L1Resident[n])+homes[n])
 	}
 
 	rs, rstats := buildResidual(s, ck)
@@ -201,12 +200,13 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	fetches := make([]Fetch, 0, nf)
 	ints := make([]int, 0, 2*nw)
 	newID := make([]int, len(s.Tasks))
-	lastWriter := make(map[uint64]int, s.Instances) // line -> original ID of last root store
+	// Each line's last root store, by original task ID.
+	var res Residency
 	for i, t := range s.Tasks {
 		if ck.Done[i] {
 			st.completed++
 			if t.IsRoot {
-				lastWriter[t.ResultLine] = i
+				res.Write(res.Intern(t.ResultLine), t.Node, i)
 			}
 			newID[i] = -1
 			continue
@@ -217,8 +217,8 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 		ct.Fetches, fetches = carve(fetches, t.Fetches)
 		for fi := range ct.Fetches {
 			fe := &ct.Fetches[fi]
-			w, wrote := lastWriter[fe.Line]
-			if !wrote || !ck.Done[w] {
+			w, wrote := res.Writer(res.Intern(fe.Line))
+			if !wrote || !ck.Done[w.Task] {
 				continue // input data, or a residual producer supplies it
 			}
 			// The last write completed before the cut: the only valid copy
@@ -260,7 +260,7 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			ct.WaitFor, ct.WaitHops = ints[a:b:b], ints[b:len(ints):len(ints)]
 		}
 		if t.IsRoot {
-			lastWriter[t.ResultLine] = i
+			res.Write(res.Intern(t.ResultLine), t.Node, i)
 			rs.Instances++
 		}
 		newID[i] = ct.ID
@@ -277,7 +277,6 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 // lineResident reports whether the checkpoint holds a live L1 copy of line
 // at node (L1Resident slices are sorted, so binary search applies).
 func lineResident(ck *Checkpoint, node mesh.NodeID, line uint64) bool {
-	lines := ck.L1Resident[node]
-	i := sort.Search(len(lines), func(k int) bool { return lines[k] >= line })
-	return i < len(lines) && lines[i] == line
+	_, ok := slices.BinarySearch(ck.L1Resident[node], line)
+	return ok
 }

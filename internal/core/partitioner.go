@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"dmacp/internal/cache"
 	"dmacp/internal/fusion"
@@ -347,15 +346,7 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 	tr.leaves = make([]LineLoc, iters*tr.perIter)
 	tr.storeIDs = make([]int32, len(tr.stores))
 	tr.leafIDs = make([]int32, len(tr.leaves))
-	lineIDs := make(map[uint64]int32)
-	intern := func(line uint64) int32 {
-		id, ok := lineIDs[line]
-		if !ok {
-			id = int32(len(lineIDs))
-			lineIDs[line] = id
-		}
-		return id
-	}
+	var lineIDs LineIDs
 	var env map[string]int
 	for iter := 0; iter < iters; iter++ {
 		env = nest.IterationEnvInto(env, iter)
@@ -372,7 +363,7 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 			}
 			k := iter*m + s
 			tr.stores[k] = storeLoc
-			tr.storeIDs[k] = intern(storeLoc.Line)
+			tr.storeIDs[k] = lineIDs.Intern(storeLoc.Line)
 			leaves, ids := tr.leavesOf(k)
 			for li, ref := range tr.pre[s].leaves {
 				ll, ok := loc.LocateRef(prog, ref, env, store)
@@ -383,12 +374,12 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 						PredictedHit: true, ActualHit: true}
 				}
 				leaves[li] = ll
-				ids[li] = intern(ll.Line)
+				ids[li] = lineIDs.Intern(ll.Line)
 			}
 		}
 	}
 
-	tr.nLines = len(lineIDs)
+	tr.nLines = len(lineIDs.Lines())
 	tr.analyzable = loc.AnalyzableFraction()
 	tr.labels = loc.LineLabels()
 	tr.translations = loc.Allocator().Pages()
@@ -429,13 +420,6 @@ type placedTask struct {
 	task   *Task
 }
 
-// reader is one entry of a line's reader list: the most recent task on
-// node that fetched the line.
-type reader struct {
-	node mesh.NodeID
-	task int
-}
-
 // pass is one scheduling pass over a located nest at a fixed statement
 // window. Every pass makes the decisions a window is scored on: placement
 // under load balancing, the reuse map, the shadow L1s with their
@@ -457,22 +441,17 @@ type pass struct {
 	varMap [][]mesh.NodeID
 	varWin []int32
 	win    int32
-	// lastReaders: per line, the most recent task on each node that fetched
-	// it since the line was last written, one entry per node. Write-
-	// invalidation consults its nodes; the WAR arcs of an emitting pass, its
-	// tasks. Earlier same-node readers are implied by per-node program
-	// order, so one reader per node suffices.
-	lastReaders [][]reader
+	// res is the write-invalidate residency of every line: its last root
+	// store and its readers since. Write-invalidation consults its holders;
+	// the flow and WAR arcs of an emitting pass, its writer and readers.
+	res Residency
 	// tasks counts the tasks placed so far: the next task's ID.
 	tasks int
 	sc    passScratch
 
-	// Emission state, nil in a decision-only pass. lastWriter is the most
-	// recent root task writing each line (-1: none yet), for
-	// inter-statement flow arcs.
-	sched      *Schedule
-	lastWriter []int32
-	offload    map[ir.OpClass]int
+	// Emission state, nil in a decision-only pass.
+	sched   *Schedule
+	offload map[ir.OpClass]int
 }
 
 // runPass performs one complete scheduling pass over the located nest with a
@@ -480,30 +459,19 @@ type pass struct {
 // set. Sync reduction is left to the caller.
 func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 	p := &pass{
-		dt:          opts.Mesh.DistanceTable(),
-		l1:          make([]*cache.Cache, opts.Mesh.Nodes()),
-		lt:          newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold),
-		varMap:      make([][]mesh.NodeID, tr.nLines),
-		varWin:      make([]int32, tr.nLines),
-		lastReaders: make([][]reader, tr.nLines),
+		dt:     opts.Mesh.DistanceTable(),
+		l1:     ShadowL1s(opts),
+		lt:     newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold),
+		varMap: make([][]mesh.NodeID, tr.nLines),
+		varWin: make([]int32, tr.nLines),
 	}
-	for i := range p.l1 {
-		p.l1[i] = cache.MustNew(cache.Config{
-			SizeBytes: opts.L1Bytes,
-			LineBytes: opts.Layout.LineBytes,
-			Ways:      opts.L1Ways,
-		})
-	}
+	p.res.grow(int32(tr.nLines) - 1)
 	p.sc.builder.dt = p.dt
 
 	m := len(tr.pre)
 	instances := len(tr.stores)
 	if emit {
 		p.sched = &Schedule{Instances: instances}
-		p.lastWriter = make([]int32, tr.nLines)
-		for i := range p.lastWriter {
-			p.lastWriter[i] = -1
-		}
 		p.offload = make(map[ir.OpClass]int)
 	}
 
@@ -586,20 +554,14 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 		stats.AvgParallelism = sumPar / float64(instances)
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
-	var l1Stats cache.Stats
-	for _, c := range p.l1 {
-		s := c.Stats()
-		l1Stats.Hits += s.Hits
-		l1Stats.Misses += s.Misses
-	}
-	stats.L1HitRate = l1Stats.HitRate()
+	stats.L1HitRate = L1HitRate(p.l1)
 	stats.Imbalance = p.lt.Imbalance()
 
 	return &passResult{window: window, schedule: p.sched, stats: stats, offloadMix: p.offload}
 }
 
 // emitArcs adds the instance's inter-statement arcs to its placed tasks and
-// records its root as the last writer of the output line, whose ID is sid.
+// names its root's result line, whose ID is sid; touch records the store.
 func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 	sched, dt := p.sched, p.dt
 	// Flow dependences: the root (and any task fetching a previously
@@ -611,11 +573,11 @@ func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 	for _, pt := range p.sc.placed {
 		t := pt.task
 		for fi, id := range p.sc.ids[pt.lo:pt.hi] {
-			if w := p.lastWriter[id]; w >= 0 {
+			if w, ok := p.res.Writer(id); ok {
 				f := &t.Fetches[fi]
-				t.addWait(int(w), dt.Between(sched.Tasks[w].Node, t.Node))
+				t.addWait(int(w.Task), dt.Between(sched.Tasks[w.Task].Node, t.Node))
 				sched.SyncsBefore++
-				if sched.Tasks[w].Node == f.From {
+				if sched.Tasks[w.Task].Node == f.From {
 					f.L1Hit = true
 					f.L2Miss = false
 				}
@@ -625,20 +587,16 @@ func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 	// Anti dependences (WAR): the root's store must not overtake earlier
 	// reads of the output line issued from other nodes. Same-node readers
 	// are already ordered by the per-node program order the simulator and
-	// codegen preserve, so they need no arc; readers are visited in
-	// ascending node order to keep emission deterministic. touch truncates
-	// the list right after, so sorting it in place is free to reorder it.
+	// codegen preserve, so they need no arc; readers come in ascending node
+	// order, which keeps emission deterministic.
 	root := p.sc.placed[len(p.sc.placed)-1].task
-	readers := p.lastReaders[sid]
-	slices.SortFunc(readers, func(a, b reader) int { return int(a.node - b.node) })
-	for _, r := range readers {
-		if r.node != root.Node {
-			root.addWait(r.task, dt.Between(r.node, root.Node))
+	for _, r := range p.res.Readers(sid) {
+		if r.Node != root.Node {
+			root.addWait(int(r.Task), dt.Between(r.Node, root.Node))
 			sched.SyncsBefore++
 		}
 	}
 	root.ResultLine = storeLoc.Line
-	p.lastWriter[sid] = int32(root.ID)
 }
 
 // touch updates the reuse map and the shadow L1s with what the instance
@@ -665,27 +623,24 @@ func (p *pass) touch(storeLoc LineLoc, sid int32) {
 				p.varMap[id] = p.varMap[id][:0]
 			}
 			p.varMap[id] = appendNode(p.varMap[id], pt.node)
-			p.lastReaders[id] = setReader(p.lastReaders[id], pt.node, pt.id)
+			p.res.Read(id, pt.node, pt.id)
 		}
 	}
-	// The store supersedes all recorded readers of the output line: this
-	// instance's own reads happen before its root's write (tree arcs plus
-	// per-node order guarantee it), and later writers are ordered against
-	// the root through lastWriter.
+	// The root's store, at the line's home, supersedes all recorded readers
+	// of the output line: this instance's own reads happen before it (tree
+	// arcs plus per-node order guarantee it), and later writers are ordered
+	// against the root as the line's writer.
 	//
 	// Write-invalidate: the store also kills every remote copy of the line
 	// in both copy models — the shadow L1s and the reuse map — so no later
 	// statement plans an L1 reuse from a pre-write copy. The verifier
 	// replays the same model and rejects stale hits outright. Only the
-	// recorded readers can hold a remote copy: every shadow-L1 insert is
-	// either a fetch, recorded in lastReaders until the line's next write,
-	// or the store at the line's home, which keeps its copy.
-	for _, r := range p.lastReaders[sid] {
-		if r.node != storeLoc.Home {
-			p.l1[r.node].Invalidate(storeLoc.Line)
-		}
+	// holders the residency reports can have a copy: every shadow-L1 insert
+	// is either a fetch, recorded as a read until the line's next write, or
+	// a store at the line's home, which keeps its copy.
+	for _, n := range p.res.Write(sid, storeLoc.Home, sc.placed[len(sc.placed)-1].id) {
+		p.l1[n].Invalidate(storeLoc.Line)
 	}
-	p.lastReaders[sid] = p.lastReaders[sid][:0]
 	p.l1[storeLoc.Home].Access(storeLoc.Line)
 	p.varWin[sid] = p.win
 	p.varMap[sid] = append(p.varMap[sid][:0], storeLoc.Home)
@@ -699,15 +654,4 @@ func appendNode(nodes []mesh.NodeID, n mesh.NodeID) []mesh.NodeID {
 		}
 	}
 	return append(nodes, n)
-}
-
-// setReader records task as node's most recent reader in readers.
-func setReader(readers []reader, node mesh.NodeID, task int) []reader {
-	for i := range readers {
-		if readers[i].node == node {
-			readers[i].task = task
-			return readers
-		}
-	}
-	return append(readers, reader{node, task})
 }

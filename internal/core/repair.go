@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -355,23 +356,7 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 		if t.Node != best {
 			rep.Migrated++
 		}
-		t.Node = best
-		// The new node holds no warm copies: all reuse hits become fetches.
-		for fi := range t.Fetches {
-			fe := &t.Fetches[fi]
-			if fe.L1Hit {
-				fe.L1Hit = false
-			}
-			if fe.From == t.Node {
-				fe.L2Miss = false // local bank again
-			}
-		}
-		if t.IsRoot && !fetchesLine(t, t.ResultLine) {
-			t.Fetches = append(t.Fetches, Fetch{
-				From: resultSrcs[k], Line: t.ResultLine,
-				L2Miss: m.IsMemoryController(resultSrcs[k]) && resultSrcs[k] != t.Node,
-			})
-		}
+		moveTask(t, best, resultSrcs[k], m)
 	}
 
 	return dist, nil
@@ -491,12 +476,25 @@ func placementRegion(m *mesh.Mesh, f *mesh.FaultSet, dist *mesh.DistanceTable) (
 }
 
 func fetchesLine(t *Task, line uint64) bool {
-	for _, fe := range t.Fetches {
-		if fe.Line == line {
-			return true
+	return slices.ContainsFunc(t.Fetches, func(fe Fetch) bool { return fe.Line == line })
+}
+
+// moveTask places t on node to. The new node holds no warm copies, so every
+// reuse hit becomes a fetch, and a fetch from to's own bank is local again;
+// a root that does not fetch its result line reacquires it from src.
+func moveTask(t *Task, to, src mesh.NodeID, m *mesh.Mesh) {
+	t.Node = to
+	for fi := range t.Fetches {
+		fe := &t.Fetches[fi]
+		fe.L1Hit = false
+		if fe.From == to {
+			fe.L2Miss = false // local bank again
 		}
 	}
-	return false
+	if t.IsRoot && !fetchesLine(t, t.ResultLine) {
+		t.Fetches = append(t.Fetches, Fetch{From: src, Line: t.ResultLine,
+			L2Miss: m.IsMemoryController(src) && src != to})
+	}
 }
 
 // reemitDependenceArcs replays the schedule's reads (fetches) and writes
@@ -534,23 +532,9 @@ func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 		lastOnChain[c] = -1
 	}
 
-	// Per-line state, dense by first-touch slot: the last root store and
-	// the latest reader on each node since it. A slot's readers are a list
-	// threaded through one arena from firstReader, kept sorted by node so
-	// WAR arcs are visited in ascending node order.
-	slotOf := make(map[uint64]int32, len(tasks))
-	var lastWrite, firstReader []int32
-	var readers []lineReader
-	slot := func(line uint64) int32 {
-		sl, ok := slotOf[line]
-		if !ok {
-			sl = int32(len(lastWrite))
-			slotOf[line] = sl
-			lastWrite = append(lastWrite, -1)
-			firstReader = append(firstReader, -1)
-		}
-		return sl
-	}
+	// Per-line residency, by first-touch ID: the last root store and the
+	// latest reader on each node since it, in ascending node order.
+	res := Residency{LineIDs: LineIDs{ids: make(map[uint64]int32, len(tasks))}}
 
 	for i, t := range tasks {
 		c := rp.chainOf[t.Node]
@@ -571,22 +555,21 @@ func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 		}
 
 		for _, fe := range t.Fetches {
-			sl := slot(fe.Line)
-			if w := lastWrite[sl]; w >= 0 {
-				rp.need(t, r, int(w)) // RAW
+			id := res.Intern(fe.Line)
+			if w, ok := res.Writer(id); ok {
+				rp.need(t, r, int(w.Task)) // RAW
 			}
-			readers = addReader(readers, &firstReader[sl], t.Node, int32(i))
+			res.Read(id, t.Node, i)
 		}
 		if t.IsRoot {
-			sl := slot(t.ResultLine)
-			if w := lastWrite[sl]; w >= 0 {
-				rp.need(t, r, int(w)) // WAW
+			id := res.Intern(t.ResultLine)
+			if w, ok := res.Writer(id); ok {
+				rp.need(t, r, int(w.Task)) // WAW
 			}
-			for x := firstReader[sl]; x >= 0; x = readers[x].next {
-				rp.need(t, r, int(readers[x].task)) // WAR
+			for _, rd := range res.Readers(id) {
+				rp.need(t, r, int(rd.Task)) // WAR
 			}
-			firstReader[sl] = -1
-			lastWrite[sl] = int32(i)
+			res.Write(id, t.Node, i)
 		}
 	}
 	return rp.added
@@ -627,34 +610,6 @@ func (rp *arcReplay) need(t *Task, r []int32, p int) {
 	t.addWait(p, rp.dist.Between(rp.tasks[p].Node, t.Node))
 	rp.added++
 	rp.absorb(r, p)
-}
-
-// lineReader is one node's latest read of a line since its last store, a
-// link in the line's node-sorted reader list (next is -1 at its end).
-type lineReader struct {
-	node       mesh.NodeID
-	task, next int32
-}
-
-// addReader records task as node's latest reader in the node-sorted list
-// that starts at *first, appending a new link to the arena when node has
-// not read the line yet; it returns the arena.
-func addReader(arena []lineReader, first *int32, node mesh.NodeID, task int32) []lineReader {
-	prev, x := int32(-1), *first
-	for x >= 0 && arena[x].node < node {
-		prev, x = x, arena[x].next
-	}
-	if x >= 0 && arena[x].node == node {
-		arena[x].task = task
-		return arena
-	}
-	arena = append(arena, lineReader{node: node, task: task, next: x})
-	if prev < 0 {
-		*first = int32(len(arena) - 1)
-	} else {
-		arena[prev].next = int32(len(arena) - 1)
-	}
-	return arena
 }
 
 // RepairChecker validates a candidate repaired schedule; RepairVerified

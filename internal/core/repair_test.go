@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"maps"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -275,36 +273,5 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if !appended {
 		t.Fatal("no adjacent pair of tasks both carries a fetch and an arc")
-	}
-}
-
-// TestAddReaderKeepsNodeOrder drives the replay's reader lists through an
-// arena that reallocates on almost every append: each list must hold every
-// node once, in ascending order, with its latest task.
-func TestAddReaderKeepsNodeOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		var arena []lineReader
-		firsts := []int32{-1, -1, -1}
-		want := []map[mesh.NodeID]int32{{}, {}, {}}
-		for task := int32(0); task < 40; task++ {
-			l, node := rng.Intn(len(firsts)), mesh.NodeID(rng.Intn(12))
-			arena = addReader(arena, &firsts[l], node, task)
-			want[l][node] = task
-		}
-		for l, first := range firsts {
-			got := map[mesh.NodeID]int32{}
-			last := mesh.NodeID(-1)
-			for x := first; x >= 0; x = arena[x].next {
-				if arena[x].node <= last {
-					t.Fatalf("trial %d line %d: node %d follows node %d", trial, l, arena[x].node, last)
-				}
-				last = arena[x].node
-				got[last] = arena[x].task
-			}
-			if !maps.Equal(got, want[l]) {
-				t.Fatalf("trial %d line %d: readers %v, want %v", trial, l, got, want[l])
-			}
-		}
 	}
 }

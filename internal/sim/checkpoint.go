@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
@@ -35,10 +35,10 @@ type RecoveryEvent struct {
 // identity), so its in-flight tasks are discarded and the instance re-runs
 // in the residual schedule.
 //
-// Residency is replayed over the completed tasks exactly the way the
-// verifier's coherence model does: any real access leaves a live copy of
-// the line in the consuming node's L1, and a root store write-invalidates
-// every remote copy, leaving the writer's node as the line's sole home.
+// Residency is replayed over the completed tasks by core.Residency, the
+// verifier's write-invalidate rule: any real access leaves a live copy of
+// the line in the consuming node's L1, and a root store invalidates every
+// remote copy, leaving the writer's node as the line's sole home.
 func buildCheckpoint(sched *core.Schedule, nodes int, startAt, occEndAt, finish []float64, cycle float64) *core.Checkpoint {
 	ck := &core.Checkpoint{
 		Cycle:    cycle,
@@ -63,36 +63,30 @@ func buildCheckpoint(sched *core.Schedule, nodes int, startAt, occEndAt, finish 
 		}
 	}
 
-	// Residency replay with write-invalidation, completed tasks in ID order.
-	copies := make(map[uint64]map[mesh.NodeID]bool)
+	// Residency replay with write-invalidation, completed tasks in ID order;
+	// then every holder of a line keeps a copy.
+	var res core.Residency
 	ck.Home = make(map[uint64]mesh.NodeID)
 	for i, t := range sched.Tasks {
 		if !ck.Done[i] {
 			continue
 		}
 		for _, f := range t.Fetches {
-			if copies[f.Line] == nil {
-				copies[f.Line] = make(map[mesh.NodeID]bool)
-			}
-			copies[f.Line][t.Node] = true
+			res.Read(res.Intern(f.Line), t.Node, i)
 		}
 		if t.IsRoot {
-			copies[t.ResultLine] = map[mesh.NodeID]bool{t.Node: true}
+			res.Write(res.Intern(t.ResultLine), t.Node, i)
 			ck.Home[t.ResultLine] = t.Node
 		}
 	}
 	ck.L1Resident = make(map[mesh.NodeID][]uint64, nodes)
-	for line, ns := range copies {
-		// Scatter into per-node slices; each slice is sorted below, so the
-		// final checkpoint content is independent of this iteration order.
-		//lint:dmacp-allow maporder per-node slices are sorted before use
-		for n := range ns {
+	for id, line := range res.Lines() {
+		for _, n := range res.Holders(int32(id), mesh.InvalidNode) {
 			ck.L1Resident[n] = append(ck.L1Resident[n], line)
 		}
 	}
 	for n := mesh.NodeID(0); int(n) < nodes; n++ {
-		lines := ck.L1Resident[n]
-		sort.Slice(lines, func(a, b int) bool { return lines[a] < lines[b] })
+		slices.Sort(ck.L1Resident[n])
 	}
 	return ck
 }
