@@ -2,6 +2,7 @@
 # any change ships (see README.md, "Pre-PR gate").
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 20s
 
 # Pinned staticcheck release; CI installs/runs exactly this version. 2024.1.1
@@ -11,10 +12,19 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates jobs-identical bench-closure bench-test bench-smoke check
+.PHONY: build fmt-check test test-short vet lint staticcheck race fuzz-smoke verify verifybig gates jobs-identical bench-closure bench-test bench-smoke check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt must list no .go file of either module (the root
+# and bench/) outside testdata/ directories. The analyzer fixtures there are
+# skipped on purpose: their `// want` comment alignment is part of the test.
+# Hidden directories (.git, .bench_build) are not searched.
+fmt-check:
+	@out=$$(find . -path './.*' -prune -o -path '*/testdata' -prune -o -name '*.go' -print | xargs $(GOFMT) -l) && \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean (run gofmt -w):"; echo "$$out"; exit 1; fi && \
+	echo "fmt-check: every .go file is gofmt-clean"
 
 test:
 	$(GO) test ./...
@@ -144,5 +154,5 @@ bench-test:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-check: build vet lint staticcheck test race verifybig gates bench-test bench-smoke jobs-identical
+check: build fmt-check vet lint staticcheck test race verifybig gates bench-test bench-smoke jobs-identical
 	@echo "check: all gates passed"

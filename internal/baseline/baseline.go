@@ -125,11 +125,19 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 		colHist = make([]int, numChunks*cols)
 		rowHist = make([]int, numChunks*rows)
 	}
+	// The statements' reference lists depend only on the statement, so they
+	// are built once, not once per instance.
+	allRefs := make([][]*ir.Ref, len(nest.Body))
+	inputs := make([][]*ir.Ref, len(nest.Body))
+	for si, stmt := range nest.Body {
+		allRefs[si], inputs[si] = stmt.AllRefs(), stmt.Inputs()
+	}
+	var env map[string]int
 	for it := 0; it < iters; it++ {
-		env := nest.IterationEnv(it)
+		env = nest.IterationEnvInto(env, it)
 		c := it / chunkSize
-		for _, stmt := range nest.Body {
-			for _, ref := range stmt.AllRefs() {
+		for _, refs := range allRefs {
+			for _, ref := range refs {
 				ll, ok := profLoc.LocateRef(prog, ref, env, store)
 				if !ok {
 					continue
@@ -164,14 +172,12 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 		default: // ProfiledLocality
 			// Manhattan distance separates by axis, so the chunk's total
 			// distance from core (x, y) to its located nodes is exactly
-			// colCost[x] + rowCost[y]: O(cols² + rows²) per chunk, then O(1)
-			// per core, instead of one Distance per reference per core.
+			// colCost[x] + rowCost[y]: O(cols + rows) per chunk, then O(1)
+			// per core scanned, instead of one Distance per reference per
+			// core.
 			axisCost(colHist[c*cols:(c+1)*cols], colCost)
 			axisCost(rowHist[c*rows:(c+1)*rows], rowCost)
-			chunkOf[c] = bestAvailable(opts.Mesh, coreLoad, perCoreCap, func(n mesh.NodeID) int {
-				at := opts.Mesh.CoordOf(n)
-				return colCost[at.X] + rowCost[at.Y]
-			})
+			chunkOf[c] = bestSeparable(coreLoad, perCoreCap, colCost, rowCost)
 		}
 		coreLoad[chunkOf[c]]++
 	}
@@ -201,7 +207,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	}
 
 	for it := 0; it < iters; it++ {
-		env := nest.IterationEnv(it)
+		env = nest.IterationEnvInto(env, it)
 		node := chunkOf[it/chunkSize]
 		for si, stmt := range nest.Body {
 			storeLL, ok := emitLoc.LocateRef(prog, stmt.LHS, env, store)
@@ -221,13 +227,13 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				Iter:   it,
 			}
 			movement := 0
-			for _, ref := range stmt.Inputs() {
+			for _, ref := range inputs[si] {
 				ll, ok := emitLoc.LocateRef(prog, ref, env, store)
 				if !ok {
 					ll = storeLL
 				}
 				id := resid.Intern(ll.Line)
-				hit := l1[node].Access(ll.Line)
+				hit := l1.Access(int(node), ll.Line)
 				t.Fetches = append(t.Fetches, core.Fetch{
 					From:   ll.Node(),
 					Line:   ll.Line,
@@ -253,7 +259,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			// unless it already owns it. The optimized schedule's root task
 			// performs the store at the home node itself, which is exactly
 			// the near-data advantage being measured.
-			storeHit := l1[node].Contains(storeLL.Line)
+			storeHit := l1.Contains(int(node), storeLL.Line)
 			t.Fetches = append(t.Fetches, core.Fetch{
 				From:   storeLL.Node(),
 				Line:   storeLL.Line,
@@ -261,7 +267,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				L1Hit:  storeHit,
 			})
 			movement += opts.Mesh.Distance(node, storeLL.Home)
-			l1[node].Access(storeLL.Line)
+			l1.Access(int(node), storeLL.Line)
 			t.ResultLine = storeLL.Line
 			// Output ordering: the RFO and store of the output line must
 			// follow its previous writer (WAW) and every read issued from
@@ -287,7 +293,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				}
 			}
 			for _, n := range resid.Write(sid, node, t.ID) {
-				l1[n].Invalidate(storeLL.Line)
+				l1.Invalidate(int(n), storeLL.Line)
 			}
 			sched.Tasks = append(sched.Tasks, t)
 
@@ -311,7 +317,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	if sched.Instances > 0 {
 		res.AvgMovement = float64(res.TotalMovement) / float64(sched.Instances)
 	}
-	res.L1HitRate = core.L1HitRate(l1)
+	res.L1HitRate = l1.Stats().HitRate()
 	res.Translations = emitLoc.Allocator().Pages()
 	return res, nil
 }
@@ -340,23 +346,58 @@ func bestAvailable(m *mesh.Mesh, load []int, capPerCore int, objective func(mesh
 	return best
 }
 
-// axisCost sets cost[x] to the total distance from coordinate x to every
-// point of the one-axis histogram hist (len(cost) == len(hist)).
-func axisCost(hist, cost []int) {
-	for x := range cost {
-		sum := 0
-		for x2, h := range hist {
-			sum += h * abs(x-x2)
+// bestSeparable returns the core with remaining capacity minimizing
+// colCost[x] + rowCost[y] (ties to the lower node id), or 0 when every core
+// is full. Cores are node IDs y*cols + x, cols = len(colCost). The best core
+// of the cheapest row bounds the rest: a row whose cost plus the cheapest
+// column's exceeds it cannot hold a better core, so it is not scanned.
+func bestSeparable(load []int, capPerCore int, colCost, rowCost []int) mesh.NodeID {
+	cols, minCol := len(colCost), slices.Min(colCost)
+	y0 := slices.Index(rowCost, slices.Min(rowCost))
+	best, bestVal := scanRow(load, capPerCore, colCost, rowCost[y0], y0*cols, mesh.InvalidNode, 1<<62)
+	for y, r := range rowCost {
+		if y != y0 && r+minCol <= bestVal {
+			best, bestVal = scanRow(load, capPerCore, colCost, r, y*cols, best, bestVal)
 		}
-		cost[x] = sum
 	}
+	if best == mesh.InvalidNode {
+		return 0
+	}
+	return best
 }
 
-func abs(v int) int {
-	if v < 0 {
-		return -v
+// scanRow returns the better of (best, bestVal) and the row's cores with
+// remaining capacity, node base+x scoring rowCost+colCost[x]. Rows are
+// scanned out of node order (the cheapest first), so an equal score wins
+// only on a lower node id.
+func scanRow(load []int, capPerCore int, colCost []int, rowCost, base int, best mesh.NodeID, bestVal int) (mesh.NodeID, int) {
+	for x, cc := range colCost {
+		n := mesh.NodeID(base + x)
+		if load[n] >= capPerCore {
+			continue
+		}
+		if v := rowCost + cc; v < bestVal || v == bestVal && n < best {
+			best, bestVal = n, v
+		}
 	}
-	return v
+	return best, bestVal
+}
+
+// axisCost sets cost[x] to the total distance from coordinate x to every
+// point of the one-axis histogram hist (len(cost) == len(hist)), with
+// running sums: moving from x to x+1 brings every point at or left of x one
+// step farther and every point right of it one step nearer.
+func axisCost(hist, cost []int) {
+	total, left, sum := 0, 0, 0
+	for x, h := range hist {
+		total += h
+		sum += h * x // the distance of every point from coordinate 0
+	}
+	for x, h := range hist {
+		cost[x] = sum
+		left += h
+		sum += left - (total - left)
+	}
 }
 
 // bestMCCore returns the most used memory controller of a chunk.
@@ -394,14 +435,19 @@ func BuildMCMap(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Opti
 	// votes[page][mc] accumulates accesses weighted by proximity of the
 	// accessing core.
 	votes := make(map[uint64]map[mesh.NodeID]int)
+	allRefs := make([][]*ir.Ref, len(nest.Body))
+	for si, stmt := range nest.Body {
+		allRefs[si] = stmt.AllRefs()
+	}
+	var env map[string]int
 	for it := 0; it < iters; it++ {
-		env := nest.IterationEnv(it)
+		env = nest.IterationEnvInto(env, it)
 		var node mesh.NodeID
 		if placement != nil && len(placement.ChunkOf) > 0 {
 			node = placement.ChunkOf[(it/chunkSize)%len(placement.ChunkOf)]
 		}
-		for _, stmt := range nest.Body {
-			for _, ref := range stmt.AllRefs() {
+		for _, refs := range allRefs {
+			for _, ref := range refs {
 				ll, ok := loc.LocateRef(prog, ref, env, store)
 				if !ok {
 					continue

@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"testing"
 
 	"dmacp/internal/core"
@@ -126,6 +127,40 @@ func TestProfiledLocalityMatchesBruteForce(t *testing.T) {
 					t.Errorf("BuildMCMap differs: %d pages vs brute-force placement's %d", len(got), len(ref))
 				}
 			})
+		}
+	}
+}
+
+// TestBestSeparableMatchesFullScan: the row-pruned scan returns exactly the
+// full row-major scan's core — lowest score, ties to the lower node id, 0
+// when every core is full — on seeded random axis costs with many ties and
+// random loads, on square and non-square meshes.
+func TestBestSeparableMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 5000; trial++ {
+		cols, rows := 1+rng.Intn(9), 1+rng.Intn(9)
+		colCost, rowCost := make([]int, cols), make([]int, rows)
+		spread := 1 + rng.Intn(6) // small spreads make ties common
+		for x := range colCost {
+			colCost[x] = rng.Intn(spread)
+		}
+		for y := range rowCost {
+			rowCost[y] = rng.Intn(spread)
+		}
+		capPerCore := 1 + rng.Intn(3)
+		load := make([]int, cols*rows)
+		for n := range load {
+			load[n] = rng.Intn(capPerCore + 1)
+		}
+		want, wantVal := mesh.NodeID(0), 1<<62
+		for n := range load {
+			if v := colCost[n%cols] + rowCost[n/cols]; load[n] < capPerCore && v < wantVal {
+				want, wantVal = mesh.NodeID(n), v
+			}
+		}
+		if got := bestSeparable(load, capPerCore, colCost, rowCost); got != want {
+			t.Fatalf("trial %d (%dx%d, cols %v, rows %v, load %v, cap %d): core %d, full scan %d",
+				trial, cols, rows, colCost, rowCost, load, capPerCore, got, want)
 		}
 	}
 }

@@ -31,14 +31,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestHitAfterMiss(t *testing.T) {
-	c := MustNew(small())
-	if c.Access(0x1000) {
+	c := MustNew(small(), 1)
+	if c.Access(0, 0x1000) {
 		t.Error("cold access hit")
 	}
-	if !c.Access(0x1000) {
+	if !c.Access(0, 0x1000) {
 		t.Error("second access missed")
 	}
-	if !c.Access(0x1038) { // same line (64B)
+	if !c.Access(0, 0x1038) { // same line (64B)
 		t.Error("same-line access missed")
 	}
 	st := c.Stats()
@@ -51,19 +51,19 @@ func TestHitAfterMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew(small()) // 4 sets, 2 ways; lines mapping to set 0: addr multiples of 256
+	c := MustNew(small(), 1) // 4 sets, 2 ways; lines mapping to set 0: addr multiples of 256
 	a, b, d := uint64(0), uint64(256), uint64(512)
-	c.Access(a)
-	c.Access(b)
-	c.Access(a) // a is MRU, b is LRU
-	c.Access(d) // evicts b
-	if !c.Contains(a) {
+	c.Access(0, a)
+	c.Access(0, b)
+	c.Access(0, a) // a is MRU, b is LRU
+	c.Access(0, d) // evicts b
+	if !c.Contains(0, a) {
 		t.Error("a evicted, should have been b")
 	}
-	if c.Contains(b) {
+	if c.Contains(0, b) {
 		t.Error("b still resident")
 	}
-	if !c.Contains(d) {
+	if !c.Contains(0, d) {
 		t.Error("d not resident")
 	}
 	if c.Stats().Evictions != 1 {
@@ -72,15 +72,15 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestContainsDoesNotPerturb(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0)
-	c.Access(256) // set 0 full: LRU=0, MRU=256
+	c := MustNew(small(), 1)
+	c.Access(0, 0)
+	c.Access(0, 256) // set 0 full: LRU=0, MRU=256
 	// Probing 0 must not promote it.
-	if !c.Contains(0) {
+	if !c.Contains(0, 0) {
 		t.Fatal("0 not resident")
 	}
-	c.Access(512) // should evict 0 (still LRU despite the probe)
-	if c.Contains(0) {
+	c.Access(0, 512) // should evict 0 (still LRU despite the probe)
+	if c.Contains(0, 0) {
 		t.Error("Contains perturbed LRU order")
 	}
 	st := c.Stats()
@@ -90,23 +90,23 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0x40)
-	if !c.Invalidate(0x40) {
+	c := MustNew(small(), 1)
+	c.Access(0, 0x40)
+	if !c.Invalidate(0, 0x40) {
 		t.Error("Invalidate missed resident line")
 	}
-	if c.Invalidate(0x40) {
+	if c.Invalidate(0, 0x40) {
 		t.Error("Invalidate hit absent line")
 	}
-	if c.Contains(0x40) {
+	if c.Contains(0, 0x40) {
 		t.Error("line still resident after invalidate")
 	}
 }
 
 func TestFlushAndResetStats(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0)
-	c.Access(0)
+	c := MustNew(small(), 1)
+	c.Access(0, 0)
+	c.Access(0, 0)
 	c.ResetStats()
 	if st := c.Stats(); st.Accesses() != 0 {
 		t.Errorf("stats after reset = %+v", st)
@@ -124,13 +124,13 @@ func TestFlushAndResetStats(t *testing.T) {
 // always resident.
 func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	cfg := Config{SizeBytes: 1024, LineBytes: 64, Ways: 4}
-	c := MustNew(cfg)
+	c := MustNew(cfg, 1)
 	rng := rand.New(rand.NewSource(9))
 	maxLines := int(cfg.SizeBytes / cfg.LineBytes)
 	for i := 0; i < 5000; i++ {
 		addr := uint64(rng.Intn(1 << 16))
-		c.Access(addr)
-		if !c.Contains(addr) {
+		c.Access(0, addr)
+		if !c.Contains(0, addr) {
 			t.Fatalf("line %#x absent immediately after access", addr)
 		}
 		if c.Lines() > maxLines {
@@ -150,9 +150,9 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	cfg := Config{SizeBytes: 512, LineBytes: 64, Ways: 2}
 	if err := quick.Check(func(addrs []uint16) bool {
-		c1, c2 := MustNew(cfg), MustNew(cfg)
+		c1, c2 := MustNew(cfg, 1), MustNew(cfg, 1)
 		for _, a := range addrs {
-			if c1.Access(uint64(a)) != c2.Access(uint64(a)) {
+			if c1.Access(0, uint64(a)) != c2.Access(0, uint64(a)) {
 				return false
 			}
 		}
@@ -166,14 +166,14 @@ func TestDeterministic(t *testing.T) {
 // (no conflict misses when lines spread evenly).
 func TestFullCapacityWorkingSet(t *testing.T) {
 	cfg := Config{SizeBytes: 4096, LineBytes: 64, Ways: 4}
-	c := MustNew(cfg)
+	c := MustNew(cfg, 1)
 	lines := int(cfg.SizeBytes / cfg.LineBytes)
 	for i := 0; i < lines; i++ {
-		c.Access(uint64(i) * cfg.LineBytes)
+		c.Access(0, uint64(i)*cfg.LineBytes)
 	}
 	c.ResetStats()
 	for i := 0; i < lines; i++ {
-		c.Access(uint64(i) * cfg.LineBytes)
+		c.Access(0, uint64(i)*cfg.LineBytes)
 	}
 	if st := c.Stats(); st.Misses != 0 {
 		t.Errorf("second pass misses = %d, want 0", st.Misses)
@@ -185,10 +185,10 @@ func TestFullCapacityWorkingSet(t *testing.T) {
 // that makes very large statement windows unprofitable (Section 4.4).
 func TestCyclicThrashing(t *testing.T) {
 	cfg := Config{SizeBytes: 512, LineBytes: 64, Ways: 8} // fully associative, 8 lines
-	c := MustNew(cfg)
+	c := MustNew(cfg, 1)
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 9; i++ { // 9 lines > 8 capacity
-			c.Access(uint64(i) * 64)
+			c.Access(0, uint64(i)*64)
 		}
 	}
 	if st := c.Stats(); st.Hits != 0 {
@@ -202,17 +202,17 @@ func TestCyclicThrashing(t *testing.T) {
 // A single-line cache (capacity == line size, one way) is the smallest legal
 // configuration; every distinct line must evict the previous one.
 func TestSingleLineCache(t *testing.T) {
-	c := MustNew(Config{SizeBytes: 64, LineBytes: 64, Ways: 1})
+	c := MustNew(Config{SizeBytes: 64, LineBytes: 64, Ways: 1}, 1)
 	if c.Config().Sets() != 1 {
 		t.Fatalf("Sets = %d, want 1", c.Config().Sets())
 	}
-	if c.Access(0) {
+	if c.Access(0, 0) {
 		t.Error("cold access hit")
 	}
-	if !c.Access(63) {
+	if !c.Access(0, 63) {
 		t.Error("same-line access missed") // 0 and 63 share the line
 	}
-	if c.Access(64) {
+	if c.Access(0, 64) {
 		t.Error("new line hit")
 	}
 	s := c.Stats()
@@ -227,18 +227,18 @@ func TestSingleLineCache(t *testing.T) {
 // Address zero is a valid line address: the "zero-byte transfer" kernels map
 // their first array element there.
 func TestAddressZero(t *testing.T) {
-	c := MustNew(small())
-	if c.Contains(0) {
+	c := MustNew(small(), 1)
+	if c.Contains(0, 0) {
 		t.Error("empty cache contains line 0")
 	}
-	c.Access(0)
-	if !c.Contains(0) {
+	c.Access(0, 0)
+	if !c.Contains(0, 0) {
 		t.Error("line 0 not resident after access")
 	}
-	if !c.Invalidate(0) {
+	if !c.Invalidate(0, 0) {
 		t.Error("Invalidate(0) found nothing")
 	}
-	if c.Invalidate(0) {
+	if c.Invalidate(0, 0) {
 		t.Error("double Invalidate(0) succeeded")
 	}
 }
@@ -246,22 +246,22 @@ func TestAddressZero(t *testing.T) {
 // Contains and a failed Invalidate must not perturb statistics or LRU
 // state: the compiler-side reuse model probes without side effects.
 func TestProbesAreSideEffectFree(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0)
-	c.Access(512) // same set as 0 in the 4-set config
+	c := MustNew(small(), 1)
+	c.Access(0, 0)
+	c.Access(0, 512) // same set as 0 in the 4-set config
 	before := c.Stats()
-	c.Contains(0)
-	c.Contains(4096)
-	c.Invalidate(4096)
+	c.Contains(0, 0)
+	c.Contains(0, 4096)
+	c.Invalidate(0, 4096)
 	if got := c.Stats(); got != before {
 		t.Errorf("probe changed stats: %+v -> %+v", before, got)
 	}
 	// LRU order must still evict 0 (least recent) on the next conflict.
-	c.Access(1024)
-	if c.Contains(0) {
+	c.Access(0, 1024)
+	if c.Contains(0, 0) {
 		t.Error("probe refreshed LRU position of line 0")
 	}
-	if !c.Contains(512) {
+	if !c.Contains(0, 512) {
 		t.Error("wrong line evicted after probes")
 	}
 }
@@ -285,20 +285,20 @@ func TestStatsSingleSample(t *testing.T) {
 
 // ResetStats clears counters but keeps contents; Flush clears both.
 func TestResetAndFlush(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0)
+	c := MustNew(small(), 1)
+	c.Access(0, 0)
 	c.ResetStats()
 	if got := c.Stats(); got != (Stats{}) {
 		t.Errorf("stats after reset: %+v", got)
 	}
-	if !c.Contains(0) {
+	if !c.Contains(0, 0) {
 		t.Error("reset dropped contents")
 	}
 	c.Flush()
-	if c.Contains(0) || c.Lines() != 0 {
+	if c.Contains(0, 0) || c.Lines() != 0 {
 		t.Error("flush kept contents")
 	}
-	if !c.Access(0) == false {
+	if !c.Access(0, 0) == false {
 		t.Error("post-flush access hit")
 	}
 }

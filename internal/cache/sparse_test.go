@@ -85,11 +85,14 @@ func (d *denseLRU) lines() int {
 	return n
 }
 
-// TestSparseMatchesDenseReference drives the sparse cache and the dense
-// reference with the same seeded mix of Access/Contains/Invalidate/Flush/
-// ResetStats traffic and requires identical results after every operation.
-// Addresses concentrate on a few hot sets (so sets fill and evict) with a
-// share of uniformly random lines across every set.
+// TestSparseMatchesDenseReference drives an n-cache model and n dense
+// references (one per index) with the same seeded mix of Access/Contains/
+// Invalidate/Flush/ResetStats traffic on interleaved cache indices, and
+// requires identical results after every operation: each result, the
+// aggregate Stats against the references' summed counters, and the resident
+// line count. Addresses concentrate on a few hot sets (so sets fill and
+// evict) with a share of uniformly random lines across every set; the same
+// line reaches several caches, which must keep separate contents.
 func TestSparseMatchesDenseReference(t *testing.T) {
 	geoms := []Config{
 		{SizeBytes: 256, LineBytes: 64, Ways: 4},      // 1 set
@@ -99,50 +102,96 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 	}
 	for gi, cfg := range geoms {
 		t.Run(fmt.Sprintf("%dsets_%dways", cfg.Sets(), cfg.Ways), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(100 + gi)))
-			sets := uint64(cfg.Sets())
-			hot := min(sets, 5)
-			addr := func() uint64 {
-				var line uint64
-				if rng.Intn(4) == 0 {
-					line = uint64(rng.Int63n(int64(8 * sets * uint64(cfg.Ways))))
-				} else {
-					tag := uint64(rng.Intn(3 * cfg.Ways))
-					line = tag*sets + uint64(rng.Int63n(int64(hot)))
-				}
-				return line*cfg.LineBytes + uint64(rng.Int63n(int64(cfg.LineBytes)))
-			}
-			c, ref := MustNew(cfg), newDenseLRU(cfg)
-			for op := 0; op < 20000; op++ {
-				a := addr()
-				switch r := rng.Intn(100); {
-				case r < 60:
-					if got, want := c.Access(a), ref.access(a); got != want {
-						t.Fatalf("op %d: Access(%#x) = %v, reference %v", op, a, got, want)
+			for _, n := range []int{1, 3, 16} {
+				t.Run(fmt.Sprintf("%dcaches", n), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(100 + gi*31 + n)))
+					sets := uint64(cfg.Sets())
+					hot := min(sets, 5)
+					addr := func() uint64 {
+						var line uint64
+						if rng.Intn(4) == 0 {
+							line = uint64(rng.Int63n(int64(8 * sets * uint64(cfg.Ways))))
+						} else {
+							tag := uint64(rng.Intn(3 * cfg.Ways))
+							line = tag*sets + uint64(rng.Int63n(int64(hot)))
+						}
+						return line*cfg.LineBytes + uint64(rng.Int63n(int64(cfg.LineBytes)))
 					}
-				case r < 80:
-					if got, want := c.Contains(a), ref.contains(a); got != want {
-						t.Fatalf("op %d: Contains(%#x) = %v, reference %v", op, a, got, want)
+					c := MustNew(cfg, n)
+					refs := make([]*denseLRU, n)
+					for i := range refs {
+						refs[i] = newDenseLRU(cfg)
 					}
-				case r < 97:
-					if got, want := c.Invalidate(a), ref.invalidate(a); got != want {
-						t.Fatalf("op %d: Invalidate(%#x) = %v, reference %v", op, a, got, want)
+					for op := 0; op < 20000; op++ {
+						a, i := addr(), rng.Intn(n)
+						ref := refs[i]
+						switch r := rng.Intn(100); {
+						case r < 60:
+							if got, want := c.Access(i, a), ref.access(a); got != want {
+								t.Fatalf("op %d: Access(%d, %#x) = %v, reference %v", op, i, a, got, want)
+							}
+						case r < 80:
+							if got, want := c.Contains(i, a), ref.contains(a); got != want {
+								t.Fatalf("op %d: Contains(%d, %#x) = %v, reference %v", op, i, a, got, want)
+							}
+						case r < 97:
+							if got, want := c.Invalidate(i, a), ref.invalidate(a); got != want {
+								t.Fatalf("op %d: Invalidate(%d, %#x) = %v, reference %v", op, i, a, got, want)
+							}
+						case r < 99:
+							c.ResetStats()
+							for _, d := range refs {
+								d.stats = Stats{}
+							}
+						default:
+							c.Flush()
+							for _, d := range refs {
+								d.flush()
+							}
+						}
+						var stats Stats
+						lines := 0
+						for _, d := range refs {
+							stats.Hits += d.stats.Hits
+							stats.Misses += d.stats.Misses
+							stats.Evictions += d.stats.Evictions
+							lines += d.lines()
+						}
+						if c.Stats() != stats {
+							t.Fatalf("op %d: Stats = %+v, references %+v", op, c.Stats(), stats)
+						}
+						if c.Lines() != lines {
+							t.Fatalf("op %d: Lines = %d, references %d", op, c.Lines(), lines)
+						}
 					}
-				case r < 99:
-					c.ResetStats()
-					ref.stats = Stats{}
-				default:
-					c.Flush()
-					ref.flush()
-				}
-				if c.Stats() != ref.stats {
-					t.Fatalf("op %d: Stats = %+v, reference %+v", op, c.Stats(), ref.stats)
-				}
-				if c.Lines() != ref.lines() {
-					t.Fatalf("op %d: Lines = %d, reference %d", op, c.Lines(), ref.lines())
-				}
+				})
 			}
 		})
+	}
+}
+
+// TestNewRejectsBadCount: a model of no caches, or of more ways than a set's
+// span can count, is an error, and an index outside [0, n) panics instead of
+// reaching another cache's sets.
+func TestNewRejectsBadCount(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := New(small(), n); err == nil {
+			t.Errorf("New(cfg, %d) succeeded", n)
+		}
+	}
+	if _, err := New(Config{SizeBytes: 64 << 16, LineBytes: 64, Ways: 1 << 16}, 1); err == nil {
+		t.Error("New accepted more ways than a span can hold")
+	}
+	c := MustNew(small(), 2)
+	for _, i := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(%d, 0) on 2 caches did not panic", i)
+				}
+			}()
+			c.Access(i, 0)
+		}()
 	}
 }
 
@@ -158,24 +207,28 @@ func bytesPerOp(n int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
-// TestNewIsConstantSize: constructing a 1 MB/16-way bank (1,024 sets)
-// allocates a small fixed amount, independent of capacity. Per-set storage
-// built up front would cost 24 bytes per set, 24 KB here.
+// TestNewIsConstantSize: constructing one 1 MB/16-way bank (1,024 sets), or
+// a model of 1,024 of them (a 32x32 mesh's L2), allocates a small fixed
+// amount, independent of capacity and of the cache count. Per-set storage
+// built up front would cost 24 bytes per set, 24 KB per bank; a per-cache
+// object with its own map, a few hundred bytes per bank.
 func TestNewIsConstantSize(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 20, LineBytes: 64, Ways: 16}
 	const limit = 256
-	var sink *Cache
-	if got := bytesPerOp(200, func() { sink = MustNew(cfg) }); got > limit {
-		t.Errorf("New(1 MB/16-way) allocates %d B, want <= %d", got, limit)
+	for _, n := range []int{1, 1024} {
+		var sink *Cache
+		if got := bytesPerOp(200, func() { sink = MustNew(cfg, n) }); got > limit {
+			t.Errorf("New(1 MB/16-way, %d) allocates %d B, want <= %d", n, got, limit)
+		}
+		_ = sink
 	}
-	_ = sink
 }
 
 func BenchmarkNew(b *testing.B) {
 	cfg := Config{SizeBytes: 1 << 20, LineBytes: 64, Ways: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(cfg); err != nil {
+		if _, err := New(cfg, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

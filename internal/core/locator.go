@@ -43,12 +43,12 @@ func (l LineLoc) Node() mesh.NodeID {
 type Locator struct {
 	opts  *Options
 	alloc *addrmap.Allocator
-	l2    []*cache.Cache // residency model, one per bank/node
+	l2    *cache.Cache // residency model, one cache per bank/node
 	// quadBanks[q] lists the nodes of quadrant q, for SNC-4 home mapping.
 	quadBanks [4][]mesh.NodeID
-	// labels names each located line after the first reference that touched
-	// it ("B[24]"), for code generation and diagnostics.
-	labels map[uint64]string
+	// firsts records, per located line, the first reference instance that
+	// touched it; LineLabels names the line after it ("B[24]").
+	firsts map[uint64]firstTouch
 	// statics caches the iteration-independent view of each reference the
 	// locator has seen: its array and its compiled subscript. The body's
 	// *Ref nodes are shared across all iterations, so keying by pointer
@@ -66,6 +66,13 @@ type refStatic struct {
 	sub ir.Subscript
 }
 
+// firstTouch is the reference instance that first touched a line: the
+// reference and the element index it resolved to.
+type firstTouch struct {
+	ref *ir.Ref
+	idx int
+}
+
 // NewLocator creates a locator for the given options. The allocator models
 // the page-coloring OS support, so HomeBankVA(va) is exact.
 func NewLocator(opts *Options) (*Locator, error) {
@@ -79,16 +86,16 @@ func NewLocator(opts *Options) (*Locator, error) {
 	loc := &Locator{
 		opts:    opts,
 		alloc:   alloc,
-		labels:  make(map[uint64]string),
+		firsts:  make(map[uint64]firstTouch),
 		statics: make(map[*ir.Ref]refStatic),
 	}
-	loc.l2 = make([]*cache.Cache, opts.Mesh.Nodes())
-	for i := range loc.l2 {
-		loc.l2[i] = cache.MustNew(cache.Config{
-			SizeBytes: opts.L2BankBytes,
-			LineBytes: opts.Layout.LineBytes,
-			Ways:      opts.L2Ways,
-		})
+	loc.l2, err = cache.New(cache.Config{
+		SizeBytes: opts.L2BankBytes,
+		LineBytes: opts.Layout.LineBytes,
+		Ways:      opts.L2Ways,
+	}, opts.Mesh.Nodes())
+	if err != nil {
+		return nil, err
 	}
 	for n := mesh.NodeID(0); int(n) < opts.Mesh.Nodes(); n++ {
 		q := opts.Mesh.Quadrant(n)
@@ -124,7 +131,7 @@ func (loc *Locator) Locate(va uint64) LineLoc {
 		mc = override
 	}
 
-	actual := loc.l2[home].Access(line)
+	actual := loc.l2.Access(int(home), line)
 	predicted := actual
 	if !loc.opts.IdealAnalysis {
 		if p := loc.opts.Predictor; p != nil {
@@ -161,15 +168,22 @@ func (loc *Locator) LocateRef(prog *ir.Program, ref *ir.Ref, env map[string]int,
 		return LineLoc{}, false
 	}
 	ll := loc.Locate(loc.alloc.Translate(st.arr.AddrOfIndex(idx)))
-	if _, seen := loc.labels[ll.Line]; !seen {
-		loc.labels[ll.Line] = fmt.Sprintf("%s[%d]", ref.Array, idx)
+	if _, seen := loc.firsts[ll.Line]; !seen {
+		loc.firsts[ll.Line] = firstTouch{ref, idx}
 	}
 	return ll, true
 }
 
-// LineLabels returns the human-readable name of each located line, keyed by
-// line address (first-toucher naming).
-func (loc *Locator) LineLabels() map[uint64]string { return loc.labels }
+// LineLabels returns the human-readable name of each line located through
+// LocateRef, keyed by line address: the first reference instance that
+// touched it, as "B[24]". Each call formats a new map.
+func (loc *Locator) LineLabels() map[uint64]string {
+	labels := make(map[uint64]string, len(loc.firsts))
+	for line, f := range loc.firsts {
+		labels[line] = fmt.Sprintf("%s[%d]", f.ref.Array, f.idx)
+	}
+	return labels
+}
 
 // AnalyzableFraction returns the fraction of located references whose
 // subscripts were compile-time analyzable (Table 1).
@@ -180,17 +194,8 @@ func (loc *Locator) AnalyzableFraction() float64 {
 	return float64(loc.analyzable) / float64(loc.refs)
 }
 
-// L2Stats aggregates the residency model's counters across banks.
-func (loc *Locator) L2Stats() cache.Stats {
-	var total cache.Stats
-	for _, c := range loc.l2 {
-		s := c.Stats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Evictions += s.Evictions
-	}
-	return total
-}
+// L2Stats returns the residency model's counters over all banks.
+func (loc *Locator) L2Stats() cache.Stats { return loc.l2.Stats() }
 
 // Allocator exposes the underlying page-colored allocator (examples print
 // translations from it).

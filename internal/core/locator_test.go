@@ -167,3 +167,40 @@ func TestL2StatsAccumulate(t *testing.T) {
 		t.Errorf("L2 stats = %+v", st)
 	}
 }
+
+// TestLineLabelsNameFirstToucher: each located line is named after the
+// first reference instance that resolved to it, whatever touches it later;
+// lines located only through Locate carry no label.
+func TestLineLabelsNameFirstToucher(t *testing.T) {
+	o := testOpts()
+	loc, _ := NewLocator(&o)
+	prog := ir.NewProgram()
+	prog.AddArray("A", 64, 8) // 8 elements per 64-byte line
+	prog.AddArray("B", 64, 8)
+	a := ir.MustParseStatement("q = A(i)").Inputs()[0]
+	b := ir.MustParseStatement("q = B(2*i+1)").Inputs()[0]
+	lines := map[string]uint64{}
+	for _, i := range []int{3, 1, 2, 0} {
+		env := map[string]int{"i": i}
+		for _, r := range []*ir.Ref{a, b} {
+			ll, ok := loc.LocateRef(prog, r, env, nil)
+			if !ok {
+				t.Fatalf("LocateRef(%s) at i=%d failed", r, i)
+			}
+			if i == 3 { // every ref's line is first touched at i=3
+				lines[r.Array] = ll.Line
+			}
+		}
+	}
+	loc.Locate(1 << 30) // an unlabeled line
+	got := loc.LineLabels()
+	want := map[uint64]string{lines["A"]: "A[3]", lines["B"]: "B[7]"}
+	if len(got) != len(want) {
+		t.Fatalf("LineLabels = %v, want %v", got, want)
+	}
+	for line, label := range want {
+		if got[line] != label {
+			t.Errorf("label of %#x = %q, want %q (all: %v)", line, got[line], label, got)
+		}
+	}
+}

@@ -431,7 +431,7 @@ type pass struct {
 	dt *mesh.DistanceTable
 	// l1 are the per-node shadow caches that model reuse validity and
 	// pollution.
-	l1 []*cache.Cache
+	l1 *cache.Cache
 	lt *loadTracker
 	// varMap (variable2node): which nodes fetched a line earlier in the
 	// current window (Algorithm 1 line 34). varWin[id] is the window,
@@ -508,7 +508,7 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 				buf := sc.reuseBuf[li][:0]
 				if id := ids[li]; p.varWin[id] == p.win {
 					for _, n := range p.varMap[id] {
-						if n != ll.Node() && p.l1[n].Contains(ll.Line) {
+						if n != ll.Node() && p.l1.Contains(int(n), ll.Line) {
 							buf = append(buf, n)
 						}
 					}
@@ -554,7 +554,7 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 		stats.AvgParallelism = sumPar / float64(instances)
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
-	stats.L1HitRate = L1HitRate(p.l1)
+	stats.L1HitRate = p.l1.Stats().HitRate()
 	stats.Imbalance = p.lt.Imbalance()
 
 	return &passResult{window: window, schedule: p.sched, stats: stats, offloadMix: p.offload}
@@ -607,12 +607,11 @@ func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 func (p *pass) touch(storeLoc LineLoc, sid int32) {
 	sc := &p.sc
 	for _, pt := range sc.placed {
-		c := p.l1[pt.node]
 		for fi, line := range sc.lines[pt.lo:pt.hi] {
 			// Physical locality: a line still resident in the consuming
 			// node's L1 (from any earlier access, window or not) is an L1
 			// hit and needs no L2/DRAM service.
-			if c.Access(line) && pt.task != nil {
+			if p.l1.Access(int(pt.node), line) && pt.task != nil {
 				f := &pt.task.Fetches[fi]
 				f.L1Hit = true
 				f.L2Miss = false
@@ -639,9 +638,9 @@ func (p *pass) touch(storeLoc LineLoc, sid int32) {
 	// is either a fetch, recorded as a read until the line's next write, or
 	// a store at the line's home, which keeps its copy.
 	for _, n := range p.res.Write(sid, storeLoc.Home, sc.placed[len(sc.placed)-1].id) {
-		p.l1[n].Invalidate(storeLoc.Line)
+		p.l1.Invalidate(int(n), storeLoc.Line)
 	}
-	p.l1[storeLoc.Home].Access(storeLoc.Line)
+	p.l1.Access(int(storeLoc.Home), storeLoc.Line)
 	p.varWin[sid] = p.win
 	p.varMap[sid] = append(p.varMap[sid][:0], storeLoc.Home)
 }

@@ -128,23 +128,8 @@ func (r *Residency) Write(id int32, node mesh.NodeID, task int) []mesh.NodeID {
 	return h
 }
 
-// ShadowL1s returns one L1 model per mesh node, sized by the options: the
-// copies an emitter's residency holders stand for.
-func ShadowL1s(o *Options) []*cache.Cache {
-	l1 := make([]*cache.Cache, o.Mesh.Nodes())
-	for i := range l1 {
-		l1[i] = cache.MustNew(cache.Config{SizeBytes: o.L1Bytes, LineBytes: o.Layout.LineBytes, Ways: o.L1Ways})
-	}
-	return l1
-}
-
-// L1HitRate returns the hit rate of the caches taken together.
-func L1HitRate(l1 []*cache.Cache) float64 {
-	var agg cache.Stats
-	for _, c := range l1 {
-		s := c.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-	}
-	return agg.HitRate()
+// ShadowL1s returns the L1 models of the mesh's nodes, one cache per node,
+// sized by the options: the copies an emitter's residency holders stand for.
+func ShadowL1s(o *Options) *cache.Cache {
+	return cache.MustNew(cache.Config{SizeBytes: o.L1Bytes, LineBytes: o.Layout.LineBytes, Ways: o.L1Ways}, o.Mesh.Nodes())
 }

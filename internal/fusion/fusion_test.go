@@ -135,10 +135,10 @@ T(8*i) = T(8*i) + B(8*i)`}},
 		{"temp-in-subscript-position", []string{`
 T(8*i) = A(8*i) + B(8*i)
 C(8*i) = D(T(8*i)) + B(8*i)`}},
-			// Raytrace's intersection test reads TD twice: substitution would
-			// clone the 6-leaf producer and re-fetch every input, so the
-			// multi-read consumer must bail (movement would increase).
-			{"consumer-reads-temp-twice", []string{`
+		// Raytrace's intersection test reads TD twice: substitution would
+		// clone the 6-leaf producer and re-fetch every input, so the
+		// multi-read consumer must bail (movement would increase).
+		{"consumer-reads-temp-twice", []string{`
 TD(8*i) = OX(OBJ(8*i))*DX(8*i) + OY(OBJ(8*i))*DY(8*i) + OZ(OBJ(8*i))*DZ(8*i)
 HIT(8*i) = TD(8*i)*TD(8*i) - CC(OBJ(8*i))/RAD2(8*i)`}},
 		{"may-dep-on-pair", []string{`

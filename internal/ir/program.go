@@ -215,25 +215,42 @@ func (p *Program) IndexOf(ref *Ref, env map[string]int, store *Store) (int, erro
 	return sub.Index(env, store)
 }
 
-// Subscript is a reference's subscript compiled once: its affine form when
-// the subscript is analyzable, otherwise an evaluator over the indirect
-// expression whose inner subscripts are compiled too. A Subscript never
-// changes after compilation; callers cache one per *Ref, so resolving an
-// instance costs no affine analysis.
+// Subscript is a reference's subscript compiled once: its affine form as a
+// slice of (variable, coefficient) terms plus a constant when the subscript
+// is analyzable, otherwise an evaluator over the indirect expression whose
+// inner subscripts are compiled too. A Subscript never changes after
+// compilation; callers cache one per *Ref, so resolving an instance costs no
+// affine analysis and no walk over a coefficient map.
 type Subscript struct {
-	ref    *Ref
-	aff    Affine
-	affine bool
-	eval   func(env map[string]int, store *Store) (int, error)
+	ref      *Ref
+	terms    []term
+	constant int
+	affine   bool
+	eval     func(env map[string]int, store *Store) (int, error)
+}
+
+// term is one variable term of an affine subscript.
+type term struct {
+	name  string
+	coeff int
 }
 
 // CompileSubscript compiles ref's subscript against p's arrays. Scalars (nil
 // subscript) compile to constant zero.
 func (p *Program) CompileSubscript(ref *Ref) Subscript {
 	s := Subscript{ref: ref}
-	if s.aff, s.affine = SubscriptOf(ref); !s.affine {
+	aff, ok := SubscriptOf(ref)
+	if !ok {
 		s.eval = p.compileIndex(ref.Index)
+		return s
 	}
+	s.affine, s.constant = true, aff.Const
+	for name, c := range aff.Coeffs {
+		if c != 0 {
+			s.terms = append(s.terms, term{name, c})
+		}
+	}
+	sort.Slice(s.terms, func(i, j int) bool { return s.terms[i].name < s.terms[j].name })
 	return s
 }
 
@@ -245,7 +262,13 @@ func (s *Subscript) Analyzable() bool { return s.affine }
 // subscripts.
 func (s *Subscript) Index(env map[string]int, store *Store) (int, error) {
 	if s.affine {
-		return s.aff.Eval(env), nil
+		// Integer addition is associative and commutative even when it
+		// wraps, so this is exactly Affine.Eval's sum.
+		v := s.constant
+		for _, t := range s.terms {
+			v += t.coeff * env[t.name]
+		}
+		return v, nil
 	}
 	if store == nil {
 		return 0, fmt.Errorf("ir: indirect reference %s needs runtime values", s.ref)

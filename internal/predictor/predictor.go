@@ -66,7 +66,7 @@ func New(cfg Config) (*Predictor, error) {
 		SizeBytes: sampledSets * uint64(cfg.Ways) * cfg.LineBytes,
 		LineBytes: cfg.LineBytes,
 		Ways:      cfg.Ways,
-	})
+	}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (p *Predictor) sampled(line uint64) bool {
 func (p *Predictor) Predict(addr uint64) bool {
 	line := addr &^ (p.cfg.LineBytes - 1)
 	if p.sampled(line) {
-		return p.shadow.Contains(line)
+		return p.shadow.Contains(0, line)
 	}
 	// Unsampled set: fall back to the hit-rate bias observed on sampled sets.
 	return p.sampledHits*2 > p.sampledAccesses
@@ -110,7 +110,7 @@ func (p *Predictor) Observe(addr uint64, actualHit bool) {
 	}
 	p.total++
 	if p.sampled(line) {
-		hit := p.shadow.Access(line)
+		hit := p.shadow.Access(0, line)
 		p.sampledAccesses++
 		if hit {
 			p.sampledHits++
@@ -125,7 +125,7 @@ func (p *Predictor) Train(addrs []uint64) {
 	for _, a := range addrs {
 		line := a &^ (p.cfg.LineBytes - 1)
 		if p.sampled(line) {
-			hit := p.shadow.Access(line)
+			hit := p.shadow.Access(0, line)
 			p.sampledAccesses++
 			if hit {
 				p.sampledHits++

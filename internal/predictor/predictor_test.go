@@ -29,11 +29,11 @@ func TestPerfectOnSampledRepeats(t *testing.T) {
 	p := MustNew(cfg)
 	// Warm with a small working set, then re-access: every prediction must
 	// be correct because the shadow mirrors the full cache.
-	real := cache.MustNew(cache.Config{SizeBytes: cfg.L2TotalBytes, LineBytes: cfg.LineBytes, Ways: cfg.Ways})
+	real := cache.MustNew(cache.Config{SizeBytes: cfg.L2TotalBytes, LineBytes: cfg.LineBytes, Ways: cfg.Ways}, 1)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
 		addr := uint64(rng.Intn(1 << 14)) // working set fits
-		actual := real.Access(addr)
+		actual := real.Access(0, addr)
 		p.Observe(addr, actual)
 	}
 	if acc := p.Accuracy(); acc < 0.99 {
@@ -47,7 +47,7 @@ func TestPerfectOnSampledRepeats(t *testing.T) {
 func TestImperfectUnderSampling(t *testing.T) {
 	cfg := tiny() // SampleMod 4
 	p := MustNew(cfg)
-	real := cache.MustNew(cache.Config{SizeBytes: cfg.L2TotalBytes, LineBytes: cfg.LineBytes, Ways: cfg.Ways})
+	real := cache.MustNew(cache.Config{SizeBytes: cfg.L2TotalBytes, LineBytes: cfg.LineBytes, Ways: cfg.Ways}, 1)
 	rng := rand.New(rand.NewSource(5))
 	// A mixed workload: half streaming (misses), half small reuse set (hits).
 	for i := 0; i < 4000; i++ {
@@ -57,7 +57,7 @@ func TestImperfectUnderSampling(t *testing.T) {
 		} else {
 			addr = uint64(rng.Intn(1 << 12)) // small hot set
 		}
-		actual := real.Access(addr)
+		actual := real.Access(0, addr)
 		p.Observe(addr, actual)
 	}
 	acc := p.Accuracy()
