@@ -37,9 +37,8 @@ vet:
 
 # The project linter: cmd/dmacplint runs the internal/analysis suite — five
 # syntactic analyzers (maporder, parownership, seeddiscipline, bytehops,
-# ctxdiscipline) plus three interprocedural ones over module-wide call-graph
-# summaries (detflow, lockorder, frozenstate) — over the whole module, then
-# over the separate bench/ module, which `./...` does not reach.
+# ctxdiscipline) — over the whole module, then over the separate bench/
+# module, which `./...` does not reach.
 # Stdlib-only, so it works offline; findings are build failures.
 lint: build
 	$(GO) run ./cmd/dmacplint ./...

@@ -4,7 +4,8 @@
 // (and therefore `make check`) and runs in CI; a non-empty finding list is a
 // build failure.
 //
-// The eight analyzers:
+// The five analyzers, each syntactic (one function at a time, no call
+// graph):
 //
 //	maporder       no order-sensitive map iteration on the schedule-emission
 //	               path (byte-identical schedules at any -j)
@@ -15,17 +16,10 @@
 //	bytehops       unit consistency of bytes, hops and bytes×hops movement
 //	ctxdiscipline  context.Context is always the first parameter and never
 //	               a struct field (deadlines cannot outlive their call)
-//	detflow        interprocedural nondeterminism taint: map-iteration order,
-//	               unseeded randomness and wall-clock seeds that reach the
-//	               emission path through any call chain
-//	lockorder      module-wide mutex-acquisition-order cycles, plus locks
-//	               held across par.ForEach / sim.RunCtx fan-out boundaries
-//	frozenstate    values published for concurrent read (core.Schedule,
-//	               mesh.DistanceTable, //lint:dmacp-frozen types) must not be
-//	               mutated outside their declaring package after publication
 //
-// The last three share one interprocedural pass: a deterministic module-wide
-// call graph with bottom-up per-function summaries (see internal/analysis).
+// Bugs that only show across calls (order leaked through a helper, a lock
+// held across a fan-out, a published value mutated) are left to the dynamic
+// gates: TestScheduleDigests, `make jobs-identical` and `make race`.
 //
 // Usage:
 //

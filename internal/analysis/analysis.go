@@ -17,18 +17,13 @@
 //     a struct field, so a repair deadline cannot outlive its call
 //     (ctxdiscipline).
 //
-// Three further analyzers are interprocedural: they compose on the
-// module-wide call graph and bottom-up per-function summaries exposed
-// through the Pass-visible Facts API (callgraph.go, summary.go, facts.go):
-//
-//   - nondeterministic order, unseeded randomness and laundered wall-clock
-//     seeds must not flow across call boundaries into the emission path
-//     (detflow);
-//   - the module's mutex-acquisition-order graph must be acyclic, and no
-//     lock may be held across a par.ForEach/sim.RunCtx fan-out (lockorder);
-//   - values published for concurrent read (mesh.DistanceTable,
-//     core.Schedule, plus any type annotated //lint:dmacp-frozen) must not
-//     be mutated outside their declaring package (frozenstate).
+// Every analyzer is syntactic: it inspects one type-checked function at a
+// time, with no call graph. Bugs that only show across calls — map order
+// returned by a helper and emitted elsewhere, a lock held across a fan-out,
+// a published Schedule or DistanceTable mutated after publication — are left
+// to the dynamic gates, which fail on each of them: TestScheduleDigests and
+// `make jobs-identical` on changed bytes, `make race` on a racing write, and
+// a test timeout on a deadlock.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, testdata fixtures with `// want` expectations) but is built
@@ -64,10 +59,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects a package and reports findings through the pass.
 	Run func(*Pass)
-	// NeedsFacts marks interprocedural analyzers: when any selected
-	// analyzer sets it, Run computes module-wide Facts once and hands them
-	// to every pass.
-	NeedsFacts bool
 }
 
 // A Diagnostic is one finding, positioned and attributed to its analyzer.
@@ -94,10 +85,6 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Facts holds the module-wide interprocedural results (call graph,
-	// summaries, precomputed findings). Nil unless some selected analyzer
-	// declares NeedsFacts.
-	Facts *Facts
 
 	diags  []Diagnostic
 	allows allowIndex
@@ -130,7 +117,6 @@ func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...a
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, ParOwnership, SeedDiscipline, ByteHops, CtxDiscipline,
-		DetFlow, LockOrder, FrozenState,
 	}
 }
 
@@ -168,19 +154,12 @@ func names(as []*Analyzer) string {
 // analyzer name or reason) are reported as findings of the pseudo-analyzer
 // "allowlist" so they cannot silently rot.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var facts *Facts
-	for _, a := range analyzers {
-		if a.NeedsFacts {
-			facts = ComputeFacts(pkgs)
-			break
-		}
-	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allows, bad := collectAllows(pkg)
 		diags = append(diags, bad...)
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, allows: allows}
+			pass := &Pass{Analyzer: a, Pkg: pkg, allows: allows}
 			a.Run(pass)
 			diags = append(diags, pass.diags...)
 		}

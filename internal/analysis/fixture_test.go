@@ -15,22 +15,12 @@ import (
 
 var wantRE = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
-// runFixture loads testdata/src/<fixture>/... (including _test.go files, so
-// per-file exemptions are exercised, and including subpackages, so the
-// interprocedural fixtures can split sources and sinks across a package
-// boundary) and checks the analyzer's diagnostics against the `// want`
-// expectations, both directions.
+// runFixture loads testdata/src/<fixture> (including _test.go files, so
+// per-file exemptions are exercised) and checks the analyzer's diagnostics
+// against the `// want` expectations, both directions.
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	runFixtureAnalyzers(t, []*Analyzer{a}, fixture)
-}
-
-// runFixtureAnalyzers is runFixture over several analyzers at once, for
-// fixtures whose `// want` expectations span more than one analyzer (the
-// fusion fixture exercises maporder and detflow together).
-func runFixtureAnalyzers(t *testing.T, as []*Analyzer, fixture string) {
-	t.Helper()
-	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/"+fixture+"/...")
+	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/"+fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -58,7 +48,7 @@ func runFixtureAnalyzers(t *testing.T, as []*Analyzer, fixture string) {
 		}
 	}
 
-	diags := Run(pkgs, as)
+	diags := Run(pkgs, []*Analyzer{a})
 	matched := make(map[key]int)
 	for _, d := range diags {
 		k := key{d.Pos.Filename, d.Pos.Line}
@@ -82,16 +72,11 @@ func TestParOwnershipFixture(t *testing.T)   { runFixture(t, ParOwnership, "paro
 func TestSeedDisciplineFixture(t *testing.T) { runFixture(t, SeedDiscipline, "seeddiscipline") }
 func TestByteHopsFixture(t *testing.T)       { runFixture(t, ByteHops, "bytehops") }
 func TestCtxDisciplineFixture(t *testing.T)  { runFixture(t, CtxDiscipline, "ctxdiscipline") }
-func TestDetFlowFixture(t *testing.T)        { runFixture(t, DetFlow, "detflow") }
-func TestLockOrderFixture(t *testing.T)      { runFixture(t, LockOrder, "lockorder") }
-func TestFrozenStateFixture(t *testing.T)    { runFixture(t, FrozenState, "frozenstate") }
 
 // TestFusionFixture checks the fusion-candidate-emission patterns against
-// maporder and detflow together: the coarsened statement sequence is emitted
-// output, so candidate selection must be deterministic.
-func TestFusionFixture(t *testing.T) {
-	runFixtureAnalyzers(t, []*Analyzer{MapOrder, DetFlow}, "fusion")
-}
+// maporder: the coarsened statement sequence is emitted output, so candidate
+// selection must be deterministic.
+func TestFusionFixture(t *testing.T) { runFixture(t, MapOrder, "fusion") }
 
 // TestMapOrderSuggestedFix pins the mechanical sorted-keys rewrite: the
 // flagged range in the maporder fixture must carry a replacement sketch that
@@ -165,7 +150,7 @@ func TestAllowlistPlacementEdgeCases(t *testing.T) {
 	}
 	// Surviving findings: the 3 allowlist diagnostics plus exactly one
 	// seeddiscipline finding (under the typo'd directive). Everything else
-	// — stacked seeddiscipline+detflow on one line, bytehops on the
+	// — stacked seeddiscipline+bytehops on one line, bytehops on the
 	// multi-line statement, the plain well-formed case — is suppressed.
 	if byAnalyzer["allowlist"] != 3 || byAnalyzer["seeddiscipline"] != 1 || len(all) != 4 {
 		t.Errorf("directive placement semantics broke; surviving diagnostics:\n  %s",
@@ -195,8 +180,8 @@ func TestTreeIsLintClean(t *testing.T) {
 // TestByName covers analyzer selection parsing for cmd/dmacplint.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
 	two, err := ByName("maporder, bytehops")
 	if err != nil || len(two) != 2 || two[0] != MapOrder || two[1] != ByteHops {

@@ -19,10 +19,8 @@ import (
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	FileNames  []string
 	Types      *types.Package
 	TypesInfo  *types.Info
 }
@@ -126,7 +124,6 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
@@ -135,10 +132,8 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
 			Fset:       fset,
 			Files:      files,
-			FileNames:  fileNames,
 			Types:      tpkg,
 			TypesInfo:  info,
 		})

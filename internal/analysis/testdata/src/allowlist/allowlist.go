@@ -4,10 +4,7 @@
 // multi-line statement) are pinned here.
 package allowlist
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // Malformed: no analyzer, no reason.
 //
@@ -34,13 +31,12 @@ func typoAllow() float64 {
 }
 
 // Two stacked own-line directives (different analyzers) both cover the
-// first non-directive line below them: the clock seed here trips both
-// seeddiscipline and detflow on one line.
-func stacked() int64 {
+// first non-directive line below them: the global-source draw mixed with a
+// bytes+hops sum trips both seeddiscipline and bytehops on one line.
+func stacked(transferBytes, hops int64) float64 {
 	//lint:dmacp-allow seeddiscipline fixture: stacked directives cover one statement
-	//lint:dmacp-allow detflow fixture: stacked directives cover one statement
-	src := rand.NewSource(time.Now().UnixNano())
-	return src.Int63()
+	//lint:dmacp-allow bytehops fixture: stacked directives cover one statement
+	return rand.Float64() * float64(transferBytes+hops)
 }
 
 // A trailing directive on the first line of a multi-line statement covers

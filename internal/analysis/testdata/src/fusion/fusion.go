@@ -1,14 +1,11 @@
 // Package fusion is the fixture for fusion-style candidate emission: the
 // coarsening pre-pass publishes statement order into the schedule (the
 // coarsened nest IS the emission order), so candidates must be picked in
-// deterministic ascending-statement order — never by map iteration, never by
-// goroutine completion. Exercised by both maporder and detflow.
+// deterministic ascending-statement order, never by map iteration.
+// Exercised by maporder.
 package fusion
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // stmt is a schematic statement: an index and the array it stores to.
 type stmt struct {
@@ -56,55 +53,6 @@ func coarsenSortedCandidates(cands map[int][]int) *fusionMap {
 	fm := &fusionMap{}
 	for _, p := range keys {
 		fm.groups = append(fm.groups, append([]int{p}, cands[p]...))
-	}
-	return fm
-}
-
-// Flagged: legality checks fanned out to goroutines must not let completion
-// order decide which producer fuses first.
-func coarsenByCompletionOrder(stmts []stmt, legal func(stmt) bool) *fusionMap {
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var winners []int
-	for _, s := range stmts {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if legal(s) {
-				mu.Lock()
-				winners = append(winners, s.id)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	fm := &fusionMap{}
-	for _, id := range winners { // want "spawned goroutine"
-		fm.groups = append(fm.groups, []int{id})
-	}
-	return fm
-}
-
-// Not flagged: the same fan-out with indexed result slots — each worker owns
-// its slot, and the read-back order is the deterministic statement order.
-func coarsenIndexedSlots(stmts []stmt, legal func(stmt) bool) *fusionMap {
-	ok := make([]bool, len(stmts))
-	var wg sync.WaitGroup
-	for i, s := range stmts {
-		i, s := i, s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ok[i] = legal(s)
-		}()
-	}
-	wg.Wait()
-	fm := &fusionMap{}
-	for i := range stmts {
-		if ok[i] {
-			fm.groups = append(fm.groups, []int{stmts[i].id})
-		}
 	}
 	return fm
 }

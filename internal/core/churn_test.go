@@ -9,21 +9,13 @@ import (
 	"dmacp/internal/mesh"
 )
 
-// stepCtx is a deterministic anytime-budget context: it reports a deadline
-// (so the ladder takes the anytime path) and expires after a fixed number of
-// Err consultations, independent of wall-clock time. Tests use it to pin
-// exactly which ladder stage the "deadline" hits.
-type stepCtx struct{ left int }
-
-func (c *stepCtx) Deadline() (time.Time, bool) { return time.Time{}, true }
-func (c *stepCtx) Done() <-chan struct{}       { return nil }
-func (c *stepCtx) Value(any) any               { return nil }
-func (c *stepCtx) Err() error {
-	if c.left <= 0 {
-		return context.DeadlineExceeded
-	}
-	c.left--
-	return nil
+// expiredCtx returns a context whose deadline has already passed: the
+// repair ladder takes its anytime path and stops at its first poll, which
+// comes after the cheap greedy attempt.
+func expiredCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Time{})
+	t.Cleanup(cancel)
+	return ctx
 }
 
 func TestChurnStateObserve(t *testing.T) {
@@ -182,7 +174,7 @@ func TestReintegrateReturnsResidualOnExpiredContext(t *testing.T) {
 	}
 	f.ReviveTile(victim)
 
-	back, rrep, err := ReintegrateOnline(&stepCtx{left: 0}, repaired, nil, m, f,
+	back, rrep, err := ReintegrateOnline(expiredCtx(t), repaired, nil, m, f,
 		[]mesh.NodeID{victim}, RepairOptions{}, NewChurnState(), nil)
 	if err != nil {
 		t.Fatalf("expired context must fall back, not fail: %v", err)
@@ -221,7 +213,9 @@ func TestAnytimeDeadlineReturnsGreedyIncumbent(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 
 	// Unbounded reference: the full anytime path (greedy then min-cost).
-	unbounded, urep, err := RepairVerifiedCtx(&stepCtx{left: 1 << 30}, s, m, f, RepairOptions{}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	unbounded, urep, err := RepairVerifiedCtx(ctx, s, m, f, RepairOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +223,8 @@ func TestAnytimeDeadlineReturnsGreedyIncumbent(t *testing.T) {
 		t.Fatal("unbounded anytime repair returned nothing")
 	}
 
-	// Budget of 0: expires at the first poll, which happens after greedy.
-	got, grep, err := RepairVerifiedCtx(&stepCtx{left: 0}, s, m, f, RepairOptions{}, nil)
+	// Already expired: the first poll, which happens after greedy, stops.
+	got, grep, err := RepairVerifiedCtx(expiredCtx(t), s, m, f, RepairOptions{}, nil)
 	if err != nil {
 		t.Fatalf("deadline with an incumbent must succeed: %v", err)
 	}
@@ -252,7 +246,7 @@ func TestAnytimeDeadlineWithNoIncumbentFails(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	rejectAll := func(*Schedule) error { return errors.New("rejected by test checker") }
 
-	_, _, err := RepairVerifiedCtx(&stepCtx{left: 0}, s, m, f, RepairOptions{}, rejectAll)
+	_, _, err := RepairVerifiedCtx(expiredCtx(t), s, m, f, RepairOptions{}, rejectAll)
 	if err == nil {
 		t.Fatal("expired deadline with no clean schedule must fail")
 	}
@@ -265,42 +259,38 @@ func TestAnytimeDeadlineWithNoIncumbentFails(t *testing.T) {
 	}
 }
 
-// TestRepairRetriesBeforeEscalating proves the bounded-retry rung: a checker
-// that rejects the first two candidates accepts on the third (relaxed)
-// incremental attempt, so the ladder never reaches full re-placement.
-func TestRepairRetriesBeforeEscalating(t *testing.T) {
+// TestRepairEscalatesToFullReplacement pins the classic ladder: a checker
+// that rejects the incremental repair accepts the full re-placement, and a
+// checker that rejects both fails at stage re-place-verify-reject after
+// exactly two consultations.
+func TestRepairEscalatesToFullReplacement(t *testing.T) {
 	s, _, f, _ := deadTileWithWork(t)
 	m := mesh.MustNew(6, 6)
 
 	calls := 0
-	flaky := func(c *Schedule) error {
+	rejectFirst := func(c *Schedule) error {
 		calls++
-		if calls <= 2 {
-			return errors.New("transient rejection")
+		if calls == 1 {
+			return errors.New("rejected incremental repair")
 		}
 		return ValidateScheduleOn(c, m, f)
 	}
-
-	got, rep, err := RepairVerified(s, m, f, RepairOptions{RetryLimit: 3}, flaky)
+	got, rep, err := RepairVerified(s, m, f, RepairOptions{}, rejectFirst)
 	if err != nil {
-		t.Fatalf("retries should have recovered: %v", err)
+		t.Fatalf("full re-placement should have been accepted: %v", err)
 	}
-	if rep.Full {
-		t.Fatal("accepted repair escalated to full re-placement despite retry budget")
-	}
-	if calls != 3 {
-		t.Fatalf("checker consulted %d times, want 3 (initial + 2 retries)", calls)
+	if !rep.Full || calls != 2 {
+		t.Fatalf("want acceptance at the full re-placement after 2 checks, got Full=%v after %d", rep.Full, calls)
 	}
 	if err := ValidateScheduleOn(got, m, f); err != nil {
 		t.Fatal(err)
 	}
 
-	// Without a retry budget the same checker exhausts the classic ladder
-	// (one incremental, one full — two rejections) and the repair fails.
 	calls = 0
-	_, _, err = RepairVerified(s, m, f, RepairOptions{}, flaky)
+	rejectAll := func(*Schedule) error { calls++; return errors.New("rejected by test checker") }
+	_, _, err = RepairVerified(s, m, f, RepairOptions{}, rejectAll)
 	var rf *RepairFailure
-	if !errors.As(err, &rf) || rf.Stage != "re-place-verify-reject" {
-		t.Fatalf("without retries want failure at re-place-verify-reject, got %v", err)
+	if !errors.As(err, &rf) || rf.Stage != "re-place-verify-reject" || calls != 2 {
+		t.Fatalf("want failure at re-place-verify-reject after 2 checks, got %v after %d", err, calls)
 	}
 }

@@ -12,17 +12,9 @@ import (
 	"fmt"
 
 	"dmacp/internal/addrmap"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
 	"dmacp/internal/predictor"
 )
-
-// VerifyFunc is an opt-in post-partitioning hook: it receives the inputs and
-// the finished result and returns an error when the emitted schedule fails
-// whatever check the hook implements. The canonical implementation is
-// internal/verify's dependence-preservation pass (verify.PartitionHook); the
-// indirection exists because core cannot import verify.
-type VerifyFunc func(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, res *Result) error
 
 // Options configures one partitioning run.
 type Options struct {
@@ -74,11 +66,6 @@ type Options struct {
 	// mapping of Section 6.5. Pages absent from the map use the cluster
 	// mode's default MC.
 	MCOverride map[uint64]mesh.NodeID
-
-	// Verify, when non-nil, runs after Partition assembles its result; a
-	// returned error aborts Partition. Used to gate schedules behind the
-	// static dependence-preservation verifier.
-	Verify VerifyFunc
 
 	// Jobs bounds the worker pool of the window-size sweep: each window trial
 	// is an independent pass, so Partition fans them out on up to Jobs

@@ -218,11 +218,6 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	res.OffloadMix = best.offloadMix
 	res.LineLabels = tr.labels
 	res.Translations = tr.translations
-	if opts.Verify != nil {
-		if err := opts.Verify(prog, nest, store, &opts, res); err != nil {
-			return nil, fmt.Errorf("core: schedule verification: %w", err)
-		}
-	}
 	return res, nil
 }
 

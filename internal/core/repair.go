@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"dmacp/internal/assign"
 	"dmacp/internal/mesh"
@@ -58,15 +57,6 @@ type RepairOptions struct {
 	// Strategy selects the migration assignment (see AssignStrategy); the
 	// zero value is AssignAuto.
 	Strategy AssignStrategy
-	// RetryLimit bounds the extra incremental attempts RepairVerifiedCtx
-	// makes after a rejected incremental repair — each with the load-balance
-	// slack relaxed by 1.5x and RetryBackoff between attempts — before
-	// escalating to the full re-placement. 0 escalates immediately (the
-	// pre-anytime behavior).
-	RetryLimit int
-	// RetryBackoff is the context-aware pause between retry attempts; 0
-	// retries without pausing.
-	RetryBackoff time.Duration
 	// ChurnHysteresis scales the migration cost a revived element must beat
 	// before ReintegrateOnline migrates work back onto it: a task returns
 	// only when bytes x hops saved > ChurnHysteresis x migration cost.
@@ -638,22 +628,6 @@ func (e *RepairFailure) Error() string {
 
 func (e *RepairFailure) Unwrap() error { return e.Err }
 
-// sleepCtx pauses for d, returning early with the context's error when it
-// expires first. d <= 0 only polls the context.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // RepairVerified is the gated degradation path: repair incrementally,
 // verify; on rejection escalate to a full re-placement, verify; only then
 // give up with a *RepairFailure naming the stage reached. The input
@@ -667,13 +641,12 @@ func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 // RepairVerifiedCtx is the anytime escalation ladder. Without a context
 // deadline it behaves exactly like the classic ladder: one incremental
 // repair (AssignAuto commits the cheaper of batched/greedy pre-verify),
-// verify, optional bounded retries with relaxed load balance, then a full
-// re-placement. With a deadline set, every ladder stage checks the context
-// and an *incumbent* — the best verifier-clean schedule found so far — is
-// tracked: the cheap greedy assignment runs first so an incumbent exists as
-// early as possible, the batched min-cost attempt then only replaces it when
-// clean and no worse (ties prefer the batched result), and on expiry the
-// incumbent is returned as-is. The result is therefore never worse than the
+// verify, then a full re-placement. With a deadline set, every ladder stage
+// checks the context and an *incumbent* — the best verifier-clean schedule
+// found so far — is tracked: the cheap greedy assignment runs first so an
+// incumbent exists as early as possible, the batched min-cost attempt then
+// only replaces it when clean and no worse (ties prefer the batched result),
+// and on expiry the incumbent is returned as-is. The result is therefore never worse than the
 // pre-deadline incumbent. Only when the deadline expires before any clean
 // schedule exists does it fail, with a *RepairFailure at stage "deadline"
 // wrapping the context's error.
@@ -739,23 +712,6 @@ func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.F
 			attempt(oMC, "repair", "verify-reject", true)
 		} else {
 			attempt(o, "repair", "verify-reject", false)
-		}
-		if best != nil {
-			return best, bestRep, nil
-		}
-		// Bounded retry with progressively relaxed load balance before the
-		// expensive full re-placement: a rejected incremental repair often
-		// just needs more placement slack.
-		relaxed := o
-		if relaxed.LoadThreshold <= 0 {
-			relaxed.LoadThreshold = 0.10
-		}
-		for r := 0; r < o.RetryLimit && best == nil; r++ {
-			if err := sleepCtx(ctx, o.RetryBackoff); err != nil {
-				return deadlineResult()
-			}
-			relaxed.LoadThreshold *= 1.5
-			attempt(relaxed, "repair", "verify-reject", false)
 		}
 		if best != nil {
 			return best, bestRep, nil

@@ -43,9 +43,9 @@ type Task struct {
 // Schedule is the partitioner's output for one nest: the full task DAG plus
 // synchronization accounting. Once published it is read concurrently
 // (simulator, verifier, experiment engine) and must not be mutated outside
-// this package; dmacplint's frozenstate analyzer enforces that.
-//
-//lint:dmacp-frozen
+// this package; repair works on a Clone. `make race` fails on a write that
+// races a reader, and TestScheduleDigests and `make jobs-identical` on one
+// that changes emitted bytes.
 type Schedule struct {
 	Tasks []*Task
 	// SyncsBefore counts synchronization arcs before transitive reduction;

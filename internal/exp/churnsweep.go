@@ -11,23 +11,6 @@ import (
 	"dmacp/internal/stats"
 )
 
-// budgetCtx is a deterministic anytime-budget context for the deadline gate:
-// it reports a deadline (so the repair ladder takes the anytime path) and
-// expires after a fixed number of Err consultations, never reading the wall
-// clock — the sweep stays byte-identical at every -j.
-type budgetCtx struct{ left int }
-
-func (c *budgetCtx) Deadline() (time.Time, bool) { return time.Time{}, true }
-func (c *budgetCtx) Done() <-chan struct{}       { return nil }
-func (c *budgetCtx) Value(any) any               { return nil }
-func (c *budgetCtx) Err() error {
-	if c.left <= 0 {
-		return context.DeadlineExceeded
-	}
-	c.left--
-	return nil
-}
-
 // churnLevels is the churn sweep's fault ladder: each level kills the
 // victim tile plus Tiles-1 random non-MC tiles and the listed random links
 // (the victim alone, then the victim and 2 dead links).
@@ -264,13 +247,18 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 		}
 
 		// Deadline probe: an expired anytime budget must still return a
-		// verifier-clean incumbent, and an unbounded run must never end up
-		// with more movement than that incumbent.
+		// verifier-clean incumbent, and a run whose deadline cannot pass
+		// must never end up with more movement than that incumbent. Both
+		// contexts carry a deadline, so the ladder takes its anytime path;
+		// neither outcome depends on timing, so the sweep stays
+		// byte-identical at every -j.
 		{
 			f := mesh.NewFaultSet()
 			f.KillTile(victim)
 			out.deadlineEvents++
-			bounded, brep, err := core.RepairVerifiedCtx(&budgetCtx{left: 0}, part.Schedule, m, f, ro, nil)
+			expired, cancel := context.WithDeadline(context.Background(), time.Time{})
+			defer cancel()
+			bounded, brep, err := core.RepairVerifiedCtx(expired, part.Schedule, m, f, ro, nil)
 			if err != nil {
 				out.violations = append(out.violations, fmt.Sprintf(
 					"%s: deadline repair with an incumbent failed: %v", s.nest.Name, err))
@@ -278,7 +266,9 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 				out.violations = append(out.violations, fmt.Sprintf(
 					"%s: deadline incumbent not verifier-clean: %v", s.nest.Name, err))
 			} else {
-				_, urep, uerr := core.RepairVerifiedCtx(&budgetCtx{left: 1 << 30}, part.Schedule, m, f, ro, nil)
+				unbounded, cancel := context.WithTimeout(context.Background(), time.Hour)
+				defer cancel()
+				_, urep, uerr := core.RepairVerifiedCtx(unbounded, part.Schedule, m, f, ro, nil)
 				if uerr != nil {
 					out.violations = append(out.violations, fmt.Sprintf(
 						"%s: unbounded anytime repair failed: %v", s.nest.Name, uerr))

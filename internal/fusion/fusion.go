@@ -35,8 +35,8 @@
 // Candidates are scanned in ascending statement order and re-scanned after
 // every merge, so chains (a temp feeding a temp) coarsen to a fixpoint and
 // the result is deterministic for a given body — no map iteration is
-// involved anywhere in the pass (dmacplint's maporder/detflow analyzers
-// watch this package like every other emission-path package).
+// involved anywhere in the pass (dmacplint's maporder analyzer watches this
+// package like every other emission-path package).
 package fusion
 
 import (
@@ -61,9 +61,9 @@ const (
 // FusionMap records how coarsened statement indices expand back to the
 // original body, so reports and diagnostics can name original statements.
 // It is published together with the partitioner's Result and read
-// concurrently; dmacplint's frozenstate analyzer enforces immutability.
-//
-//lint:dmacp-frozen
+// concurrently, so it is immutable once built: `make race` fails on a write
+// that races a reader, and TestScheduleDigests and `make jobs-identical` on
+// one that changes emitted output.
 type FusionMap struct {
 	// Groups[f] lists the original statement indices folded into coarsened
 	// statement f, in original program order. A singleton group is an

@@ -129,9 +129,8 @@ func (m *Mesh) Distance(a, b NodeID) int {
 // holds each node's coordinates (O(N)) and answers with the Manhattan
 // distance; on a degraded mesh (AllDistancesAvoiding) it holds one flat
 // table of live hop counts, -1 where the pair is partitioned. A view is
-// immutable once built and safe for concurrent readers.
-//
-//lint:dmacp-frozen
+// immutable once built and safe for concurrent readers; `make race` fails
+// on a write that races one.
 type DistanceTable struct {
 	n    int     // mesh nodes
 	x, y []int32 // pristine: node coordinates; nil on a degraded view

@@ -692,17 +692,3 @@ func checkBounds(in Input, o Options, rep *Report) {
 		}
 	}
 }
-
-// PartitionHook adapts Check to core.Options.Verify: install it to gate
-// every Partition call behind the verifier.
-//
-//	opts.Verify = verify.PartitionHook(verify.Options{})
-func PartitionHook(o Options) core.VerifyFunc {
-	return func(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *core.Options, res *core.Result) error {
-		rep, err := Check(PartitionInput(prog, store, res, *opts), o)
-		if err != nil {
-			return err
-		}
-		return rep.Err()
-	}
-}

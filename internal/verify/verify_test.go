@@ -290,14 +290,6 @@ func TestOutOfBoundsWarning(t *testing.T) {
 	}
 }
 
-func TestPartitionHookGatesPartition(t *testing.T) {
-	prog, nest, store, opts := buildKernel(t, raceKernel, 32, 1<<10)
-	opts.Verify = verify.PartitionHook(verify.Options{})
-	if _, err := core.Partition(prog, nest, store, opts); err != nil {
-		t.Fatalf("verified partition failed: %v", err)
-	}
-}
-
 // TestMaxClosureTasksIsSoftBound replaces the old refusal test: with the
 // chain-decomposed closure, MaxClosureTasks only budgets index memory, so
 // even an absurdly small bound must verify the schedule — correctly.
