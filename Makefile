@@ -81,8 +81,8 @@ verify: build
 	$(GO) run ./cmd/dmacp verify -strict -q
 
 # Reachability-index scale gate: a >=100k-task nested schedule must verify
-# cleanly under the default soft memory bound (the old bitset closure would
-# have refused it).
+# cleanly under the verifier's fixed soft memory bound (the old bitset
+# closure would have refused it).
 verifybig:
 	$(GO) test ./internal/verify/ -run TestVerifyBigSchedule -count=1 -v
 

@@ -40,6 +40,8 @@
 //
 // All commands accept -j N to bound the worker pool (<= 0 means one worker
 // per CPU, 1 forces serial execution); results are identical at every setting.
+// Every command exits 2 on invalid input: bad flags, a kernel that does not
+// parse or exceeds the size limits, an unknown cluster or memory mode.
 package main
 
 import (
@@ -113,8 +115,7 @@ func runVerify(args []string) {
 		for _, name := range apps {
 			checks, err := pipeline.CheckAppSchedules(name, *iters, *alen, cfgFor())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dmacp verify:", err)
-				os.Exit(1)
+				exitErr("dmacp verify", "", err)
 			}
 			if !*quiet {
 				fmt.Printf("-- %s --\n", name)
@@ -143,8 +144,7 @@ func runVerify(args []string) {
 	}
 	checks, err := pipeline.CheckSchedules(k, cfgFor())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmacp verify:", err)
-		os.Exit(1)
+		exitErr("dmacp verify", "", err)
 	}
 	if report(checks) {
 		fmt.Fprintln(os.Stderr, "dmacp verify: FAILED: a schedule failed verification")
@@ -155,15 +155,16 @@ func runVerify(args []string) {
 	}
 }
 
-// faultsExit reports a faults-path failure and exits with the documented
-// code: 2 for invalid input (bad specs, flags, out-of-range fractions), 1
-// for a fault set the repair ladder gave up on.
-func faultsExit(err error) {
+// exitErr reports a failure of command cmd and exits with the documented
+// code: 2 for invalid input (pipeline.ErrBadInput: bad kernels, specs,
+// flags, out-of-range fractions), 1 for anything else, which kind names
+// (the faults path's "UNREPAIRABLE: ").
+func exitErr(cmd, kind string, err error) {
 	if errors.Is(err, pipeline.ErrBadInput) {
-		fmt.Fprintln(os.Stderr, "dmacp faults: INVALID INPUT:", err)
+		fmt.Fprintln(os.Stderr, cmd+": INVALID INPUT:", err)
 		os.Exit(2)
 	}
-	fmt.Fprintln(os.Stderr, "dmacp faults: UNREPAIRABLE:", err)
+	fmt.Fprintln(os.Stderr, cmd+": "+kind+err.Error())
 	os.Exit(1)
 }
 
@@ -204,8 +205,8 @@ Exit codes:
   0  repaired and verified
   1  the fault set is unrepairable (or the -timeout deadline expired with no
      verifier-clean schedule found)
-  2  invalid input: malformed -kill-* specs, node ids outside the mesh,
-     -at outside (0, 1), or bad flags
+  2  invalid input: a bad kernel or mode, malformed -kill-* specs, node ids
+     outside the mesh, -at outside (0, 1), or bad flags
 `)
 	}
 	fs.Parse(args)
@@ -234,7 +235,7 @@ Exit codes:
 	if *online {
 		rep, err := pipeline.RunFaultsOnline(k, cfg, spec, *at)
 		if err != nil {
-			faultsExit(err)
+			exitErr("dmacp faults", "UNREPAIRABLE: ", err)
 		}
 		fmt.Println("== online fault arrival & checkpointed re-repair ==")
 		fmt.Printf("platform:           %dx%d mesh, %s cluster mode\n", *cols, *rows, *cluster)
@@ -261,7 +262,7 @@ Exit codes:
 
 	rep, err := pipeline.RunFaults(k, cfg, spec)
 	if err != nil {
-		faultsExit(err)
+		exitErr("dmacp faults", "UNREPAIRABLE: ", err)
 	}
 
 	fmt.Println("== fault injection & schedule repair ==")
@@ -334,8 +335,7 @@ func main() {
 
 	rep, err := pipeline.Run(k, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmacp:", err)
-		os.Exit(1)
+		exitErr("dmacp", "", err)
 	}
 
 	if *asJSON {
@@ -386,8 +386,7 @@ func main() {
 	if *deps {
 		lines, err := pipeline.AnalyzeDeps(k, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmacp: deps:", err)
-			os.Exit(1)
+			exitErr("dmacp", "deps: ", err)
 		}
 		fmt.Println()
 		fmt.Println("static dependence analysis (GCD/Banerjee refined):")
@@ -406,8 +405,7 @@ func main() {
 		}
 		code, err := pipeline.EmitCode(k, cfg, maxPer)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmacp: emit:", err)
-			os.Exit(1)
+			exitErr("dmacp", "emit: ", err)
 		}
 		fmt.Println()
 		fmt.Println(code)
@@ -416,8 +414,7 @@ func main() {
 	if *verify {
 		ok, err := pipeline.Verify(k, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmacp: verify:", err)
-			os.Exit(1)
+			exitErr("dmacp", "verify: ", err)
 		}
 		if !ok {
 			fmt.Fprintln(os.Stderr, "dmacp: VERIFY FAILED: optimized order changed results")

@@ -12,10 +12,10 @@
 // is implemented in internal/core on top of substrates for the mesh network
 // (internal/mesh), SNUCA address mapping (internal/addrmap), caches
 // (internal/cache), the L2 hit/miss predictor (internal/predictor), the
-// compiler IR (internal/ir), MST machinery (internal/mst), the timing and
-// energy simulator (internal/sim), the default placement baselines
-// (internal/baseline), the 12-application workload suite
-// (internal/workloads), and the experiment harness (internal/exp).
+// compiler IR (internal/ir), the timing and energy simulator
+// (internal/sim), the default placement baselines (internal/baseline), the
+// 12-application workload suite (internal/workloads), and the experiment
+// harness (internal/exp).
 //
 // `go run ./cmd/experiments -run all` regenerates every table and figure of
 // the paper's evaluation and prints them with the paper's claims side by

@@ -1,9 +1,32 @@
 package addrmap
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+func newAllocator(t *testing.T) *Allocator {
+	t.Helper()
+	a, err := NewAllocator(DefaultLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// checkColorInvariant verifies that every established translation preserves
+// the page color; it returns an error describing the first violation.
+func checkColorInvariant(a *Allocator) error {
+	mod := a.layout.ColorModulus()
+	for vp, pp := range a.pageTable {
+		if vp%mod != pp%mod {
+			return fmt.Errorf("addrmap: page color violated: va page %d (color %d) -> pa page %d (color %d)",
+				vp, vp%mod, pp, pp%mod)
+		}
+	}
+	return nil
+}
 
 func TestDefaultLayoutValid(t *testing.T) {
 	if err := DefaultLayout().Validate(); err != nil {
@@ -13,11 +36,10 @@ func TestDefaultLayoutValid(t *testing.T) {
 
 func TestValidateRejectsBadLayouts(t *testing.T) {
 	bad := []Layout{
-		{LineBytes: 0, PageBytes: 4096, L2Banks: 4, Channels: 4, Ranks: 1, MemBanks: 1},
-		{LineBytes: 64, PageBytes: 100, L2Banks: 4, Channels: 4, Ranks: 1, MemBanks: 1},
-		{LineBytes: 64, PageBytes: 4096, L2Banks: 0, Channels: 4, Ranks: 1, MemBanks: 1},
-		{LineBytes: 64, PageBytes: 4096, L2Banks: 4, Channels: 0, Ranks: 1, MemBanks: 1},
-		{LineBytes: 64, PageBytes: 4096, L2Banks: 4, Channels: 4, Ranks: 1, MemBanks: 1, BankSet: []int{7}},
+		{LineBytes: 0, PageBytes: 4096, L2Banks: 4, Channels: 4},
+		{LineBytes: 64, PageBytes: 100, L2Banks: 4, Channels: 4},
+		{LineBytes: 64, PageBytes: 4096, L2Banks: 0, Channels: 4},
+		{LineBytes: 64, PageBytes: 4096, L2Banks: 4, Channels: 0},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {
@@ -31,7 +53,7 @@ func TestValidateRejectsBadLayouts(t *testing.T) {
 // with 32 L2 banks and 64B lines, bank = bits 6..10 of the address; with 4
 // channels and 4KB pages, channel = bits 12..13.
 func TestFigure2BitFieldEquivalence(t *testing.T) {
-	l := Layout{LineBytes: 64, PageBytes: 4096, L2Banks: 32, Channels: 4, Ranks: 4, MemBanks: 8}
+	l := Layout{LineBytes: 64, PageBytes: 4096, L2Banks: 32, Channels: 4}
 	addrs := []uint64{0, 64, 4096, 0xdeadbe40, 1 << 30, (1 << 19) - 64}
 	for _, pa := range addrs {
 		if got, want := l.L2Bank(pa), int((pa>>6)&0x1f); got != want {
@@ -39,12 +61,6 @@ func TestFigure2BitFieldEquivalence(t *testing.T) {
 		}
 		if got, want := l.Channel(pa), int((pa>>12)&0x3); got != want {
 			t.Errorf("Channel(%#x) = %d, want bits[13:12] = %d", pa, got, want)
-		}
-		if got, want := l.Rank(pa), int((pa>>14)&0x3); got != want {
-			t.Errorf("Rank(%#x) = %d, want bits[15:14] = %d", pa, got, want)
-		}
-		if got, want := l.MemBank(pa), int((pa>>16)&0x7); got != want {
-			t.Errorf("MemBank(%#x) = %d, want bits[18:16] = %d", pa, got, want)
 		}
 	}
 }
@@ -61,17 +77,6 @@ func TestL2BankCoversAllBanks(t *testing.T) {
 	}
 	if len(seen) != 36 {
 		t.Errorf("only %d distinct banks seen, want 36", len(seen))
-	}
-}
-
-func TestBankSetRestrictsBanks(t *testing.T) {
-	l := DefaultLayout()
-	l.BankSet = []int{0, 1, 6, 7} // a 2x2 corner "quadrant"
-	allowed := map[int]bool{0: true, 1: true, 6: true, 7: true}
-	for line := uint64(0); line < 100; line++ {
-		if b := l.L2Bank(line * l.LineBytes); !allowed[b] {
-			t.Fatalf("bank %d outside bank set", b)
-		}
 	}
 }
 
@@ -100,8 +105,8 @@ func TestColorModulusPreservesHomes(t *testing.T) {
 }
 
 func TestTranslateStableAndColorPreserving(t *testing.T) {
-	a := MustNewAllocator(DefaultLayout())
-	l := a.Layout()
+	a := newAllocator(t)
+	l := DefaultLayout()
 
 	va := uint64(0x12345678)
 	pa1 := a.Translate(va)
@@ -120,8 +125,8 @@ func TestTranslateStableAndColorPreserving(t *testing.T) {
 }
 
 func TestTranslatePreservesBankAndChannel(t *testing.T) {
-	a := MustNewAllocator(DefaultLayout())
-	l := a.Layout()
+	a := newAllocator(t)
+	l := DefaultLayout()
 	if err := quick.Check(func(raw uint64) bool {
 		va := raw % (1 << 32)
 		pa := a.Translate(va)
@@ -129,14 +134,14 @@ func TestTranslatePreservesBankAndChannel(t *testing.T) {
 	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-	if err := a.CheckColorInvariant(); err != nil {
+	if err := checkColorInvariant(a); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestTranslateDistinctPagesGetDistinctFrames(t *testing.T) {
-	a := MustNewAllocator(DefaultLayout())
-	l := a.Layout()
+	a := newAllocator(t)
+	l := DefaultLayout()
 	frames := make(map[uint64]uint64)
 	for vp := uint64(0); vp < 500; vp++ {
 		pa := a.Translate(vp * l.PageBytes)
@@ -145,23 +150,6 @@ func TestTranslateDistinctPagesGetDistinctFrames(t *testing.T) {
 			t.Fatalf("virtual pages %d and %d share physical frame %d", prev, vp, pf)
 		}
 		frames[pf] = vp
-	}
-	if a.AllocatedPages() != 500 {
-		t.Errorf("AllocatedPages = %d, want 500", a.AllocatedPages())
-	}
-}
-
-func TestHomeBankVAMatchesTranslation(t *testing.T) {
-	a := MustNewAllocator(DefaultLayout())
-	l := a.Layout()
-	for _, va := range []uint64{0, 64, 4096 + 128, 1 << 22, 0xfeed0} {
-		pa := a.Translate(va)
-		if a.HomeBankVA(va) != l.L2Bank(pa) {
-			t.Errorf("HomeBankVA(%#x) = %d but PA bank = %d", va, a.HomeBankVA(va), l.L2Bank(pa))
-		}
-		if a.ChannelVA(va) != l.Channel(pa) {
-			t.Errorf("ChannelVA(%#x) = %d but PA channel = %d", va, a.ChannelVA(va), l.Channel(pa))
-		}
 	}
 }
 

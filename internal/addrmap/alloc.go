@@ -1,12 +1,11 @@
 package addrmap
 
-import "fmt"
-
 // Allocator performs VA-to-PA translation with page coloring: the physical
-// page chosen for a virtual page always has the same color (Layout.Color), so
-// the L2 home bank of every cache line and the memory channel of every page
-// can be inferred from the virtual address alone. This models the modified OS
-// page-allocation API described in Section 4.1 of the paper.
+// page chosen for a virtual page always has the same color (its page number
+// modulo Layout.ColorModulus), so the L2 home bank of every cache line and
+// the memory channel of every page can be inferred from the virtual address
+// alone. This models the modified OS page-allocation API described in
+// Section 4.1 of the paper.
 type Allocator struct {
 	layout Layout
 	// pageTable records established VA page -> PA page translations.
@@ -14,8 +13,6 @@ type Allocator struct {
 	// nextFree tracks, per color, the next unassigned physical page of that
 	// color (expressed as the k-th page of the color class).
 	nextFree map[uint64]uint64
-	// allocated counts translated pages, for statistics.
-	allocated int
 }
 
 // NewAllocator creates an allocator for the given layout. The layout must be
@@ -31,19 +28,6 @@ func NewAllocator(l Layout) (*Allocator, error) {
 	}, nil
 }
 
-// MustNewAllocator is NewAllocator panicking on error, for tests and fixed
-// configurations.
-func MustNewAllocator(l Layout) *Allocator {
-	a, err := NewAllocator(l)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Layout returns the layout this allocator serves.
-func (a *Allocator) Layout() Layout { return a.layout }
-
 // Translate returns the physical address for virtual address va, allocating
 // a physical page with matching color on first touch. Translations are
 // stable: repeated calls with addresses on the same virtual page return
@@ -58,13 +42,9 @@ func (a *Allocator) Translate(va uint64) uint64 {
 		// The k-th physical page of this color class.
 		pp = k*a.layout.ColorModulus() + color
 		a.pageTable[vp] = pp
-		a.allocated++
 	}
 	return pp*a.layout.PageBytes + va%a.layout.PageBytes
 }
-
-// AllocatedPages returns how many physical pages have been handed out.
-func (a *Allocator) AllocatedPages() int { return a.allocated }
 
 // Pages returns a copy of the established VA-page -> PA-page translations.
 // Translation is first-touch-order dependent, so independent passes (the
@@ -76,27 +56,4 @@ func (a *Allocator) Pages() map[uint64]uint64 {
 		out[vp] = pp
 	}
 	return out
-}
-
-// HomeBankVA returns the L2 home bank of the datum at virtual address va.
-// Because of page coloring this equals the home bank of the translated
-// physical address; this is exactly the inference the compiler performs.
-func (a *Allocator) HomeBankVA(va uint64) int { return a.layout.L2Bank(va) }
-
-// ChannelVA returns the memory channel of the page containing va, likewise
-// inferable directly from the virtual address.
-func (a *Allocator) ChannelVA(va uint64) int { return a.layout.Channel(va) }
-
-// CheckColorInvariant verifies that every established translation preserves
-// the page color; it returns an error describing the first violation. It
-// exists for tests and self-checks.
-func (a *Allocator) CheckColorInvariant() error {
-	mod := a.layout.ColorModulus()
-	for vp, pp := range a.pageTable {
-		if vp%mod != pp%mod {
-			return fmt.Errorf("addrmap: page color violated: va page %d (color %d) -> pa page %d (color %d)",
-				vp, vp%mod, pp, pp%mod)
-		}
-	}
-	return nil
 }

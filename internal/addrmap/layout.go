@@ -6,8 +6,7 @@
 //
 //   - cache-line-granularity interleaving of addresses over the distributed
 //     L2 banks (SNUCA home banks), and
-//   - page-granularity interleaving of addresses over memory channels, ranks
-//     and memory banks.
+//   - page-granularity interleaving of addresses over memory channels.
 //
 // The paper presents both as bit-field extractions, which is the power-of-two
 // special case of modular interleaving. We implement general modular
@@ -24,32 +23,24 @@ type Layout struct {
 	// LineBytes is the cache line size; L2 home banks interleave at this
 	// granularity.
 	LineBytes uint64
-	// PageBytes is the OS page size; channels/ranks/banks interleave at this
+	// PageBytes is the OS page size; memory channels interleave at this
 	// granularity.
 	PageBytes uint64
 	// L2Banks is the number of last-level cache banks (one per mesh node).
 	L2Banks int
-	// Channels, Ranks and MemBanks describe the off-chip memory organization:
-	// Channels memory channels (one per memory controller), Ranks ranks per
-	// channel, MemBanks banks per rank.
-	Channels, Ranks, MemBanks int
-	// BankSet optionally restricts L2 home banks to a subset of bank indices
-	// (used to model SNC-4 style sub-NUMA clustering, where an address's home
-	// must stay inside one quadrant). Nil means all banks participate.
-	BankSet []int
+	// Channels is the number of memory channels (one per memory controller).
+	Channels int
 }
 
 // DefaultLayout returns the layout used throughout the evaluation: 64 B
 // lines, 4 KiB pages, one L2 bank per node of a 6x6 mesh, and the Figure 2b
-// memory organization (4 channels, 4 ranks, 8 banks).
+// memory organization's 4 channels.
 func DefaultLayout() Layout {
 	return Layout{
 		LineBytes: 64,
 		PageBytes: 4096,
 		L2Banks:   36,
 		Channels:  4,
-		Ranks:     4,
-		MemBanks:  8,
 	}
 }
 
@@ -61,13 +52,8 @@ func (l Layout) Validate() error {
 	if l.PageBytes%l.LineBytes != 0 {
 		return fmt.Errorf("addrmap: page size %d not a multiple of line size %d", l.PageBytes, l.LineBytes)
 	}
-	if l.L2Banks <= 0 || l.Channels <= 0 || l.Ranks <= 0 || l.MemBanks <= 0 {
+	if l.L2Banks <= 0 || l.Channels <= 0 {
 		return fmt.Errorf("addrmap: component counts must be positive")
-	}
-	for _, b := range l.BankSet {
-		if b < 0 || b >= l.L2Banks {
-			return fmt.Errorf("addrmap: bank set entry %d out of range [0,%d)", b, l.L2Banks)
-		}
 	}
 	return nil
 }
@@ -85,14 +71,9 @@ func (l Layout) PageIndex(pa uint64) uint64 { return pa / l.PageBytes }
 func (l Layout) LineAddr(pa uint64) uint64 { return pa &^ (l.LineBytes - 1) }
 
 // L2Bank returns the SNUCA home bank of physical address pa
-// (cache-line-granularity interleaving). When BankSet is non-nil the result
-// is drawn from that subset.
+// (cache-line-granularity interleaving).
 func (l Layout) L2Bank(pa uint64) int {
-	line := l.LineIndex(pa)
-	if len(l.BankSet) > 0 {
-		return l.BankSet[line%uint64(len(l.BankSet))]
-	}
-	return int(line % uint64(l.L2Banks))
+	return int(l.LineIndex(pa) % uint64(l.L2Banks))
 }
 
 // Channel returns the memory channel of pa (page-granularity interleaving,
@@ -101,28 +82,13 @@ func (l Layout) Channel(pa uint64) int {
 	return int(l.PageIndex(pa) % uint64(l.Channels))
 }
 
-// Rank returns the rank within pa's channel (Figure 2b "rank id" bits).
-func (l Layout) Rank(pa uint64) int {
-	return int(l.PageIndex(pa) / uint64(l.Channels) % uint64(l.Ranks))
-}
-
-// MemBank returns the memory bank within pa's rank (Figure 2b "bank id"
-// bits).
-func (l Layout) MemBank(pa uint64) int {
-	return int(l.PageIndex(pa) / uint64(l.Channels) / uint64(l.Ranks) % uint64(l.MemBanks))
-}
-
 // bankPagePeriod returns the number of consecutive pages after which the
 // page-to-L2-bank interleaving pattern repeats. Preserving the page number
 // modulo this period across VA->PA translation preserves every line's home
 // bank.
 func (l Layout) bankPagePeriod() uint64 {
-	banks := uint64(l.L2Banks)
-	if len(l.BankSet) > 0 {
-		banks = uint64(len(l.BankSet))
-	}
 	lp := l.LinesPerPage()
-	return lcm(banks, lp) / lp
+	return lcm(uint64(l.L2Banks), lp) / lp
 }
 
 // ColorModulus returns the page-number modulus that the page-coloring
@@ -130,12 +96,6 @@ func (l Layout) bankPagePeriod() uint64 {
 // page and the page's memory channel are identical for VA and PA.
 func (l Layout) ColorModulus() uint64 {
 	return lcm(l.bankPagePeriod(), uint64(l.Channels))
-}
-
-// Color returns the page color (the residue the allocator preserves) of the
-// page containing address a, whether virtual or physical.
-func (l Layout) Color(a uint64) uint64 {
-	return l.PageIndex(a) % l.ColorModulus()
 }
 
 func gcd(a, b uint64) uint64 {

@@ -27,9 +27,6 @@ type Package struct {
 
 // LoadConfig controls package loading.
 type LoadConfig struct {
-	// Dir is the working directory for `go list` (defaults to the
-	// process working directory, which must be inside the module).
-	Dir string
 	// Tests additionally parses in-package _test.go files. The fixture
 	// harness uses this to exercise per-file test exemptions; the
 	// command-line linter leaves it off, since the invariants guard the
@@ -64,7 +61,6 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		"-json=Dir,ImportPath,Export,GoFiles,TestGoFiles,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = cfg.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

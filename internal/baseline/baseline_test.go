@@ -243,7 +243,7 @@ func TestBaselineScheduleValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.ValidateSchedule(res.Schedule, o.Mesh); err != nil {
+	if err := core.ValidateScheduleOn(res.Schedule, o.Mesh, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,8 +68,8 @@ func (s Stats) HitRate() float64 {
 // replacement and its own contents, addressed by index in [0, n); the
 // statistics count all of them together. It is not safe for concurrent use:
 // each model owns its caches and drives them from one goroutine. Memory is
-// proportional to the (cache, set) pairs touched since the last Flush, each
-// holding at most Ways lines.
+// proportional to the (cache, set) pairs touched, each holding at most Ways
+// lines.
 type Cache struct {
 	cfg     Config
 	n       int
@@ -116,9 +116,6 @@ func MustNew(cfg Config, n int) *Cache {
 	}
 	return c
 }
-
-// Config returns the configuration each cache has.
-func (c *Cache) Config() Config { return c.cfg }
 
 // key returns the directory key of the set of cache i that holds line.
 func (c *Cache) key(i int, line uint64) uint64 {
@@ -222,26 +219,3 @@ func (c *Cache) Invalidate(i int, addr uint64) bool {
 
 // Stats returns the event counters of all the caches together.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters but keeps cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Flush empties every cache and clears the counters.
-func (c *Cache) Flush() {
-	clear(c.dir)
-	c.tags = c.tags[:0]
-	for i := range c.free {
-		c.free[i] = c.free[i][:0]
-	}
-	c.stats = Stats{}
-}
-
-// Lines returns the number of resident lines over all the caches, for tests
-// and diagnostics.
-func (c *Cache) Lines() int {
-	n := 0
-	for _, s := range c.dir {
-		n += int(s.len)
-	}
-	return n
-}

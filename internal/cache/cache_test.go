@@ -103,21 +103,13 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlushAndResetStats(t *testing.T) {
-	c := MustNew(small(), 1)
-	c.Access(0, 0)
-	c.Access(0, 0)
-	c.ResetStats()
-	if st := c.Stats(); st.Accesses() != 0 {
-		t.Errorf("stats after reset = %+v", st)
+// residentLines returns the number of resident lines over all the caches.
+func residentLines(c *Cache) int {
+	n := 0
+	for _, s := range c.dir {
+		n += int(s.len)
 	}
-	if c.Lines() != 1 {
-		t.Errorf("ResetStats dropped contents: %d lines", c.Lines())
-	}
-	c.Flush()
-	if c.Lines() != 0 {
-		t.Error("Flush left lines resident")
-	}
+	return n
 }
 
 // Property: occupancy never exceeds capacity, and a line just accessed is
@@ -133,16 +125,16 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 		if !c.Contains(0, addr) {
 			t.Fatalf("line %#x absent immediately after access", addr)
 		}
-		if c.Lines() > maxLines {
-			t.Fatalf("occupancy %d exceeds capacity %d", c.Lines(), maxLines)
+		if residentLines(c) > maxLines {
+			t.Fatalf("occupancy %d exceeds capacity %d", residentLines(c), maxLines)
 		}
 	}
 	st := c.Stats()
 	if st.Accesses() != 5000 {
 		t.Errorf("accesses = %d", st.Accesses())
 	}
-	if st.Misses != st.Evictions+int64(c.Lines()) {
-		t.Errorf("misses (%d) != evictions (%d) + resident (%d)", st.Misses, st.Evictions, c.Lines())
+	if st.Misses != st.Evictions+int64(residentLines(c)) {
+		t.Errorf("misses (%d) != evictions (%d) + resident (%d)", st.Misses, st.Evictions, residentLines(c))
 	}
 }
 
@@ -171,7 +163,7 @@ func TestFullCapacityWorkingSet(t *testing.T) {
 	for i := 0; i < lines; i++ {
 		c.Access(0, uint64(i)*cfg.LineBytes)
 	}
-	c.ResetStats()
+	c.stats = Stats{}
 	for i := 0; i < lines; i++ {
 		c.Access(0, uint64(i)*cfg.LineBytes)
 	}
@@ -203,8 +195,8 @@ func TestCyclicThrashing(t *testing.T) {
 // configuration; every distinct line must evict the previous one.
 func TestSingleLineCache(t *testing.T) {
 	c := MustNew(Config{SizeBytes: 64, LineBytes: 64, Ways: 1}, 1)
-	if c.Config().Sets() != 1 {
-		t.Fatalf("Sets = %d, want 1", c.Config().Sets())
+	if c.cfg.Sets() != 1 {
+		t.Fatalf("Sets = %d, want 1", c.cfg.Sets())
 	}
 	if c.Access(0, 0) {
 		t.Error("cold access hit")
@@ -219,8 +211,8 @@ func TestSingleLineCache(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 || s.Evictions != 1 {
 		t.Errorf("stats = %+v, want 1 hit, 2 misses, 1 eviction", s)
 	}
-	if c.Lines() != 1 {
-		t.Errorf("Lines = %d, want 1", c.Lines())
+	if residentLines(c) != 1 {
+		t.Errorf("resident lines = %d, want 1", residentLines(c))
 	}
 }
 
@@ -280,25 +272,5 @@ func TestStatsSingleSample(t *testing.T) {
 	s = Stats{Misses: 1}
 	if s.HitRate() != 0 {
 		t.Errorf("single-miss rate = %v, want 0", s.HitRate())
-	}
-}
-
-// ResetStats clears counters but keeps contents; Flush clears both.
-func TestResetAndFlush(t *testing.T) {
-	c := MustNew(small(), 1)
-	c.Access(0, 0)
-	c.ResetStats()
-	if got := c.Stats(); got != (Stats{}) {
-		t.Errorf("stats after reset: %+v", got)
-	}
-	if !c.Contains(0, 0) {
-		t.Error("reset dropped contents")
-	}
-	c.Flush()
-	if c.Contains(0, 0) || c.Lines() != 0 {
-		t.Error("flush kept contents")
-	}
-	if !c.Access(0, 0) == false {
-		t.Error("post-flush access hit")
 	}
 }

@@ -70,13 +70,6 @@ func (d *denseLRU) invalidate(addr uint64) bool {
 	return false
 }
 
-func (d *denseLRU) flush() {
-	for i := range d.sets {
-		d.sets[i] = nil
-	}
-	d.stats = Stats{}
-}
-
 func (d *denseLRU) lines() int {
 	n := 0
 	for _, s := range d.sets {
@@ -87,7 +80,7 @@ func (d *denseLRU) lines() int {
 
 // TestSparseMatchesDenseReference drives an n-cache model and n dense
 // references (one per index) with the same seeded mix of Access/Contains/
-// Invalidate/Flush/ResetStats traffic on interleaved cache indices, and
+// Invalidate traffic on interleaved cache indices, and
 // requires identical results after every operation: each result, the
 // aggregate Stats against the references' summed counters, and the resident
 // line count. Addresses concentrate on a few hot sets (so sets fill and
@@ -134,19 +127,9 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 							if got, want := c.Contains(i, a), ref.contains(a); got != want {
 								t.Fatalf("op %d: Contains(%d, %#x) = %v, reference %v", op, i, a, got, want)
 							}
-						case r < 97:
+						default:
 							if got, want := c.Invalidate(i, a), ref.invalidate(a); got != want {
 								t.Fatalf("op %d: Invalidate(%d, %#x) = %v, reference %v", op, i, a, got, want)
-							}
-						case r < 99:
-							c.ResetStats()
-							for _, d := range refs {
-								d.stats = Stats{}
-							}
-						default:
-							c.Flush()
-							for _, d := range refs {
-								d.flush()
 							}
 						}
 						var stats Stats
@@ -160,8 +143,8 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 						if c.Stats() != stats {
 							t.Fatalf("op %d: Stats = %+v, references %+v", op, c.Stats(), stats)
 						}
-						if c.Lines() != lines {
-							t.Fatalf("op %d: Lines = %d, references %d", op, c.Lines(), lines)
+						if got := residentLines(c); got != lines {
+							t.Fatalf("op %d: resident lines = %d, references %d", op, got, lines)
 						}
 					}
 				})

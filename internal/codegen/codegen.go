@@ -22,20 +22,12 @@ import (
 	"dmacp/internal/mesh"
 )
 
-// Options controls rendering.
-type Options struct {
-	// MaxTasksPerNode truncates each node's listing (0 = unlimited).
-	MaxTasksPerNode int
-	// Nodes restricts the listing to the given nodes (nil = all nodes with
-	// tasks).
-	Nodes []mesh.NodeID
-}
-
-// Generate writes the per-node program of the schedule to w. labels names
-// cache lines ("B[24]"); unknown lines render as hex addresses. body is the
-// nest body the schedule was generated from, used to annotate statement
-// labels; it may be nil.
-func Generate(w io.Writer, sched *core.Schedule, m *mesh.Mesh, labels map[uint64]string, body []*ir.Statement, opts Options) error {
+// Generate writes the per-node program of the schedule to w, one listing per
+// node with tasks, in node order. labels names cache lines ("B[24]");
+// unknown lines render as hex addresses. body is the nest body the schedule
+// was generated from, used to annotate statement labels; it may be nil.
+// maxTasksPerNode truncates each node's listing (0 = unlimited).
+func Generate(w io.Writer, sched *core.Schedule, m *mesh.Mesh, labels map[uint64]string, body []*ir.Statement, maxTasksPerNode int) error {
 	if sched == nil || m == nil {
 		return fmt.Errorf("codegen: schedule and mesh are required")
 	}
@@ -48,13 +40,11 @@ func Generate(w io.Writer, sched *core.Schedule, m *mesh.Mesh, labels map[uint64
 			consumers[p] = append(consumers[p], t)
 		}
 	}
-	nodes := opts.Nodes
-	if nodes == nil {
-		for n := range byNode {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := make([]mesh.NodeID, 0, len(byNode))
+	for n := range byNode {
+		nodes = append(nodes, n)
 	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 
 	name := func(line uint64) string {
 		if l, ok := labels[line]; ok {
@@ -73,14 +63,11 @@ func Generate(w io.Writer, sched *core.Schedule, m *mesh.Mesh, labels map[uint64
 		len(sched.Tasks), len(byNode), sched.SyncsAfter, sched.SyncsBefore)
 	for _, n := range nodes {
 		tasks := byNode[n]
-		if tasks == nil {
-			continue
-		}
 		c := m.CoordOf(n)
 		fmt.Fprintf(w, "\nnode %d @(%d,%d):  // %d tasks\n", n, c.X, c.Y, len(tasks))
 		shown := tasks
-		if opts.MaxTasksPerNode > 0 && len(shown) > opts.MaxTasksPerNode {
-			shown = shown[:opts.MaxTasksPerNode]
+		if maxTasksPerNode > 0 && len(shown) > maxTasksPerNode {
+			shown = shown[:maxTasksPerNode]
 		}
 		for _, t := range shown {
 			renderTask(w, t, m, name, stmtLabel(t), consumers[t.ID])

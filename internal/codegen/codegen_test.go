@@ -37,7 +37,7 @@ func partitionSmall(t *testing.T) (*core.Result, *ir.Nest, *mesh.Mesh) {
 func TestGenerateBasics(t *testing.T) {
 	res, nest, m := partitionSmall(t)
 	var buf bytes.Buffer
-	if err := Generate(&buf, res.Schedule, m, res.LineLabels, nest.Body, Options{}); err != nil {
+	if err := Generate(&buf, res.Schedule, m, res.LineLabels, nest.Body, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -61,7 +61,7 @@ func TestGenerateBasics(t *testing.T) {
 func TestGenerateSyncsAndSends(t *testing.T) {
 	res, nest, m := partitionSmall(t)
 	var buf bytes.Buffer
-	if err := Generate(&buf, res.Schedule, m, res.LineLabels, nest.Body, Options{}); err != nil {
+	if err := Generate(&buf, res.Schedule, m, res.LineLabels, nest.Body, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -80,10 +80,10 @@ func TestGenerateSyncsAndSends(t *testing.T) {
 func TestGenerateTruncation(t *testing.T) {
 	res, nest, m := partitionSmall(t)
 	var full, cut bytes.Buffer
-	if err := Generate(&full, res.Schedule, m, res.LineLabels, nest.Body, Options{}); err != nil {
+	if err := Generate(&full, res.Schedule, m, res.LineLabels, nest.Body, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Generate(&cut, res.Schedule, m, res.LineLabels, nest.Body, Options{MaxTasksPerNode: 1}); err != nil {
+	if err := Generate(&cut, res.Schedule, m, res.LineLabels, nest.Body, 1); err != nil {
 		t.Fatal(err)
 	}
 	if cut.Len() >= full.Len() {
@@ -94,40 +94,9 @@ func TestGenerateTruncation(t *testing.T) {
 	}
 }
 
-func TestGenerateNodeFilter(t *testing.T) {
-	res, nest, m := partitionSmall(t)
-	target := res.Schedule.Tasks[0].Node
-	var buf bytes.Buffer
-	if err := Generate(&buf, res.Schedule, m, res.LineLabels, nest.Body, Options{Nodes: []mesh.NodeID{target}}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
-		if n == target {
-			continue
-		}
-		marker := "node " + itoa(int(n)) + " @"
-		if strings.Contains(out, marker) {
-			t.Errorf("filtered output contains %q", marker)
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	return string(b)
-}
-
 func TestGenerateRejectsNil(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Generate(&buf, nil, nil, nil, nil, Options{}); err == nil {
+	if err := Generate(&buf, nil, nil, nil, nil, 0); err == nil {
 		t.Error("nil inputs accepted")
 	}
 }
@@ -136,7 +105,7 @@ func TestGenerateUnknownLinesRenderHex(t *testing.T) {
 	res, nest, m := partitionSmall(t)
 	var buf bytes.Buffer
 	// No labels at all: every line renders as hex, nothing crashes.
-	if err := Generate(&buf, res.Schedule, m, nil, nest.Body, Options{}); err != nil {
+	if err := Generate(&buf, res.Schedule, m, nil, nest.Body, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "line_0x") {

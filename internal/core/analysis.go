@@ -34,14 +34,10 @@ type PlanAnalysis struct {
 	computes []bool
 }
 
-// Analyze roots the plan at its store vertex and derives the metrics.
-func (p *StatementPlan) Analyze() *PlanAnalysis {
-	return p.AnalyzeInto(&PlanAnalysis{})
-}
-
-// AnalyzeInto is Analyze with caller-owned storage: all of a's slices are
-// truncated and refilled in place, so a single PlanAnalysis can serve every
-// statement instance of a scheduling pass without reallocating.
+// AnalyzeInto roots the plan at its store vertex and derives the metrics
+// into caller-owned storage: all of a's slices are truncated and refilled in
+// place, so a single PlanAnalysis can serve every statement instance of a
+// scheduling pass without reallocating.
 func (p *StatementPlan) AnalyzeInto(a *PlanAnalysis) *PlanAnalysis {
 	n := len(p.Vertices)
 	a.Parent = growInts(a.Parent, n)

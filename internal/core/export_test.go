@@ -61,7 +61,7 @@ func ReintegrateForReplay(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.Fau
 
 // CheckSharedPlans locates nest, builds its shared reuse-free plans as a
 // window sweep does, and compares every plan and analysis, in each field a
-// scheduling pass reads, with a fresh buildPlan + Analyze from empty reuse
+// scheduling pass reads, with a fresh buildPlan + AnalyzeInto from empty reuse
 // lists. It also checks that the trace's line interning is a bijection
 // onto [0, nLines) and that every plan vertex carries its lines' IDs. It
 // returns the first mismatch.
@@ -85,7 +85,7 @@ func CheckSharedPlans(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Opt
 		tr.fillOperands(infos, k, nil)
 		want := buildPlan(dt, tr.pre[k%len(tr.pre)].set, lookup, tr.stores[k])
 		got := &slab.plans[k]
-		if err := samePlan(got, &slab.ans[k], want, want.Analyze()); err != nil {
+		if err := samePlan(got, &slab.ans[k], want, want.AnalyzeInto(&PlanAnalysis{})); err != nil {
 			return fmt.Errorf("instance %d: %w", k, err)
 		}
 		for vi, v := range got.Vertices {

@@ -194,9 +194,6 @@ func (loc *Locator) AnalyzableFraction() float64 {
 	return float64(loc.analyzable) / float64(loc.refs)
 }
 
-// L2Stats returns the residency model's counters over all banks.
-func (loc *Locator) L2Stats() cache.Stats { return loc.l2.Stats() }
-
 // Allocator exposes the underlying page-colored allocator (examples print
 // translations from it).
 func (loc *Locator) Allocator() *addrmap.Allocator { return loc.alloc }

@@ -162,7 +162,7 @@ func TestL2StatsAccumulate(t *testing.T) {
 	loc, _ := NewLocator(&o)
 	loc.Locate(0x40)
 	loc.Locate(0x40)
-	st := loc.L2Stats()
+	st := loc.l2.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("L2 stats = %+v", st)
 	}

@@ -269,6 +269,28 @@ func TestPartitionWithPredictorReportsAccuracy(t *testing.T) {
 	}
 }
 
+// TestIdealAnalysisMode: oracle data-location knowledge bypasses the
+// predictor even when one is configured, so none of its predictions are
+// scored.
+func TestIdealAnalysisMode(t *testing.T) {
+	prog, nest, store := smallNest(t, 64)
+	o := testOpts()
+	o.IdealAnalysis = true
+	o.Predictor = predictor.MustNew(predictor.Config{
+		L2TotalBytes: o.L2BankBytes * uint64(o.Mesh.Nodes()),
+		LineBytes:    o.Layout.LineBytes,
+		Ways:         o.L2Ways,
+		SampleMod:    4,
+	})
+	res, err := Partition(prog, nest, store, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PredictorAccuracy != 0 {
+		t.Errorf("ideal analysis should bypass the predictor, accuracy = %v", res.PredictorAccuracy)
+	}
+}
+
 func TestPartitionSyncReduction(t *testing.T) {
 	prog, nest, store := smallNest(t, 64)
 	res, err := Partition(prog, nest, store, testOpts())
@@ -339,7 +361,7 @@ func TestPartitionScheduleValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateSchedule(res.Schedule, o.Mesh); err != nil {
+	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -370,7 +392,7 @@ func TestPartition2DNest(t *testing.T) {
 	if res.Stats.Instances != 144 {
 		t.Errorf("instances = %d, want 144", res.Stats.Instances)
 	}
-	if err := ValidateSchedule(res.Schedule, o.Mesh); err != nil {
+	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -394,12 +416,12 @@ func TestValidateScheduleCatchesCorruption(t *testing.T) {
 		t.Skip("no arcs to corrupt")
 	}
 	victim.WaitHops[0] += 3
-	if err := ValidateSchedule(res.Schedule, o.Mesh); err == nil {
+	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err == nil {
 		t.Error("corrupted hops not detected")
 	}
 	victim.WaitHops[0] -= 3
 	victim.WaitFor[0] = victim.ID // self wait
-	if err := ValidateSchedule(res.Schedule, o.Mesh); err == nil {
+	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err == nil {
 		t.Error("self wait not detected")
 	}
 }

@@ -182,7 +182,7 @@ func TestAnalyzeSingleVertexPlan(t *testing.T) {
 		Vertices: []PlanVertex{{Node: 0, IsStore: true}},
 		Root:     0,
 	}
-	an := plan.Analyze()
+	an := plan.AnalyzeInto(&PlanAnalysis{})
 	if an.Parallelism != 1 {
 		t.Errorf("parallelism = %d", an.Parallelism)
 	}

@@ -17,7 +17,7 @@ import (
 // redundant arcs.
 //
 // Task IDs must be topological: every WaitFor entry of the task at index i
-// lies in [0, i), which ValidateSchedule enforces for every schedule. Input
+// lies in [0, i), which ValidateScheduleOn enforces for every schedule. Input
 // that breaks this (a forward or self arc, a negative producer) is left
 // untouched and ReduceSyncs returns 0, as for a cyclic wait graph.
 //

@@ -6,27 +6,19 @@ import (
 	"dmacp/internal/mesh"
 )
 
-// ValidateSchedule checks the structural invariants every emitted schedule
-// must satisfy; tests and debugging call it after Partition or
-// baseline.Place. It returns the first violation found:
+// ValidateScheduleOn checks the structural invariants every emitted schedule
+// must satisfy on mesh m degraded by faults f (nil or empty for a pristine
+// mesh); tests and debugging call it after Partition, baseline.Place or a
+// repair. It returns the first violation found:
 //
 //   - task IDs are dense and ascending (the simulator relies on topological
 //     order);
 //   - every WaitFor arc points at an earlier task and carries a matching
-//     WaitHops entry equal to the mesh distance between producer and
-//     consumer;
-//   - every task sits on a valid mesh node;
+//     WaitHops entry equal to the fault-aware live-route distance between
+//     producer and consumer (the Manhattan distance on a pristine mesh);
+//   - every task sits on a usable mesh node (live tile and router);
 //   - every statement instance has exactly one root task, and instance
 //     (Iter, Stmt) pairs appear in execution order.
-func ValidateSchedule(s *Schedule, m *mesh.Mesh) error {
-	return ValidateScheduleOn(s, m, nil)
-}
-
-// ValidateScheduleOn is ValidateSchedule for a degraded mesh: the same
-// structural invariants, but every task must sit on a usable node (live tile
-// and router) and every WaitHops entry must equal the fault-aware live-route
-// distance rather than the Manhattan distance. With a nil or empty fault set
-// it is exactly ValidateSchedule.
 func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 	if s == nil {
 		return fmt.Errorf("core: nil schedule")

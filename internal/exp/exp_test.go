@@ -43,8 +43,10 @@ func TestBaseCachesAndAggregates(t *testing.T) {
 	if a1.DefMovement() <= 0 || a1.OptMovement() <= 0 {
 		t.Error("zero movement in base runs")
 	}
-	if a1.Instances() <= 0 {
-		t.Error("no instances")
+	for _, n := range a1.Nests {
+		if n.Opt.Stats.Instances <= 0 {
+			t.Errorf("nest %s: no instances", n.Nest.Name)
+		}
 	}
 }
 

@@ -284,12 +284,3 @@ func (ar *AppRun) OptMovement() int64 {
 	}
 	return s
 }
-
-// Instances sums statement instances over nests.
-func (ar *AppRun) Instances() int {
-	s := 0
-	for _, n := range ar.Nests {
-		s += n.Opt.Stats.Instances
-	}
-	return s
-}

@@ -71,28 +71,6 @@ type FusionMap struct {
 	Groups [][]int
 }
 
-// Expand returns the original statement indices of coarsened statement f.
-// The returned slice is owned by the map and must not be mutated.
-func (m *FusionMap) Expand(f int) []int {
-	if f < 0 || f >= len(m.Groups) {
-		return nil
-	}
-	return m.Groups[f]
-}
-
-// FusedOf returns the coarsened statement index that original statement
-// orig was folded into, or -1 when orig is out of range.
-func (m *FusionMap) FusedOf(orig int) int {
-	for f, g := range m.Groups {
-		for _, o := range g {
-			if o == orig {
-				return f
-			}
-		}
-	}
-	return -1
-}
-
 // Originals returns the original body length the map covers.
 func (m *FusionMap) Originals() int {
 	n := 0
@@ -100,16 +78,6 @@ func (m *FusionMap) Originals() int {
 		n += len(g)
 	}
 	return n
-}
-
-// Identity reports whether no statements were fused.
-func (m *FusionMap) Identity() bool {
-	for _, g := range m.Groups {
-		if len(g) != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // Result is the outcome of one Coarsen call.

@@ -152,8 +152,10 @@ A(IY(8*i)) = C(8*i) + B(8*i)`}},
 			if res.Merged != 0 {
 				t.Fatalf("fused %d statements, want bail-out:\n%s", res.Merged, res.Nest.Body)
 			}
-			if !res.Map.Identity() {
-				t.Error("identity result has non-identity map")
+			for f, g := range res.Map.Groups {
+				if len(g) != 1 || g[0] != f {
+					t.Errorf("identity result maps statement %d to group %v", f, g)
+				}
 			}
 			prog, nests := buildProg(t, tc.sources...)
 			if got := Coarsen(prog, nests[0], Limits{}); got.Nest != nests[0] {
@@ -250,16 +252,13 @@ func TestFusionMapRoundTrip(t *testing.T) {
 		prog, nests := buildProg(t, src)
 		res := Coarsen(prog, nests[0], Limits{})
 
+		if len(res.Map.Groups) != len(res.Nest.Body) {
+			t.Fatalf("trial %d: %d groups for %d coarsened statements", trial, len(res.Map.Groups), len(res.Nest.Body))
+		}
 		var expanded []int
-		for f := range res.Nest.Body {
-			g := res.Map.Expand(f)
+		for f, g := range res.Map.Groups {
 			if len(g) == 0 {
 				t.Fatalf("trial %d: empty group %d\n%s", trial, f, src)
-			}
-			for _, o := range g {
-				if res.Map.FusedOf(o) != f {
-					t.Fatalf("trial %d: FusedOf(%d) != %d", trial, o, f)
-				}
 			}
 			expanded = append(expanded, g...)
 		}

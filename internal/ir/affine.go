@@ -121,11 +121,3 @@ func SubscriptOf(ref *Ref) (Affine, bool) {
 	}
 	return AnalyzeAffine(ref.Index)
 }
-
-// Analyzable reports whether the reference's target element is computable at
-// compile time (affine subscript), i.e. whether it counts toward Table 1's
-// "compile-time analyzable" fraction.
-func Analyzable(ref *Ref) bool {
-	_, ok := SubscriptOf(ref)
-	return ok
-}

@@ -6,90 +6,45 @@ import "fmt"
 // paradigm (Section 4.5): for nests whose bodies contain indirect array
 // accesses, the inspector executes the address computation of the first
 // iterations of the (implicit) timing loop against the runtime store,
-// recording which element every indirect reference actually touches. The
+// checking that every indirect reference resolves to an element. The
 // executor phase — the partitioner running over the remaining timing
-// iterations — then looks these indices up instead of giving up on the
-// reference.
+// iterations — then resolves the same subscripts through the same store
+// instead of giving up on the reference.
 type Inspector struct {
 	prog *Program
 	nest *Nest
-	// resolved[stmt][refPos][iter] = element index.
-	resolved map[int]map[int]map[int]int
-	// inspected counts statement-instance references examined.
-	inspected int
 }
 
 // NewInspector creates an inspector for one nest of prog.
 func NewInspector(prog *Program, nest *Nest) *Inspector {
-	return &Inspector{
-		prog:     prog,
-		nest:     nest,
-		resolved: make(map[int]map[int]map[int]int),
-	}
+	return &Inspector{prog: prog, nest: nest}
 }
 
 // Run executes the inspection: it walks every iteration of the nest,
-// resolving the subscript of each indirect reference through the store and
-// recording the touched element index. Analyzable references are skipped (the
-// compiler already knows them). The paper runs the inspector on the beginning
-// iterations of the timing loop; because the synthetic index arrays do not
-// change between timing iterations, one sweep suffices.
+// resolving the subscript of each indirect reference through the store, and
+// returns the first subscript that does not resolve. Analyzable references
+// are skipped (the compiler already knows them). The paper runs the
+// inspector on the beginning iterations of the timing loop; because the
+// synthetic index arrays do not change between timing iterations, one sweep
+// suffices.
 func (ins *Inspector) Run(store *Store) error {
 	if store == nil {
 		return fmt.Errorf("ir: inspector requires a runtime store")
 	}
-	iter := 0
 	var failure error
 	ins.nest.ForEachIteration(func(env map[string]int) bool {
-		for si, stmt := range ins.nest.Body {
-			for ri, ref := range stmt.AllRefs() {
+		for _, stmt := range ins.nest.Body {
+			for _, ref := range stmt.AllRefs() {
 				if !ref.Indirect() {
 					continue
 				}
-				idx, err := ins.prog.IndexOf(ref, env, store)
-				if err != nil {
+				if _, err := ins.prog.IndexOf(ref, env, store); err != nil {
 					failure = err
 					return false
 				}
-				ins.record(si, ri, iter, idx)
-				ins.inspected++
 			}
 		}
-		iter++
 		return true
 	})
 	return failure
 }
-
-func (ins *Inspector) record(stmt, refPos, iter, idx int) {
-	byRef := ins.resolved[stmt]
-	if byRef == nil {
-		byRef = make(map[int]map[int]int)
-		ins.resolved[stmt] = byRef
-	}
-	byIter := byRef[refPos]
-	if byIter == nil {
-		byIter = make(map[int]int)
-		byRef[refPos] = byIter
-	}
-	byIter[iter] = idx
-}
-
-// Lookup returns the element index recorded for reference position refPos
-// (in AllRefs order) of statement stmt at iteration iter. ok is false when
-// the inspector has no record (reference analyzable, or inspection not run).
-func (ins *Inspector) Lookup(stmt, refPos, iter int) (int, bool) {
-	byRef := ins.resolved[stmt]
-	if byRef == nil {
-		return 0, false
-	}
-	byIter := byRef[refPos]
-	if byIter == nil {
-		return 0, false
-	}
-	idx, ok := byIter[iter]
-	return idx, ok
-}
-
-// Inspected returns how many indirect reference instances were resolved.
-func (ins *Inspector) Inspected() int { return ins.inspected }

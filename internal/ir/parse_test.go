@@ -78,10 +78,10 @@ func TestParseIndirect(t *testing.T) {
 	if in[1].Array != "Y" || in[1].Indirect() {
 		t.Errorf("inner ref = %v", in[1])
 	}
-	if Analyzable(in[0]) {
+	if _, ok := SubscriptOf(in[0]); ok {
 		t.Error("indirect ref reported analyzable")
 	}
-	if !Analyzable(in[2]) {
+	if _, ok := SubscriptOf(in[2]); !ok {
 		t.Error("B(i) reported unanalyzable")
 	}
 }

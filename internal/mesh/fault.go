@@ -124,22 +124,6 @@ func (f *FaultSet) DeadLinks() int {
 	return len(f.deadLinks) / 2
 }
 
-// DeadRouters returns the number of dead routers.
-func (f *FaultSet) DeadRouters() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.deadRouters)
-}
-
-// DeadTiles returns the number of dead tiles.
-func (f *FaultSet) DeadTiles() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.deadTiles)
-}
-
 // String summarizes the fault set for reports.
 func (f *FaultSet) String() string {
 	if f.Empty() {

@@ -228,12 +228,6 @@ func (m *Mesh) NearestMC(n NodeID) NodeID {
 	return mc
 }
 
-// Center returns the node nearest the geometric center of the mesh; used by
-// examples and workload placement heuristics.
-func (m *Mesh) Center() NodeID {
-	return m.NodeAt(m.cols/2, m.rows/2)
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

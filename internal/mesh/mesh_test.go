@@ -166,10 +166,3 @@ func TestClusterModeString(t *testing.T) {
 		t.Errorf("unknown mode String() = %q", got)
 	}
 }
-
-func TestCenter(t *testing.T) {
-	m := MustNew(6, 6)
-	if c := m.CoordOf(m.Center()); c.X != 3 || c.Y != 3 {
-		t.Errorf("Center = %+v", c)
-	}
-}

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 )
@@ -132,58 +131,6 @@ func (f *FaultSet) RecoveryAll() RecoverySet {
 	r.Routers = sortedNodes(f.deadRouters)
 	r.Tiles = sortedNodes(f.deadTiles)
 	return r
-}
-
-// RecoverySample draws a seeded deterministic subset of f's faults to revive:
-// roughly frac of each component class (at least one of any non-empty class
-// when frac > 0), sampled without replacement. It is the recovery-side
-// analogue of Inject and feeds sim.Config.RecoveryEvents.
-func RecoverySample(f *FaultSet, seed int64, frac float64) RecoverySet {
-	all := f.RecoveryAll()
-	if frac <= 0 || all.Empty() {
-		return RecoverySet{}
-	}
-	if frac >= 1 {
-		return all
-	}
-	rng := rand.New(rand.NewSource(seed))
-	take := func(n int) int {
-		if n == 0 {
-			return 0
-		}
-		k := int(frac * float64(n))
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
-		return k
-	}
-	var out RecoverySet
-	if k := take(len(all.Links)); k > 0 {
-		perm := rng.Perm(len(all.Links))[:k]
-		sort.Ints(perm)
-		for _, i := range perm {
-			out.Links = append(out.Links, all.Links[i])
-		}
-	}
-	pickNodes := func(ids []NodeID) []NodeID {
-		k := take(len(ids))
-		if k == 0 {
-			return nil
-		}
-		perm := rng.Perm(len(ids))[:k]
-		sort.Ints(perm)
-		picked := make([]NodeID, 0, k)
-		for _, i := range perm {
-			picked = append(picked, ids[i])
-		}
-		return picked
-	}
-	out.Routers = pickNodes(all.Routers)
-	out.Tiles = pickNodes(all.Tiles)
-	return out
 }
 
 // RevivedNodes returns the nodes of m that are usable under after but were

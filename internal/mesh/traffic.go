@@ -2,26 +2,22 @@ package mesh
 
 // Traffic accumulates per-link load (in flits, i.e. cache-line-sized units)
 // for a mesh, and converts accumulated load into transfer latencies with a
-// simple contention model: each link adds a queueing penalty proportional to
-// how much traffic it has already carried relative to the network average.
+// simple contention model: each link adds a queueing penalty that grows with
+// its utilization, the load it has carried over its capacity so far.
 //
 // The model is intentionally first-order — the paper's claims depend on the
 // *number of links traversed* and on relative congestion, both of which this
 // captures — but it is enough to reproduce the average/maximum network
 // latency reductions of Figure 19.
 type Traffic struct {
-	m     *Mesh
-	load  []int64
-	total int64
+	m    *Mesh
+	load []int64
 }
 
 // NewTraffic creates an empty traffic account for mesh m.
 func NewTraffic(m *Mesh) *Traffic {
 	return &Traffic{m: m, load: make([]int64, m.NumLinkSlots())}
 }
-
-// Mesh returns the mesh this account belongs to.
-func (t *Traffic) Mesh() *Mesh { return t.m }
 
 // Record adds flits units of load to every link on the XY route from src to
 // dst and returns the number of links traversed.
@@ -36,93 +32,21 @@ func (t *Traffic) RecordRoute(route []Link, flits int64) int {
 	for _, l := range route {
 		if i := t.m.linkIndex(l); i >= 0 {
 			t.load[i] += flits
-			t.total += flits
 		}
 	}
 	return len(route)
-}
-
-// Reset clears all accumulated load.
-func (t *Traffic) Reset() {
-	for i := range t.load {
-		t.load[i] = 0
-	}
-	t.total = 0
-}
-
-// TotalLoad returns the sum of load over all links (flit-hops).
-func (t *Traffic) TotalLoad() int64 { return t.total }
-
-// MaxLinkLoad returns the load on the single most loaded link, a proxy for
-// the congestion hot spot of the network.
-func (t *Traffic) MaxLinkLoad() int64 {
-	var max int64
-	for _, v := range t.load {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// MeanLinkLoad returns the average load per physical link. Border nodes have
-// fewer links, so the denominator counts only slots that can exist.
-func (t *Traffic) MeanLinkLoad() float64 {
-	n := t.physicalLinks()
-	if n == 0 {
-		return 0
-	}
-	return float64(t.total) / float64(n)
-}
-
-func (t *Traffic) physicalLinks() int {
-	c, r := t.m.Cols(), t.m.Rows()
-	// Directed links: horizontal 2*(c-1)*r, vertical 2*(r-1)*c.
-	return 2*(c-1)*r + 2*(r-1)*c
 }
 
 // LatencyParams configures the contention-aware latency model.
 type LatencyParams struct {
 	// PerHop is the base cycles to traverse one link (router + wire).
 	PerHop float64
-	// Contention scales the queueing penalty added per unit of relative
-	// overload (link load divided by mean link load, above 1.0) in
-	// PathLatency, and per unit of utilization-derived queueing in
-	// PathLatencyAt.
+	// Contention scales the queueing penalty added per unit of
+	// utilization-derived queueing in PathLatencyAt.
 	Contention float64
 	// LinkCapacity is the flits per cycle one link can carry, used by the
 	// utilization model of PathLatencyAt.
 	LinkCapacity float64
-}
-
-// DefaultLatencyParams returns parameters loosely calibrated to a KNL-class
-// mesh (a handful of cycles per hop).
-func DefaultLatencyParams() LatencyParams {
-	return LatencyParams{PerHop: 2.0, Contention: 1.5, LinkCapacity: 0.5}
-}
-
-// PathLatency estimates the cycles for one cache-line transfer from src to
-// dst given the currently accumulated traffic. A zero-hop transfer (same
-// node) costs nothing.
-func (t *Traffic) PathLatency(src, dst NodeID, p LatencyParams) float64 {
-	route := t.m.Route(src, dst)
-	if len(route) == 0 {
-		return 0
-	}
-	mean := t.MeanLinkLoad()
-	lat := 0.0
-	for _, l := range route {
-		lat += p.PerHop
-		if mean > 0 {
-			if i := t.m.linkIndex(l); i >= 0 {
-				rel := float64(t.load[i]) / mean
-				if rel > 1 {
-					lat += p.Contention * (rel - 1)
-				}
-			}
-		}
-	}
-	return lat
 }
 
 // PathLatencyAt estimates the cycles for one cache-line transfer from src to

@@ -1,9 +1,6 @@
 package mesh
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestTrafficRecordCountsHops(t *testing.T) {
 	m := MustNew(6, 6)
@@ -11,65 +8,6 @@ func TestTrafficRecordCountsHops(t *testing.T) {
 	hops := tr.Record(m.NodeAt(0, 0), m.NodeAt(3, 2), 1)
 	if hops != 5 {
 		t.Errorf("hops = %d, want 5", hops)
-	}
-	if tr.TotalLoad() != 5 {
-		t.Errorf("TotalLoad = %d, want 5", tr.TotalLoad())
-	}
-}
-
-func TestTrafficMaxAndMean(t *testing.T) {
-	m := MustNew(4, 4)
-	tr := NewTraffic(m)
-	// Hammer one link 10 times.
-	for i := 0; i < 10; i++ {
-		tr.Record(m.NodeAt(0, 0), m.NodeAt(1, 0), 1)
-	}
-	if got := tr.MaxLinkLoad(); got != 10 {
-		t.Errorf("MaxLinkLoad = %d, want 10", got)
-	}
-	if mean := tr.MeanLinkLoad(); mean <= 0 {
-		t.Errorf("MeanLinkLoad = %v, want > 0", mean)
-	}
-	tr.Reset()
-	if tr.TotalLoad() != 0 || tr.MaxLinkLoad() != 0 {
-		t.Error("Reset did not clear loads")
-	}
-}
-
-func TestPathLatencyScalesWithDistanceAndCongestion(t *testing.T) {
-	m := MustNew(6, 6)
-	tr := NewTraffic(m)
-	p := DefaultLatencyParams()
-
-	if lat := tr.PathLatency(3, 3, p); lat != 0 {
-		t.Errorf("zero-hop latency = %v, want 0", lat)
-	}
-	near := tr.PathLatency(m.NodeAt(0, 0), m.NodeAt(1, 0), p)
-	far := tr.PathLatency(m.NodeAt(0, 0), m.NodeAt(5, 5), p)
-	if !(far > near) {
-		t.Errorf("far latency %v not > near latency %v", far, near)
-	}
-	// Uncongested latency is exactly hops * PerHop.
-	if want := 10 * p.PerHop; math.Abs(far-want) > 1e-9 {
-		t.Errorf("uncongested latency = %v, want %v", far, want)
-	}
-
-	// Congest the first link heavily; latency along it must rise.
-	for i := 0; i < 100; i++ {
-		tr.Record(m.NodeAt(0, 0), m.NodeAt(1, 0), 1)
-	}
-	congested := tr.PathLatency(m.NodeAt(0, 0), m.NodeAt(1, 0), p)
-	if !(congested > near) {
-		t.Errorf("congested latency %v not > base %v", congested, near)
-	}
-}
-
-func TestPhysicalLinkCount(t *testing.T) {
-	m := MustNew(3, 2)
-	tr := NewTraffic(m)
-	// 3x2: horizontal 2*(3-1)*2 = 8, vertical 2*(2-1)*3 = 6, total 14.
-	if got := tr.physicalLinks(); got != 14 {
-		t.Errorf("physicalLinks = %d, want 14", got)
 	}
 }
 

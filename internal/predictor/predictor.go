@@ -34,12 +34,6 @@ type Config struct {
 	SampleMod uint64
 }
 
-// DefaultConfig returns the configuration used by the evaluation: a shadow
-// of the 36 MB aggregate L2 sampling one set in eight.
-func DefaultConfig() Config {
-	return Config{L2TotalBytes: 36 << 20, LineBytes: 64, Ways: 8, SampleMod: 8}
-}
-
 // Predictor predicts L2 hits and misses and tracks its own accuracy.
 type Predictor struct {
 	cfg    Config
@@ -118,22 +112,6 @@ func (p *Predictor) Observe(addr uint64, actualHit bool) {
 	}
 }
 
-// Train replays an address trace through the shadow structure without
-// scoring accuracy; used to warm the predictor on a profiling sweep before
-// compilation consults it.
-func (p *Predictor) Train(addrs []uint64) {
-	for _, a := range addrs {
-		line := a &^ (p.cfg.LineBytes - 1)
-		if p.sampled(line) {
-			hit := p.shadow.Access(0, line)
-			p.sampledAccesses++
-			if hit {
-				p.sampledHits++
-			}
-		}
-	}
-}
-
 // Fresh returns a new, untrained predictor with the same configuration;
 // the partitioner's location pass uses one per nest, shared by every
 // window-size trial, so that the caller's predictor is never trained and the
@@ -153,10 +131,3 @@ func (p *Predictor) Accuracy() float64 {
 
 // Observations returns how many outcomes have been scored.
 func (p *Predictor) Observations() int64 { return p.total }
-
-// Reset clears all predictor state.
-func (p *Predictor) Reset() {
-	p.shadow.Flush()
-	p.sampledHits, p.sampledAccesses = 0, 0
-	p.correct, p.total = 0, 0
-}

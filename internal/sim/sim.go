@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 
-	"dmacp/internal/addrmap"
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
 )
@@ -85,14 +84,6 @@ type Config struct {
 	MemoryParallelism float64
 	// MemMode selects the off-chip latency profile.
 	MemMode MemMode
-	// Layout optionally enables DRAM bank-aware queueing: when set together
-	// with BankAware, misses serialize per (controller, bank) instead of per
-	// controller, modeling bank-level parallelism behind each MC (the
-	// paper's platform template includes the rank/bank organization of
-	// Figure 2b). Off by default; the evaluation uses the coarser per-MC
-	// model.
-	Layout    *addrmap.Layout
-	BankAware bool
 
 	// IdealNetwork zeroes all transfer latencies (the ideal-network scenario
 	// of Section 6.4). Traffic is still recorded for energy accounting.
@@ -278,15 +269,9 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 		startAt = make([]float64, len(sched.Tasks))
 		occEndAt = make([]float64, len(sched.Tasks))
 	}
-	mcFree := make(map[int]float64)
-	// mcKey identifies the serializing memory resource of a miss: the MC, or
-	// the (MC, bank) pair under bank-aware queueing.
-	mcKey := func(mc mesh.NodeID, line uint64) int {
-		if cfg.BankAware && cfg.Layout != nil {
-			return int(mc)*64 + cfg.Layout.MemBank(line)%64
-		}
-		return int(mc)
-	}
+	// Misses serialize per memory controller: mcFree is when each MC can
+	// take its next request.
+	mcFree := make(map[mesh.NodeID]float64)
 
 	// Degraded mesh: reject schedules that still touch dead nodes (repair
 	// first), route every transfer around the faults, and cache the routes
@@ -437,9 +422,8 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 				if mcErr != nil {
 					return nil, fmt.Errorf("sim: task %d: %w", t.ID, mcErr)
 				}
-				mc := mcKey(servingMC, f.Line)
-				ready := max(start, mcFree[mc])
-				mcFree[mc] = ready + cfg.MCServiceCycles
+				ready := max(start, mcFree[servingMC])
+				mcFree[servingMC] = ready + cfg.MCServiceCycles
 				lat = (ready - start) + cfg.MemMode.dramCycles()
 				if f.From != t.Node {
 					lat += transferLatency(f.From, t.Node, start)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dmacp/internal/addrmap"
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
 )
@@ -260,58 +259,6 @@ func TestNodeSerialization(t *testing.T) {
 	diff, _ := Run(mk(5), cfg)
 	if same.Cycles <= diff.Cycles {
 		t.Errorf("same-node %v <= different-node %v", same.Cycles, diff.Cycles)
-	}
-}
-
-func TestBankAwareQueueingParallelizesSpreadMisses(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	layout := addrmap.DefaultLayout()
-	// Misses landing on distinct DRAM banks queue less under bank-aware
-	// mode; misses hammering one bank queue the same.
-	mkSpread := func() *core.Schedule {
-		var tasks []*core.Task
-		for i := 0; i < 8; i++ {
-			// One page apart: distinct banks under the Figure 2b mapping.
-			tasks = append(tasks, &core.Task{
-				ID: i, Node: mesh.NodeID(i + 1), IsRoot: true,
-				Fetches: []core.Fetch{{From: m.NodeAt(0, 0), Line: uint64(i) * layout.PageBytes * uint64(layout.Channels), L2Miss: true}},
-			})
-		}
-		return &core.Schedule{Tasks: tasks, Instances: 8}
-	}
-	cfg := DefaultConfig(m)
-	coarse, err := Run(mkSpread(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Layout = &layout
-	cfg.BankAware = true
-	fine, err := Run(mkSpread(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.Cycles >= coarse.Cycles {
-		t.Errorf("bank-aware %v >= coarse %v for spread misses", fine.Cycles, coarse.Cycles)
-	}
-
-	// Same line (same bank): bank-aware must not be faster.
-	mkSame := func() *core.Schedule {
-		var tasks []*core.Task
-		for i := 0; i < 8; i++ {
-			tasks = append(tasks, &core.Task{
-				ID: i, Node: mesh.NodeID(i + 1), IsRoot: true,
-				Fetches: []core.Fetch{{From: m.NodeAt(0, 0), Line: 0x40, L2Miss: true}},
-			})
-		}
-		return &core.Schedule{Tasks: tasks, Instances: 8}
-	}
-	cfgC := DefaultConfig(m)
-	sameCoarse, _ := Run(mkSame(), cfgC)
-	cfgC.Layout = &layout
-	cfgC.BankAware = true
-	sameFine, _ := Run(mkSame(), cfgC)
-	if sameFine.Cycles < sameCoarse.Cycles {
-		t.Errorf("bank-aware %v < coarse %v for same-bank misses", sameFine.Cycles, sameCoarse.Cycles)
 	}
 }
 

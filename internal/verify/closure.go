@@ -20,6 +20,16 @@ type Closure struct {
 	ix *reach.Index
 }
 
+// maxClosureTasks is the reachability index's soft memory bound: chainBudget
+// converts it into an indexed-chain budget equal to what the old
+// ancestor-bitset closure would have spent at that many tasks (n²/8 bytes),
+// clamped to [16, 512] chains. Schedules of any size are accepted — queries
+// past the budget fall back to an on-demand BFS, trading time, never
+// correctness. The index holds one chain per mesh node in use at most, so it
+// costs 4 bytes × tasks × min(used nodes, budget): about 0.6 MB for a
+// 4,000-task schedule on 6×6.
+const maxClosureTasks = 20000
+
 // BuildClosure computes the reachability closure of the tasks under the
 // union of their WaitFor arcs and — when sameNodeOrder is set — the per-node
 // program order (tasks placed on one node execute in ID order; both the
@@ -30,15 +40,13 @@ type Closure struct {
 // cycle the closure is nil and the second result lists the (capped) IDs of
 // tasks stuck on or behind the cycle — the tasks that would deadlock.
 func BuildClosure(tasks []*core.Task, sameNodeOrder bool) (*Closure, []int) {
-	return buildClosureBounded(tasks, sameNodeOrder, 0)
+	return buildClosureBounded(tasks, sameNodeOrder, maxClosureTasks)
 }
 
-// buildClosureBounded is BuildClosure with an explicit soft memory bound:
-// maxClosureTasks is converted into an indexed-chain budget equal to what
-// the old bitset closure would have spent at that many tasks (n²/8 bytes),
-// so Options.MaxClosureTasks keeps its historical meaning as a memory knob
-// without refusing anything. maxClosureTasks <= 0 means the default 20000.
-func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks int) (*Closure, []int) {
+// buildClosureBounded is BuildClosure under the soft memory bound maxTasks
+// (see maxClosureTasks; <= 0 means maxClosureTasks). Tests pass a tiny bound
+// to force most chains onto the BFS fallback.
+func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxTasks int) (*Closure, []int) {
 	n := len(tasks)
 	b := reach.NewBuilder(n)
 	// Program-order edges go in first, so each task's same-node predecessor
@@ -61,20 +69,20 @@ func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks
 			}
 		}
 	}
-	ix, stuck := b.Build(chainBudget(maxClosureTasks, n))
+	ix, stuck := b.Build(chainBudget(maxTasks, n))
 	if ix == nil {
 		return nil, stuck
 	}
 	return &Closure{ix: ix}, nil
 }
 
-// chainBudget converts the MaxClosureTasks soft memory bound into an
+// chainBudget converts a soft memory bound of maxTasks tasks into an
 // indexed-chain count: budget bytes = maxTasks²/8 (the bitset's cost at the
 // bound), labels cost 4·n bytes per chain, clamped to [16, 512] so tiny
 // budgets stay correct (BFS residue) and huge ones stay bounded.
 func chainBudget(maxTasks, n int) int {
 	if maxTasks <= 0 {
-		maxTasks = 20000
+		maxTasks = maxClosureTasks
 	}
 	if n == 0 {
 		return 16

@@ -71,7 +71,7 @@ func diffClosures(t *testing.T, tasks []*core.Task, sameNodeOrder bool, maxTasks
 // FuzzClosureDiff cross-checks the chain-decomposed closure against the old
 // bitset closure on arbitrary task graphs: identical Ordered answers and
 // identical cycle refusals, across budget regimes (default, and a tiny
-// MaxClosureTasks that forces most chains onto the BFS fallback).
+// task bound that forces most chains onto the BFS fallback).
 func FuzzClosureDiff(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 0, 3, 1, 1, 2})
 	f.Add([]byte{63, 255, 3, 0, 1, 2, 9, 17, 4, 4, 4})

@@ -20,7 +20,7 @@ const (
 	// KindDeadlock: the wait graph (arcs plus per-node order) has a cycle.
 	KindDeadlock
 	// KindStructural: the schedule violates a structural invariant
-	// (core.ValidateSchedule) or the verifier's inputs are inconsistent.
+	// (core.ValidateScheduleOn) or the verifier's inputs are inconsistent.
 	KindStructural
 	// KindMissingFetch: a statement instance never fetches a line its
 	// right-hand side requires.

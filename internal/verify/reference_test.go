@@ -32,7 +32,7 @@ func referenceCheck(in Input, o Options) (*Report, error) {
 			Detail: err.Error(),
 		}, o.MaxDiagnostics)
 	}
-	hb, stuck := buildClosureBounded(tasks, true, o.MaxClosureTasks)
+	hb, stuck := buildClosureBounded(tasks, true, maxClosureTasks)
 	if hb == nil {
 		rep.addViolation(RaceDiagnostic{
 			Kind: KindDeadlock, EarlierTask: noTask, LaterTask: noTask,
@@ -293,7 +293,7 @@ func refCheckInstances(in Input, o Options, rep *Report) {
 }
 
 func refCheckRedundancy(in Input, o Options, rep *Report) {
-	arcHB, _ := buildClosureBounded(in.Schedule.Tasks, false, o.MaxClosureTasks)
+	arcHB, _ := buildClosureBounded(in.Schedule.Tasks, false, maxClosureTasks)
 	if arcHB == nil {
 		return
 	}

@@ -109,23 +109,11 @@ type Options struct {
 	// MaxDiagnostics caps how many diagnostics of each severity the report
 	// retains (counts keep running past the cap). Default 16.
 	MaxDiagnostics int
-	// MaxClosureTasks is a soft memory bound on the reachability index: it
-	// is converted into an indexed-chain budget equal to what the old
-	// ancestor-bitset closure would have spent at that many tasks (n²/8
-	// bytes), clamped to [16, 512] chains. Schedules of any size are
-	// accepted — queries past the budget fall back to an on-demand BFS,
-	// trading time, never correctness. The index holds one chain per mesh
-	// node in use at most, so it costs 4 bytes × tasks × min(used nodes,
-	// budget): about 0.6 MB for a 4,000-task schedule on 6×6. Default 20000.
-	MaxClosureTasks int
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxDiagnostics <= 0 {
 		o.MaxDiagnostics = 16
-	}
-	if o.MaxClosureTasks <= 0 {
-		o.MaxClosureTasks = 20000
 	}
 	return o
 }
@@ -137,10 +125,15 @@ const noTask = -1
 // problems (missing inputs); semantic findings land in the report, whose
 // Err method turns violations into an error. There is no task-count
 // refusal: the chain-decomposed closure handles production-size schedules,
-// with MaxClosureTasks only bounding the index's memory. One index serves
+// with maxClosureTasks only bounding the index's memory. One index serves
 // every check, so a run costs O(tasks × used nodes) plus the accesses the
 // instance enumeration and the race replay visit.
 func Check(in Input, o Options) (*Report, error) {
+	return check(in, o, maxClosureTasks)
+}
+
+// check is Check with the closure's soft memory bound as a parameter.
+func check(in Input, o Options, closureTasks int) (*Report, error) {
 	o = o.withDefaults()
 	if in.Schedule == nil {
 		return nil, fmt.Errorf("verify: nil schedule")
@@ -163,7 +156,7 @@ func Check(in Input, o Options) (*Report, error) {
 
 	// Happens-before closure over WaitFor arcs plus per-node program order.
 	// A cycle means the schedule deadlocks; no order-based check is possible.
-	hb, stuck := buildClosureBounded(tasks, true, o.MaxClosureTasks)
+	hb, stuck := buildClosureBounded(tasks, true, closureTasks)
 	if hb == nil {
 		rep.addViolation(RaceDiagnostic{
 			Kind: KindDeadlock, EarlierTask: noTask, LaterTask: noTask,

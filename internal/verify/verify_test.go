@@ -291,13 +291,13 @@ func TestOutOfBoundsWarning(t *testing.T) {
 }
 
 // TestMaxClosureTasksIsSoftBound replaces the old refusal test: with the
-// chain-decomposed closure, MaxClosureTasks only budgets index memory, so
+// chain-decomposed closure, the task bound only budgets index memory, so
 // even an absurdly small bound must verify the schedule — correctly.
 func TestMaxClosureTasksIsSoftBound(t *testing.T) {
 	in, _ := partitionInput(t, raceKernel, 64, 1<<10)
-	rep, err := verify.Check(in, verify.Options{MaxClosureTasks: 1})
+	rep, err := verify.CheckWithClosureBound(in, verify.Options{}, 1)
 	if err != nil {
-		t.Fatalf("schedule refused under a small MaxClosureTasks: %v", err)
+		t.Fatalf("schedule refused under a small task bound: %v", err)
 	}
 	if !rep.Clean() {
 		t.Fatalf("tight memory bound changed verification results:\n%s\n%v", rep.Summary(), rep.Lines())

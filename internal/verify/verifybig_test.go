@@ -12,7 +12,7 @@ import (
 // TestVerifyBigSchedule is the scale gate for the chain-decomposed
 // reachability index: a two-level nest (sweep loop around an element loop)
 // whose baseline placement emits over 100k tasks must verify cleanly,
-// end-to-end, with the default soft memory bound — the configuration the old
+// end-to-end, under the verifier's fixed soft memory bound — the configuration the old
 // bitset closure refused outright (100k tasks would have needed ~1.25 GB).
 func TestVerifyBigSchedule(t *testing.T) {
 	if testing.Short() {

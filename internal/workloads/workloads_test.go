@@ -91,7 +91,7 @@ func TestAnalyzabilityOrdering(t *testing.T) {
 			for _, s := range n.Body {
 				for _, r := range s.AllRefs() {
 					refs++
-					if ir.Analyzable(r) {
+					if _, ok := ir.SubscriptOf(r); ok {
 						affine++
 					}
 				}

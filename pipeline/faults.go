@@ -18,10 +18,12 @@ import (
 	"dmacp/internal/workloads"
 )
 
-// ErrBadInput flags invalid user input — malformed fault specs, node ids
-// outside the mesh, out-of-range arrival fractions — as opposed to a fault
-// set the repair ladder gave up on. `dmacp faults` maps errors.Is(err,
-// ErrBadInput) to exit code 2 and unrepairable sets to exit code 1.
+// ErrBadInput flags invalid user input — a kernel that does not parse or
+// exceeds the size limits, an unknown cluster or memory mode, malformed fault
+// specs, node ids outside the mesh, out-of-range arrival fractions — as
+// opposed to a fault set the repair ladder gave up on. Every `dmacp`
+// subcommand maps errors.Is(err, ErrBadInput) to exit code 2; `dmacp faults`
+// maps unrepairable sets to exit code 1.
 var ErrBadInput = errors.New("invalid input")
 
 // badInputf builds an input-validation error wrapping ErrBadInput.

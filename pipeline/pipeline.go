@@ -59,8 +59,6 @@ type Config struct {
 	ClusterMode string
 	// MemoryMode is "flat" (default), "cache" or "hybrid".
 	MemoryMode string
-	// MaxWindow bounds the adaptive statement-window search (default 8).
-	MaxWindow int
 	// FixedWindow, when positive, pins the window size instead.
 	FixedWindow int
 	// NoFuse disables the producer→consumer coarsening pre-pass
@@ -68,11 +66,6 @@ type Config struct {
 	// consumer before the window sweep. Fusion is on by default; this is
 	// the -nofuse escape hatch of the CLIs.
 	NoFuse bool
-	// UsePredictor enables the sampled L2 hit/miss predictor; when false the
-	// compiler assumes on-chip data (default true).
-	UsePredictor bool
-	// IdealAnalysis gives the compiler oracle data-location knowledge.
-	IdealAnalysis bool
 	// Jobs bounds the worker pool the partitioner's window sweep runs on.
 	// <= 0 means one worker per CPU; 1 forces serial execution. The report is
 	// identical at every setting.
@@ -87,12 +80,10 @@ type Config struct {
 // DefaultConfig mirrors the paper's evaluation platform.
 func DefaultConfig() Config {
 	return Config{
-		MeshCols:     6,
-		MeshRows:     6,
-		ClusterMode:  "quadrant",
-		MemoryMode:   "flat",
-		MaxWindow:    8,
-		UsePredictor: true,
+		MeshCols:    6,
+		MeshRows:    6,
+		ClusterMode: "quadrant",
+		MemoryMode:  "flat",
 	}
 }
 
@@ -169,23 +160,55 @@ func (r *Report) String() string {
 		-r.EnergySavings()*100, r.DefaultL1HitRate*100, r.OptimizedL1HitRate*100)
 }
 
-// build translates the public types into the internal representation.
+// Size limits on one kernel, at least 64× every shipped caller (dmacp's
+// default kernel declares 7 arrays of 65,536 8-byte elements, 3.5 MiB, and
+// runs 256 × 3 × 2 = 1,536 statement instances), so that absurd sizes fail
+// fast with ErrBadInput instead of exhausting memory or running for hours.
+// A run costs roughly 3 KB per statement instance, so a kernel at both
+// limits stays near 1 GB.
+const (
+	// maxArrayBytes bounds the summed size of the kernel's arrays.
+	maxArrayBytes = 1 << 28
+	// maxStatementInstances bounds Iterations × Sweeps × statements.
+	maxStatementInstances = 1 << 18
+)
+
+// productWithin reports whether the product of the non-negative factors
+// stays at or below limit, without overflowing on the way.
+func productWithin(limit int, factors ...int) bool {
+	p := 1
+	for _, f := range factors {
+		if p > 0 && f > limit/p {
+			return false
+		}
+		p *= f
+	}
+	return true
+}
+
+// build translates the public types into the internal representation. Every
+// error it returns wraps ErrBadInput: they all reject the kernel or the
+// configuration.
 func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options, sim.Config, error) {
 	var zeroOpts core.Options
 	var zeroSim sim.Config
 	if k.Iterations <= 0 {
-		return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("pipeline: Kernel.Iterations must be positive")
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: Kernel.Iterations must be positive")
 	}
 	body, err := ir.ParseStatements(k.Statements)
 	if err != nil {
-		return nil, nil, nil, zeroOpts, zeroSim, err
+		return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("%w: %w", err, ErrBadInput)
 	}
 	if len(body) == 0 {
-		return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("pipeline: kernel %q has no statements", k.Name)
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: kernel %q has no statements", k.Name)
 	}
 	sweeps := k.Sweeps
 	if sweeps <= 0 {
 		sweeps = 1
+	}
+	if !productWithin(maxStatementInstances, k.Iterations, sweeps, len(body)) {
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: kernel %q: %d iterations × %d sweeps × %d statements exceeds the limit of %d statement instances",
+			k.Name, k.Iterations, sweeps, len(body), maxStatementInstances)
 	}
 	loops := []ir.Loop{{Var: "i", Lower: 0, Upper: k.Iterations, Step: 1}}
 	if sweeps > 1 {
@@ -193,21 +216,11 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	}
 	nest := &ir.Nest{Name: k.Name, Loops: loops, Body: body}
 
-	arrayLen := k.ArrayLen
-	if arrayLen <= 0 {
-		arrayLen = 1 << 16
-	}
-	prog := ir.NewProgram()
-	prog.DeclareFromNest(nest, arrayLen, 8)
-	prog.Nests = append(prog.Nests, nest)
-	store := ir.NewStore(prog)
-	store.FillRandom(prog, k.Seed+1)
-
 	opts := core.DefaultOptions()
 	if cfg.MeshCols > 0 && cfg.MeshRows > 0 {
 		m, err := mesh.New(cfg.MeshCols, cfg.MeshRows)
 		if err != nil {
-			return nil, nil, nil, zeroOpts, zeroSim, err
+			return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("%w: %w", err, ErrBadInput)
 		}
 		opts.Mesh = m
 		opts.Layout.L2Banks = m.Nodes()
@@ -220,24 +233,8 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	case "snc-4", "SNC-4":
 		opts.Mode = mesh.SNC4
 	default:
-		return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("pipeline: unknown cluster mode %q", cfg.ClusterMode)
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: unknown cluster mode %q", cfg.ClusterMode)
 	}
-	if cfg.MaxWindow > 0 {
-		opts.MaxWindow = cfg.MaxWindow
-	}
-	opts.FixedWindow = cfg.FixedWindow
-	opts.Fuse = !cfg.NoFuse
-	opts.IdealAnalysis = cfg.IdealAnalysis
-	opts.Jobs = cfg.Jobs
-	if cfg.UsePredictor && !cfg.IdealAnalysis {
-		opts.Predictor = predictor.MustNew(predictor.Config{
-			L2TotalBytes: opts.L2BankBytes * uint64(opts.Mesh.Nodes()),
-			LineBytes:    opts.Layout.LineBytes,
-			Ways:         opts.L2Ways,
-			SampleMod:    8,
-		})
-	}
-
 	simCfg := sim.DefaultConfig(opts.Mesh)
 	switch cfg.MemoryMode {
 	case "", "flat":
@@ -247,8 +244,35 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	case "hybrid":
 		simCfg.MemMode = sim.Hybrid
 	default:
-		return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("pipeline: unknown memory mode %q", cfg.MemoryMode)
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: unknown memory mode %q", cfg.MemoryMode)
 	}
+
+	arrayLen := k.ArrayLen
+	if arrayLen <= 0 {
+		arrayLen = 1 << 16
+	}
+	prog := ir.NewProgram()
+	// Declaring records array metadata only; the store allocates the
+	// elements, so the size check sits between the two.
+	prog.DeclareFromNest(nest, arrayLen, 8)
+	if !productWithin(maxArrayBytes, len(prog.Arrays), arrayLen, 8) {
+		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: kernel %q: %d arrays of %d 8-byte elements exceed the limit of %d array bytes",
+			k.Name, len(prog.Arrays), arrayLen, maxArrayBytes)
+	}
+	prog.Nests = append(prog.Nests, nest)
+	store := ir.NewStore(prog)
+	store.FillRandom(prog, k.Seed+1)
+
+	opts.FixedWindow = cfg.FixedWindow
+	opts.Fuse = !cfg.NoFuse
+	opts.Jobs = cfg.Jobs
+	// The compiler consults the sampled L2 hit/miss predictor (Section 4.1).
+	opts.Predictor = predictor.MustNew(predictor.Config{
+		L2TotalBytes: opts.L2BankBytes * uint64(opts.Mesh.Nodes()),
+		LineBytes:    opts.Layout.LineBytes,
+		Ways:         opts.L2Ways,
+		SampleMod:    8,
+	})
 	return prog, nest, store, opts, simCfg, nil
 }
 
@@ -362,8 +386,7 @@ func EmitCode(k Kernel, cfg Config, maxTasksPerNode int) (string, error) {
 	buf.WriteString("// " + codegen.Summary(opt.Schedule, opts.Mesh) + "\n")
 	// Render against the body the schedule was emitted over (the fused one
 	// when the coarsening pre-pass merged statements).
-	err = codegen.Generate(&buf, opt.Schedule, opts.Mesh, opt.LineLabels, opt.ScheduleNest().Body,
-		codegen.Options{MaxTasksPerNode: maxTasksPerNode})
+	err = codegen.Generate(&buf, opt.Schedule, opts.Mesh, opt.LineLabels, opt.ScheduleNest().Body, maxTasksPerNode)
 	if err != nil {
 		return "", err
 	}

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testKernel() Kernel {
@@ -45,9 +47,53 @@ func TestRunRejectsBadKernels(t *testing.T) {
 		{Name: "syntax", Statements: "A(i) == B(i)", Iterations: 8},
 	}
 	for _, k := range bad {
-		if _, err := Run(k, DefaultConfig()); err == nil {
-			t.Errorf("kernel %q accepted", k.Name)
+		if _, err := Run(k, DefaultConfig()); !errors.Is(err, ErrBadInput) {
+			t.Errorf("kernel %q: err = %v, want ErrBadInput", k.Name, err)
 		}
+	}
+}
+
+// TestBuildFailsFastOnBadInput drives dmacp's default kernel (7 arrays, 256
+// iterations × 3 sweeps × 2 statements, 65,536-element arrays) with the
+// flags of four bad invocations: each must fail with ErrBadInput before
+// allocating its arrays or enumerating its instances.
+func TestBuildFailsFastOnBadInput(t *testing.T) {
+	dmacpKernel := func() Kernel {
+		return Kernel{
+			Name:       "kernel",
+			Statements: "A(8*i) = B(8*i)+C(16*i)+D(8*i+64)+E(24*i)\nX(8*i) = Y(8*i)+C(16*i)",
+			Iterations: 256,
+			Sweeps:     3,
+			ArrayLen:   1 << 16,
+			Seed:       1,
+		}
+	}
+	cases := []struct {
+		name  string
+		edit  func(*Kernel, *Config)
+		limit string
+	}{
+		{"-len 4000000000", func(k *Kernel, _ *Config) { k.ArrayLen = 4000000000 }, "array bytes"},
+		{"-iters 100000000 -len 16", func(k *Kernel, _ *Config) { k.Iterations, k.ArrayLen = 100000000, 16 }, "statement instances"},
+		{"-iters 0", func(k *Kernel, _ *Config) { k.Iterations = 0 }, ""},
+		{"-cluster bogus", func(_ *Kernel, c *Config) { c.ClusterMode = "bogus" }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, cfg := dmacpKernel(), DefaultConfig()
+			tc.edit(&k, &cfg)
+			start := time.Now()
+			_, err := Run(k, cfg)
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("rejection took %v", elapsed)
+			}
+			if !errors.Is(err, ErrBadInput) {
+				t.Fatalf("err = %v, want ErrBadInput", err)
+			}
+			if !strings.Contains(err.Error(), tc.limit) {
+				t.Errorf("err = %v, want it to name the %s limit", err, tc.limit)
+			}
+		})
 	}
 }
 
@@ -144,18 +190,6 @@ func TestVerifySemantics(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: optimized execution order changed results", k.Name)
 		}
-	}
-}
-
-func TestIdealAnalysisMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IdealAnalysis = true
-	rep, err := Run(testKernel(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PredictorAccuracy != 0 {
-		t.Errorf("ideal analysis should bypass the predictor, accuracy = %v", rep.PredictorAccuracy)
 	}
 }
 
