@@ -95,7 +95,7 @@ verifybig:
 #                workloads), re-repair beats re-partition-from-scratch
 #   churnsweep   recovery events re-integrate verifier-clean and only when the
 #                movement accounting wins; kill/revive loops cannot thrash;
-#                deadline probes return verifier-clean incumbents
+#                an expired deadline still returns a verifier-clean repair
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
 # plus each gate's byte-identity at -j 1 vs -j 8 and its Runner experiment

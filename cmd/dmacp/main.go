@@ -194,7 +194,7 @@ func runFaults(args []string) {
 		jobs      = fs.Int("j", 0, "parallel workers for the window sweep (<= 0 = one per CPU, 1 = serial; result is identical)")
 		online    = fs.Bool("online", false, "mid-run arrival: the fault strikes at -at x the pristine makespan; checkpoint and re-repair only the residual schedule")
 		at        = fs.Float64("at", 0.5, "arrival point as a fraction of the pristine makespan (with -online)")
-		timeout   = fs.Duration("timeout", 0, "deadline for the anytime repair ladder (0 = run to completion); on expiry the best verifier-clean schedule found so far is returned")
+		timeout   = fs.Duration("timeout", 0, "deadline for the repair ladder (0 = run to completion); once it expires, repair keeps the greedy assignment and a rejected repair fails at stage deadline instead of re-placing every task")
 		nofuse    = fs.Bool("nofuse", false, "disable the producer→consumer fusion pre-pass")
 	)
 	defaultUsage := fs.Usage
@@ -203,8 +203,8 @@ func runFaults(args []string) {
 		fmt.Fprint(fs.Output(), `
 Exit codes:
   0  repaired and verified
-  1  the fault set is unrepairable (or the -timeout deadline expired with no
-     verifier-clean schedule found)
+  1  the fault set is unrepairable (or the -timeout deadline expired before a
+     verifier-clean schedule was found)
   2  invalid input: a bad kernel or mode, malformed -kill-* specs, node ids
      outside the mesh, -at outside (0, 1), or bad flags
 `)
@@ -303,7 +303,7 @@ func main() {
 		memMode = flag.String("mem", "flat", "memory mode: flat | cache | hybrid")
 		cols    = flag.Int("cols", 6, "mesh columns")
 		rows    = flag.Int("rows", 6, "mesh rows")
-		verify  = flag.Bool("verify", true, "check that optimized execution order preserves results")
+		verify  = flag.Bool("verify", true, "race-check the optimized and default schedules (dmacp verify prints the diagnostics)")
 		seed    = flag.Int64("seed", 1, "deterministic data seed")
 		emit    = flag.Int("emit", 0, "emit the generated per-node program, truncated to N tasks per node (0 = off, -1 = unlimited)")
 		asJSON  = flag.Bool("json", false, "print the report as JSON instead of text")
@@ -417,9 +417,9 @@ func main() {
 			exitErr("dmacp", "verify: ", err)
 		}
 		if !ok {
-			fmt.Fprintln(os.Stderr, "dmacp: VERIFY FAILED: optimized order changed results")
+			fmt.Fprintln(os.Stderr, "dmacp: VERIFY FAILED: a schedule reorders a dependence (dmacp verify prints the races)")
 			os.Exit(1)
 		}
-		fmt.Println("verify:             optimized execution preserves results ✓")
+		fmt.Println("verify:             optimized and default schedules order every dependence ✓")
 	}
 }

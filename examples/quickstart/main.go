@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("results preserved:       ", ok)
+	fmt.Println("dependences preserved:   ", ok)
 
 	// Peek at the generated per-node program (the paper's Figure 8 view):
 	// a tiny run keeps the listing short.

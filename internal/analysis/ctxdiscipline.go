@@ -6,9 +6,9 @@ import (
 )
 
 // CtxDiscipline mechanizes the project's cancellation-plumbing convention,
-// introduced with the anytime repair ladder: a context.Context is always
-// passed explicitly as the first parameter (after the receiver) of the
-// function that consults it, and is never stored in a struct field. Stored
+// which the deadline-bounded repair ladder follows: a context.Context is
+// always passed explicitly as the first parameter (after the receiver) of
+// the function that consults it, and is never stored in a struct field. Stored
 // contexts outlive the call they were scoped to — exactly the bug class that
 // makes a deadline from one repair leak into the next — and a context hiding
 // in the middle of a parameter list defeats grep-ability of the cancellation

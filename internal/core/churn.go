@@ -15,6 +15,11 @@ import (
 // same element costs zero migrations.
 const churnFlapCap = 2
 
+// churnHysteresis scales the migration cost a revived element must beat
+// before ReintegrateOnline migrates work back onto it: a task returns only
+// when bytes x hops saved > churnHysteresis x migration cost.
+const churnHysteresis = 1.0
+
 // ChurnState tracks per-node failure history across a run's fault and
 // recovery events so re-integration can refuse to chase a flapping element.
 // Observe is called once per event with the post-event fault set; a node
@@ -68,8 +73,8 @@ type ReintegrateReport struct {
 	Candidates, Migrated int
 	// DeclinedChurn counts candidates refused because their best revived
 	// target has flapped churnFlapCap or more times; DeclinedHysteresis
-	// counts candidates whose saving did not clear ChurnHysteresis x the
-	// migration cost.
+	// counts candidates whose saving did not clear the hysteresis multiple
+	// of the migration cost.
 	DeclinedChurn, DeclinedHysteresis int
 	// MigrationTraffic is the bytes x hops charged to move the accepted
 	// tasks' state back (0 unless Accepted).
@@ -93,7 +98,7 @@ type ReintegrateReport struct {
 // whole schedule is residual); f is the post-recovery fault set and revived
 // the nodes the event brought back (mesh.RevivedNodes). Each residual task
 // is priced per the paper's objective: moving to the cheapest revived node
-// must save strictly more than ChurnHysteresis x the migration cost (the
+// must save strictly more than churnHysteresis x the migration cost (the
 // displaced result state's trip back), and the target must not have
 // flapped churnFlapCap times (ChurnState). Accepted moves are applied on a
 // clone, the dependence structure replayed, and the result committed only
@@ -108,10 +113,7 @@ type ReintegrateReport struct {
 // its saving clears the hysteresis margin, and after an element's second
 // failure the churn cap refuses it outright, so N repeated fault/revive
 // cycles of the same element cost O(1) migrations total after the first.
-func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState, check RepairChecker) (*Schedule, *ReintegrateReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, churn *ChurnState, check RepairChecker) (*Schedule, *ReintegrateReport, error) {
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
@@ -122,7 +124,7 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 		return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
 	}
 	rep := &ReintegrateReport{}
-	plan := planReintegration(s, ck, m, f, revived, o, churn, rep)
+	plan := planReintegration(s, ck, m, f, revived, churnHysteresis, churn, rep)
 	if plan.moved == nil || ctx.Err() != nil {
 		return plan.residual, rep, nil
 	}
@@ -165,10 +167,10 @@ type reintegrationPlan struct {
 }
 
 // planReintegration cuts the residual, refreshes its hops, prices every
-// residual task's return to a revived node, and applies the accepted
-// returns on a clone, filling rep's split, candidate and movement-before
-// fields.
-func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
+// residual task's return to a revived node, and applies the returns whose
+// saving clears h x their migration cost on a clone, filling rep's split,
+// candidate and movement-before fields.
+func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
 	var residual *Schedule
 	if ck != nil {
 		var st residualStats
@@ -186,13 +188,7 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 	// the stay-put residual verifier-clean on the recovered topology.
 	dist := m.AllDistancesAvoiding(f)
 	plan := reintegrationPlan{residual: residual, dist: dist}
-	for _, t := range residual.Tasks {
-		for j, p := range t.WaitFor {
-			if d := dist.Between(residual.Tasks[p].Node, t.Node); d >= 0 {
-				t.WaitHops[j] = d
-			}
-		}
-	}
+	refreshHops(residual, dist)
 
 	// Usable revived targets only; a half-revived node (router back, tile
 	// still dead) cannot host work.
@@ -213,11 +209,6 @@ func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultS
 	}
 	rep.MovementBefore = before
 	rep.MovementAfter = before
-
-	h := o.ChurnHysteresis
-	if h <= 0 {
-		h = 1.0
-	}
 
 	// Reverse dependence index: consumers[p] lists the tasks waiting on p,
 	// so a move can price the outgoing sync arcs it re-routes.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // expiredCtx returns a context whose deadline has already passed: the
-// repair ladder takes its anytime path and stops at its first poll, which
-// comes after the cheap greedy attempt.
+// repair ladder's AssignAuto best-of stops at its one poll, which comes
+// after the cheap greedy repair, and a rejected stage 1 fails at stage
+// "deadline".
 func expiredCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Time{})
 	t.Cleanup(cancel)
@@ -86,7 +88,7 @@ func TestNoThrashInvariant(t *testing.T) {
 		f.ReviveTile(victim)
 		churn.Observe(m, f)
 		back, rrep, err := ReintegrateOnline(context.Background(), s, nil, m, f,
-			[]mesh.NodeID{victim}, ro, churn, nil)
+			[]mesh.NodeID{victim}, churn, nil)
 		if err != nil {
 			t.Fatalf("cycle %d reintegrate: %v", c, err)
 		}
@@ -135,15 +137,12 @@ func TestReintegrateHysteresisBlocksMarginalMoves(t *testing.T) {
 	f.ReviveTile(victim)
 
 	// An absurd hysteresis threshold: no saving can clear it, so nothing may
-	// migrate and the returned schedule is the stay-put residual.
-	ro := RepairOptions{LoadThreshold: opts.LoadThreshold, ChurnHysteresis: 1e12}
-	back, rrep, err := ReintegrateOnline(context.Background(), repaired, nil, m, f,
-		[]mesh.NodeID{victim}, ro, NewChurnState(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rrep.Accepted || rrep.Migrated != 0 {
-		t.Fatalf("hysteresis 1e12 still migrated %d tasks", rrep.Migrated)
+	// migrate and the plan is the stay-put residual.
+	rrep := &ReintegrateReport{}
+	plan := planReintegration(repaired, nil, m, f, []mesh.NodeID{victim}, 1e12, NewChurnState(), rrep)
+	back := plan.residual
+	if plan.moved != nil || plan.returns != 0 {
+		t.Fatalf("hysteresis 1e12 still migrated %d tasks", plan.returns)
 	}
 	if rrep.Candidates > 0 && rrep.DeclinedHysteresis == 0 {
 		t.Fatalf("candidates existed (%d) but none were declined by hysteresis", rrep.Candidates)
@@ -175,7 +174,7 @@ func TestReintegrateReturnsResidualOnExpiredContext(t *testing.T) {
 	f.ReviveTile(victim)
 
 	back, rrep, err := ReintegrateOnline(expiredCtx(t), repaired, nil, m, f,
-		[]mesh.NodeID{victim}, RepairOptions{}, NewChurnState(), nil)
+		[]mesh.NodeID{victim}, NewChurnState(), nil)
 	if err != nil {
 		t.Fatalf("expired context must fall back, not fail: %v", err)
 	}
@@ -292,5 +291,33 @@ func TestRepairEscalatesToFullReplacement(t *testing.T) {
 	var rf *RepairFailure
 	if !errors.As(err, &rf) || rf.Stage != "re-place-verify-reject" || calls != 2 {
 		t.Fatalf("want failure at re-place-verify-reject after 2 checks, got %v after %d", err, calls)
+	}
+}
+
+// TestDeadlineLadderMatchesUnbounded pins the single stage 1: under a
+// deadline that cannot pass, the ladder verifies its one incremental repair
+// exactly once and returns the same schedule and report as a run without a
+// deadline.
+func TestDeadlineLadderMatchesUnbounded(t *testing.T) {
+	s, _, f, _ := deadTileWithWork(t)
+	m := mesh.MustNew(6, 6)
+
+	calls := 0
+	acceptAll := func(*Schedule) error { calls++; return nil }
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, rep, err := RepairVerifiedCtx(ctx, s, m, f, RepairOptions{}, acceptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("checker consulted %d times under a deadline, want 1", calls)
+	}
+	want, wantRep, err := RepairVerified(s, m, f, RepairOptions{}, acceptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("deadline run differs from the run without one: %+v vs %+v", rep, wantRep)
 	}
 }

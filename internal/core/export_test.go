@@ -51,8 +51,8 @@ func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptio
 // ReintegrateForReplay returns the schedule ReintegrateOnline would hand
 // the dependence replay, its hops refreshed (nil when no task returns), and
 // the distances the replay uses.
-func ReintegrateForReplay(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, o RepairOptions, churn *ChurnState) (*Schedule, *mesh.DistanceTable) {
-	plan := planReintegration(s, ck, m, f, revived, o, churn, &ReintegrateReport{})
+func ReintegrateForReplay(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState) (*Schedule, *mesh.DistanceTable) {
+	plan := planReintegration(s, ck, m, f, revived, h, churn, &ReintegrateReport{})
 	if plan.moved != nil {
 		refreshHops(plan.moved, plan.dist)
 	}

@@ -98,10 +98,9 @@ func RepairOnline(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o
 }
 
 // RepairOnlineCtx is RepairOnline with a deadline: the residual surgery and
-// migration accounting always complete (they are cheap and bounded), the
-// escalation ladder underneath runs anytime via RepairVerifiedCtx — on
-// expiry the best verifier-clean residual found so far is returned, or a
-// *RepairFailure at stage "deadline" when none exists yet.
+// migration accounting always complete (they are cheap and bounded), and
+// the escalation ladder underneath is RepairVerifiedCtx, which stops short
+// of the costlier rungs once ctx has expired.
 func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *OnlineReport, error) {
 	if err := checkShape(s, m); err != nil {
 		return nil, nil, err

@@ -179,7 +179,7 @@ func TestRepairRejectsMalformedArcs(t *testing.T) {
 				},
 				"ReintegrateOnline": func() error {
 					_, _, err := ReintegrateOnline(context.Background(), s, nil, m, mesh.NewFaultSet(),
-						[]mesh.NodeID{0}, RepairOptions{}, NewChurnState(), nil)
+						[]mesh.NodeID{0}, NewChurnState(), nil)
 					return err
 				},
 			}

@@ -108,7 +108,7 @@ func BenchmarkReintegrateOnline(b *testing.B) {
 		churn := core.NewChurnState()
 		churn.Observe(m, faults)
 		churn.Observe(m, cleared)
-		if _, _, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared, revived, core.RepairOptions{}, churn, nil); err != nil {
+		if _, _, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared, revived, churn, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,11 +57,6 @@ type RepairOptions struct {
 	// Strategy selects the migration assignment (see AssignStrategy); the
 	// zero value is AssignAuto.
 	Strategy AssignStrategy
-	// ChurnHysteresis scales the migration cost a revived element must beat
-	// before ReintegrateOnline migrates work back onto it: a task returns
-	// only when bytes x hops saved > ChurnHysteresis x migration cost.
-	// Values <= 0 mean 1.0. Higher values damp churn harder.
-	ChurnHysteresis float64
 }
 
 // RepairReport describes what one RepairSchedule call changed.
@@ -145,32 +140,46 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // the original afterwards should pass a Clone (RepairVerified does).
 //
 // With the default AssignAuto strategy the stranded-task placement is
-// solved twice — once as a batched min-cost assignment, in place on s, and
-// once with the greedy ID-order baseline on a single Clone — and the
-// schedule that moves less data is committed, tie-breaking toward the
-// batched result.
+// solved twice — once with the greedy ID-order baseline on a Clone, then as
+// a batched min-cost assignment in place on s — and the schedule that moves
+// less data is committed, tie-breaking toward the batched result.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
+	return repairCtx(context.Background(), s, m, f, o)
+}
+
+// repairCtx is RepairSchedule under a context that only AssignAuto's
+// best-of consults.
+func repairCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	if err := checkShape(s, m); err != nil {
 		return nil, err
 	}
 	if o.Strategy == AssignAuto && !o.Full && !f.Empty() {
-		return repairBestOf(s, m, f, o)
+		return repairBestOf(ctx, s, m, f, o)
 	}
 	return repairSchedule(s, m, f, o)
 }
 
-// repairBestOf runs the batched min-cost repair in place on s and the
-// greedy repair on a clone taken beforehand, and copies the greedy result
-// into s only when it produced strictly less post-repair movement (or the
-// min-cost pass failed). Ties go to the batched assignment, so the accepted
-// repair is by construction never worse than the greedy baseline. One deep
-// copy per call: s is already the caller's clone in RepairVerifiedCtx.
-func repairBestOf(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
+// repairBestOf runs the greedy repair on a clone of s, then the batched
+// min-cost repair in place on s, and copies the greedy result into s only
+// when it produced strictly less post-repair movement (or the min-cost pass
+// failed). Ties go to the batched assignment, so the accepted repair is by
+// construction never worse than the greedy baseline. ctx is polled once,
+// between the two: when it has expired the greedy result is committed
+// without the costlier batched solve. One deep copy per call: s is already
+// the caller's clone in RepairVerifiedCtx.
+func repairBestOf(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	oMC, oGr := o, o
 	oMC.Strategy, oGr.Strategy = AssignMinCost, AssignGreedy
 	cGr := s.Clone()
-	repMC, errMC := repairSchedule(s, m, f, oMC)
 	repGr, errGr := repairSchedule(cGr, m, f, oGr)
+	if ctx.Err() != nil {
+		if errGr != nil {
+			return nil, errGr
+		}
+		*s = *cGr
+		return repGr, nil
+	}
+	repMC, errMC := repairSchedule(s, m, f, oMC)
 	switch {
 	case errMC == nil && (errGr != nil || repMC.MovementAfter <= repGr.MovementAfter):
 		return repMC, nil
@@ -372,11 +381,14 @@ func replayArcs(s *Schedule, dist *mesh.DistanceTable) (added, removed int) {
 }
 
 // refreshHops sets every arc's hop count to the distance between its
-// producer's and consumer's nodes.
+// producer's and consumer's nodes, leaving an arc between disconnected nodes
+// as it was.
 func refreshHops(s *Schedule, dist *mesh.DistanceTable) {
 	for _, t := range s.Tasks {
 		for j, p := range t.WaitFor {
-			t.WaitHops[j] = dist.Between(s.Tasks[p].Node, t.Node)
+			if d := dist.Between(s.Tasks[p].Node, t.Node); d >= 0 {
+				t.WaitHops[j] = d
+			}
 		}
 	}
 }
@@ -638,95 +650,44 @@ func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 	return RepairVerifiedCtx(context.Background(), s, m, f, o, check)
 }
 
-// RepairVerifiedCtx is the anytime escalation ladder. Without a context
-// deadline it behaves exactly like the classic ladder: one incremental
-// repair (AssignAuto commits the cheaper of batched/greedy pre-verify),
-// verify, then a full re-placement. With a deadline set, every ladder stage
-// checks the context and an *incumbent* — the best verifier-clean schedule
-// found so far — is tracked: the cheap greedy assignment runs first so an
-// incumbent exists as early as possible, the batched min-cost attempt then
-// only replaces it when clean and no worse (ties prefer the batched result),
-// and on expiry the incumbent is returned as-is. The result is therefore never worse than the
-// pre-deadline incumbent. Only when the deadline expires before any clean
-// schedule exists does it fail, with a *RepairFailure at stage "deadline"
-// wrapping the context's error.
+// RepairVerifiedCtx is RepairVerified under a deadline, on the same ladder.
+// Stage 1's AssignAuto best-of commits the greedy repair without the
+// batched solve once ctx has expired, and its one candidate is verified
+// once. An expired ctx also stops the ladder before the full re-placement,
+// which then fails with a *RepairFailure at stage "deadline" wrapping the
+// context's error. The returned schedule is always verifier-clean.
 func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
-	_, anytime := ctx.Deadline()
-
-	var (
-		best    *Schedule     // incumbent: best verifier-clean schedule so far
-		bestRep *RepairReport //
-		fail    *RepairFailure
-	)
-	// attempt clones, repairs, and verifier-gates one configuration; a clean
-	// result that improves on the incumbent (or ties, when preferTie is set)
-	// replaces it. Failures record the deepest stage for the final error.
-	attempt := func(opts RepairOptions, repairStage, rejectStage string, preferTie bool) {
+	// attempt clones, repairs, and verifier-gates one configuration.
+	attempt := func(opts RepairOptions, repairStage, rejectStage string) (*Schedule, *RepairReport, error) {
 		c := s.Clone()
-		rep, err := RepairSchedule(c, m, f, opts)
+		rep, err := repairCtx(ctx, c, m, f, opts)
 		if err != nil {
-			fail = &RepairFailure{Stage: repairStage, Err: err}
-			return
+			return nil, nil, &RepairFailure{Stage: repairStage, Err: err}
 		}
 		if verr := ValidateScheduleOn(c, m, f); verr != nil {
-			fail = &RepairFailure{Stage: rejectStage, Err: verr}
-			return
+			return nil, nil, &RepairFailure{Stage: rejectStage, Err: verr}
 		}
 		if cerr := check(c); cerr != nil {
-			fail = &RepairFailure{Stage: rejectStage, Err: cerr}
-			return
+			return nil, nil, &RepairFailure{Stage: rejectStage, Err: cerr}
 		}
-		if best == nil || rep.MovementAfter < bestRep.MovementAfter ||
-			(preferTie && rep.MovementAfter == bestRep.MovementAfter) {
-			best, bestRep = c, rep
-		}
-	}
-	deadlineResult := func() (*Schedule, *RepairReport, error) {
-		if best != nil {
-			return best, bestRep, nil
-		}
-		return nil, nil, &RepairFailure{Stage: "deadline", Err: ctx.Err()}
+		return c, rep, nil
 	}
 
 	// Stage 1: incremental repair (unless the caller forced Full).
 	if !o.Full {
-		if anytime && o.Strategy == AssignAuto && !f.Empty() {
-			// Anytime split of AssignAuto: greedy first so an incumbent
-			// exists before the costlier batched solve; min-cost then has to
-			// be clean and no worse to take over (ties prefer batched, the
-			// AssignAuto rule).
-			oGr := o
-			oGr.Strategy = AssignGreedy
-			attempt(oGr, "repair", "verify-reject", false)
-			if ctx.Err() != nil {
-				return deadlineResult()
-			}
-			oMC := o
-			oMC.Strategy = AssignMinCost
-			attempt(oMC, "repair", "verify-reject", true)
-		} else {
-			attempt(o, "repair", "verify-reject", false)
-		}
-		if best != nil {
-			return best, bestRep, nil
+		if c, rep, err := attempt(o, "repair", "verify-reject"); err == nil {
+			return c, rep, nil
 		}
 	}
 
 	// Stage 2: full re-placement.
-	if ctx.Err() != nil {
-		return deadlineResult()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, &RepairFailure{Stage: "deadline", Err: err}
 	}
 	full := o
 	full.Full = true
-	attempt(full, "re-place", "re-place-verify-reject", false)
-	if best != nil {
-		return best, bestRep, nil
-	}
-	return nil, nil, fail
+	return attempt(full, "re-place", "re-place-verify-reject")
 }

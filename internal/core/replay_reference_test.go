@@ -145,8 +145,7 @@ func TestReemitMatchesReference(t *testing.T) {
 			churn := core.NewChurnState()
 			churn.Observe(m, f)
 			churn.Observe(m, cleared)
-			back, dist := core.ReintegrateForReplay(repaired, nil, m, cleared, revived,
-				core.RepairOptions{ChurnHysteresis: h}, churn)
+			back, dist := core.ReintegrateForReplay(repaired, nil, m, cleared, revived, h, churn)
 			if back != nil {
 				sameReplay(t, fmt.Sprintf("%s reintegrate h=%g", name, h), back, dist, &returned)
 			}

@@ -17,8 +17,8 @@ import (
 var churnLevels = []FaultLevel{{Tiles: 1}, {Links: 2, Tiles: 1}}
 
 const (
-	// churnArrivalFrac places each fault arrival, and its paired recovery
-	// probe, at this fraction of the pristine makespan.
+	// churnArrivalFrac places each fault arrival at this fraction of the
+	// pristine makespan.
 	churnArrivalFrac = 0.5
 	// churnCycles is the kill/revive repetition count of the no-thrash probe;
 	// the bound allows migrations only on cycle 0.
@@ -54,16 +54,15 @@ type ChurnSweepResult struct {
 	// re-integration moves.
 	MigrationTraffic int64
 	// NoThrashCycles counts kill/revive cycles driven through the churn
-	// state; DeadlineEvents the anytime-repair deadline probes.
+	// state; DeadlineEvents the deadline-bounded repair probes.
 	NoThrashCycles, DeadlineEvents int
 	// PerApp holds one row per workload in suite order.
 	PerApp []ChurnAppRow
 	// Unrepairable lists events the escalation ladder gave up on.
 	Unrepairable []string
-	// Violations lists contract breaches: verifier-refuted schedules, a
-	// recovery checkpoint disagreeing with the fault checkpoint at the same
-	// cut, an accepted re-integration that loses movement, a thrashing
-	// kill/revive cycle, a deadline repair worse than its incumbent, or a
+	// Violations lists contract breaches: verifier-refuted schedules, an
+	// accepted re-integration that loses movement, a thrashing kill/revive
+	// cycle, an unbounded repair worse than the expired-deadline one, or a
 	// simulation rejecting an accepted schedule. Empty means the churn gate
 	// holds.
 	Violations []string
@@ -89,8 +88,8 @@ type churnTally struct {
 // migrate displaced work back. On top of the event pairs it runs two
 // resilience probes per series: a kill/revive churn loop proving the
 // no-thrash bound (cycles after the first migrate zero tasks), and a
-// deadline probe proving anytime repair returns a verifier-clean incumbent
-// that an unbounded run never beats by regressing.
+// deadline probe proving an expired deadline still returns a verifier-clean
+// greedy repair that an unbounded run never beats by regressing.
 func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 	apps, byApp, err := runSeries("churnsweep", cfg, func(s *gateSeries, out *churnTally) error {
 		part, m := s.part, s.opts.Mesh
@@ -133,26 +132,15 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 				s.variant(), lvl, victim, s.seed+int64(li), f)
 			out.events++
 
-			// One instrumented run carries the fault arrival and a recovery
-			// probe at the same cut: the two checkpoints must agree on the
-			// completed set (the recovery timeline does not re-time the past).
+			// One instrumented run cuts the fault arrival; the recovery later
+			// in this series resumes from the same checkpoint.
 			evCfg := baseCfg
-			arrival := churnArrivalFrac * baseSim.Cycles
-			evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrival, Faults: f}}
-			evCfg.RecoveryEvents = []sim.RecoveryEvent{{Cycle: arrival, Recovery: f.RecoveryAll()}}
+			evCfg.FaultEvents = []sim.FaultEvent{{Cycle: churnArrivalFrac * baseSim.Cycles, Faults: f}}
 			evSim, err := sim.Run(part.Schedule, evCfg)
 			if err != nil {
 				return fmt.Errorf("exp: churnsweep %s instrumented sim: %w", variant, err)
 			}
 			ck := evSim.Checkpoints[0]
-			rck := evSim.RecoveryCheckpoints[0]
-			for i := range ck.Done {
-				if ck.Done[i] != rck.Done[i] {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: recovery checkpoint disagrees with the fault checkpoint at task %d", variant, i))
-					break
-				}
-			}
 
 			completed := ck.CompletedInstances(part.Schedule)
 			residual, _, err := core.RepairOnlineCtx(context.Background(), part.Schedule, ck, m, f,
@@ -174,7 +162,7 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 			churn.Observe(m, f)
 			churn.Observe(m, cleared)
 			back, rrep, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared,
-				revived, ro, churn, s.checker(cleared, completed))
+				revived, churn, s.checker(cleared, completed))
 			if err != nil {
 				out.violations = append(out.violations, fmt.Sprintf(
 					"%s: re-integration must fall back, not fail: %v", variant, err))
@@ -229,7 +217,7 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 				f.ReviveTile(victim)
 				churn.Observe(m, f)
 				back, rrep, err := core.ReintegrateOnline(context.Background(), sched, nil, m, f,
-					[]mesh.NodeID{victim}, ro, churn, nil)
+					[]mesh.NodeID{victim}, churn, nil)
 				if err != nil {
 					out.violations = append(out.violations, fmt.Sprintf(
 						"%s churn cycle %d: re-integration failed: %v", s.nest.Name, c, err))
@@ -246,12 +234,11 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 			}
 		}
 
-		// Deadline probe: an expired anytime budget must still return a
-		// verifier-clean incumbent, and a run whose deadline cannot pass
-		// must never end up with more movement than that incumbent. Both
-		// contexts carry a deadline, so the ladder takes its anytime path;
-		// neither outcome depends on timing, so the sweep stays
-		// byte-identical at every -j.
+		// Deadline probe: an expired budget must still return a
+		// verifier-clean greedy repair, and a run whose deadline cannot pass
+		// must never end up with more movement than that repair. Neither
+		// outcome depends on timing, so the sweep stays byte-identical at
+		// every -j.
 		{
 			f := mesh.NewFaultSet()
 			f.KillTile(victim)
@@ -271,7 +258,7 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 				_, urep, uerr := core.RepairVerifiedCtx(unbounded, part.Schedule, m, f, ro, nil)
 				if uerr != nil {
 					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: unbounded anytime repair failed: %v", s.nest.Name, uerr))
+						"%s: unbounded repair failed: %v", s.nest.Name, uerr))
 				} else if urep.MovementAfter > brep.MovementAfter {
 					out.violations = append(out.violations, fmt.Sprintf(
 						"%s: unbounded repair (%d) worse than the pre-deadline incumbent (%d)",

@@ -10,11 +10,10 @@ import (
 // workloads a victim tile (plus random extra links) dies mid-run, the
 // residual is repaired verifier-clean, the dead elements recover, and the
 // hysteresis re-integrator decides whether to migrate work back. The gate
-// requires zero contract violations: every event repaired, recovery
-// checkpoints consistent with fault checkpoints, accepted re-integrations
-// never losing movement, the kill/revive churn loops free of thrash, and
-// the deadline probes returning verifier-clean incumbents that unbounded
-// runs never regress below.
+// requires zero contract violations: every event repaired, accepted
+// re-integrations never losing movement, the kill/revive churn loops free of
+// thrash, and the deadline probes returning verifier-clean repairs that
+// unbounded runs never regress below.
 func TestChurnSweepGate(t *testing.T) {
 	res, err := ChurnSweep(GateConfig{Scale: workloads.TestScale(), Seed: 1})
 	if err != nil {

@@ -14,17 +14,6 @@ type FaultEvent struct {
 	Faults *mesh.FaultSet
 }
 
-// RecoveryEvent is the symmetric mid-run recovery arrival: Recovery names
-// the components that come back when the simulated clock reaches Cycle. The
-// run itself executes on its configured fault set — a recovery interrupts
-// the machine, it does not re-time the past — and
-// Result.RecoveryCheckpoints carries one snapshot per event for
-// core.ReintegrateOnline to decide which work migrates back.
-type RecoveryEvent struct {
-	Cycle    float64
-	Recovery mesh.RecoverySet
-}
-
 // buildCheckpoint snapshots the execution state at the arrival cycle.
 //
 // Completion is instance-granular: a statement instance counts as done only

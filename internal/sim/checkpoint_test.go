@@ -149,80 +149,3 @@ func TestCheckpointResidualResumes(t *testing.T) {
 		t.Errorf("resumed residual took %v cycles, no better than restarting (%v)", rres.Cycles, base.Cycles)
 	}
 }
-
-// TestRecoveryCheckpointsMirrorFaultCheckpoints checks the symmetric event
-// timeline: a recovery event at the same cycle as a fault event yields an
-// identical snapshot, delivered on the separate RecoveryCheckpoints list so
-// fault indexing is unchanged.
-func TestRecoveryCheckpointsMirrorFaultCheckpoints(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	sched := twoInstanceSchedule(m)
-	cfg := DefaultConfig(m)
-	base, err := Run(sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := base.Cycles / 2
-	cfg.FaultEvents = []FaultEvent{{Cycle: cut, Faults: mesh.NewFaultSet()}}
-	cfg.RecoveryEvents = []RecoveryEvent{
-		{Cycle: cut, Recovery: mesh.RecoverySet{Tiles: []mesh.NodeID{3}}},
-		{Cycle: base.Cycles, Recovery: mesh.RecoverySet{}},
-	}
-	res, err := Run(sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Checkpoints) != 1 || len(res.RecoveryCheckpoints) != 2 {
-		t.Fatalf("got %d fault / %d recovery checkpoints, want 1 / 2",
-			len(res.Checkpoints), len(res.RecoveryCheckpoints))
-	}
-	fck, rck := res.Checkpoints[0], res.RecoveryCheckpoints[0]
-	if fck.Cycle != rck.Cycle {
-		t.Fatalf("cut cycles differ: %v vs %v", fck.Cycle, rck.Cycle)
-	}
-	for i := range fck.Done {
-		if fck.Done[i] != rck.Done[i] {
-			t.Fatalf("task %d: fault checkpoint done=%v, recovery done=%v", i, fck.Done[i], rck.Done[i])
-		}
-	}
-	// At the makespan everything completed.
-	for i, d := range res.RecoveryCheckpoints[1].Done {
-		if !d {
-			t.Fatalf("task %d not done at makespan recovery checkpoint", i)
-		}
-	}
-}
-
-// TestRecoveryEventsAloneAllocateTimestamps checks that recovery events
-// without any fault events still produce valid checkpoints (the timestamp
-// buffers must be allocated for either timeline).
-func TestRecoveryEventsAloneAllocateTimestamps(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	sched := twoInstanceSchedule(m)
-	cfg := DefaultConfig(m)
-	base, err := Run(sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RecoveryEvents = []RecoveryEvent{{Cycle: base.Cycles / 2, Recovery: mesh.RecoverySet{}}}
-	res, err := Run(sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RecoveryCheckpoints) != 1 {
-		t.Fatalf("want 1 recovery checkpoint, got %d", len(res.RecoveryCheckpoints))
-	}
-	if res.Cycles != base.Cycles {
-		t.Fatalf("recovery events must not re-time the run: %v vs %v", res.Cycles, base.Cycles)
-	}
-	ck := res.RecoveryCheckpoints[0]
-	done := 0
-	for _, d := range ck.Done {
-		if d {
-			done++
-		}
-	}
-	if done == 0 || done == len(ck.Done) {
-		t.Fatalf("mid-run cut should split the schedule, done=%d of %d", done, len(ck.Done))
-	}
-}

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"dmacp/internal/core"
@@ -104,15 +103,6 @@ type Config struct {
 	// L1/result-line residency at the arrival cycle) for core.RepairOnline
 	// to re-repair the residual schedule against the degraded mesh.
 	FaultEvents []FaultEvent
-
-	// RecoveryEvents is the mid-run recovery timeline, symmetric to
-	// FaultEvents: each event's recovery set comes back when the simulated
-	// clock reaches its cycle, and Result.RecoveryCheckpoints carries one
-	// snapshot per event (same granularity as fault checkpoints) for
-	// core.ReintegrateOnline's migrate-back decisions. The run executes on
-	// Config.Faults throughout; applying the recovery to a fault set is the
-	// caller's step (mesh.FaultSet.Revive).
-	RecoveryEvents []RecoveryEvent
 
 	// NodeFreeAt, when non-nil, seeds the per-node busy horizons (indexed by
 	// node ID) so a residual schedule resumes where a checkpoint's completed
@@ -206,10 +196,6 @@ type Result struct {
 	// Checkpoints holds one execution snapshot per Config.FaultEvents entry,
 	// in the same order, taken at each event's arrival cycle.
 	Checkpoints []*core.Checkpoint
-	// RecoveryCheckpoints holds one snapshot per Config.RecoveryEvents
-	// entry, in the same order. Kept separate from Checkpoints so fault
-	// checkpoint indexing is unchanged when both timelines are present.
-	RecoveryCheckpoints []*core.Checkpoint
 }
 
 // L1HitRate returns the simulated L1 hit rate.
@@ -221,24 +207,8 @@ func (r *Result) L1HitRate() float64 {
 }
 
 // Run simulates the schedule under the configuration and returns the
-// measured result. It is RunCtx without a deadline.
+// measured result.
 func Run(sched *core.Schedule, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), sched, cfg)
-}
-
-// ctxCheckInterval is how many tasks the simulation loop executes between
-// context polls: frequent enough that a deadline cuts a multi-million-task
-// run off promptly, rare enough that the poll never shows up in profiles.
-const ctxCheckInterval = 4096
-
-// RunCtx is Run with a cancellation/deadline context: the task loop polls
-// the context every few thousand tasks and aborts with its error when it
-// expires. The simulation itself is deterministic — the context only bounds
-// how long it may run, it never alters the result of a completed run.
-func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("sim: Config.Mesh is required")
 	}
@@ -261,11 +231,10 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 			nodeFree[i] = v
 		}
 	}
-	// Mid-run fault or recovery arrivals need per-task start/occupancy
-	// timestamps to cut the completed/in-flight frontier at each arrival
-	// cycle.
+	// Mid-run fault arrivals need per-task start/occupancy timestamps to
+	// cut the completed/in-flight frontier at each arrival cycle.
 	var startAt, occEndAt []float64
-	if len(cfg.FaultEvents) > 0 || len(cfg.RecoveryEvents) > 0 {
+	if len(cfg.FaultEvents) > 0 {
 		startAt = make([]float64, len(sched.Tasks))
 		occEndAt = make([]float64, len(sched.Tasks))
 	}
@@ -356,12 +325,7 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 		return lat
 	}
 
-	for ti, t := range sched.Tasks {
-		if ti%ctxCheckInterval == ctxCheckInterval-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: aborted after %d of %d tasks: %w", ti, len(sched.Tasks), err)
-			}
-		}
+	for _, t := range sched.Tasks {
 		issueAt := nodeFree[t.Node]
 		// Producer results: synchronization handshake + transfer. Waiting
 		// overlaps with the task's own input fetches (cores issue loads
@@ -486,10 +450,6 @@ func RunCtx(ctx context.Context, sched *core.Schedule, cfg Config) (*Result, err
 	}
 	for _, ev := range cfg.FaultEvents {
 		res.Checkpoints = append(res.Checkpoints,
-			buildCheckpoint(sched, cfg.Mesh.Nodes(), startAt, occEndAt, finish, ev.Cycle))
-	}
-	for _, ev := range cfg.RecoveryEvents {
-		res.RecoveryCheckpoints = append(res.RecoveryCheckpoints,
 			buildCheckpoint(sched, cfg.Mesh.Nodes(), startAt, occEndAt, finish, ev.Cycle))
 	}
 	if n := res.Transfers; n > 0 && !cfg.IdealNetwork {

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
@@ -259,49 +256,5 @@ func TestNodeSerialization(t *testing.T) {
 	diff, _ := Run(mk(5), cfg)
 	if same.Cycles <= diff.Cycles {
 		t.Errorf("same-node %v <= different-node %v", same.Cycles, diff.Cycles)
-	}
-}
-
-// expiredCtx is a pre-expired context with a deadline, deterministic for any
-// schedule size.
-type expiredCtx struct{}
-
-func (expiredCtx) Deadline() (time.Time, bool) { return time.Time{}, true }
-func (expiredCtx) Done() <-chan struct{}       { return nil }
-func (expiredCtx) Err() error                  { return context.DeadlineExceeded }
-func (expiredCtx) Value(any) any               { return nil }
-
-func TestRunCtxAbortsOnExpiredContext(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	// Enough tasks to cross the poll interval at least once.
-	n := ctxCheckInterval + 10
-	tasks := make([]*core.Task, n)
-	for i := range tasks {
-		tasks[i] = &core.Task{ID: i, Node: m.NodeAt(i%6, (i/6)%6), Ops: 1,
-			IsRoot: true, ResultLine: uint64(0x40 * (i + 1))}
-	}
-	sched := &core.Schedule{Tasks: tasks, Instances: n}
-	_, err := RunCtx(expiredCtx{}, sched, DefaultConfig(m))
-	if err == nil {
-		t.Fatal("expired context must abort the run")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
-	}
-}
-
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	sched := twoInstanceSchedule(m)
-	a, err := Run(sched, DefaultConfig(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCtx(context.Background(), sched, DefaultConfig(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cycles != b.Cycles || a.HopsTotal != b.HopsTotal || a.Energy != b.Energy {
-		t.Fatalf("RunCtx(Background) differs from Run: %+v vs %+v", a, b)
 	}
 }

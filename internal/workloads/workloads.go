@@ -258,9 +258,21 @@ func Names() []string {
 
 // Build constructs one application at the given scale.
 func Build(name string, sc Scale) (*App, error) {
+	a, err := Declare(name, sc)
+	if err != nil {
+		return nil, err
+	}
+	a.Allocate()
+	return a, nil
+}
+
+// Declare constructs one application's program and loop nests at the given
+// scale without allocating its arrays: Store stays nil until Allocate, so a
+// caller can check the declared sizes first.
+func Declare(name string, sc Scale) (*App, error) {
 	for _, spec := range suite {
 		if spec.name == name {
-			return build(spec, sc)
+			return declare(spec, sc)
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown application %q", name)
@@ -270,16 +282,17 @@ func Build(name string, sc Scale) (*App, error) {
 func Suite(sc Scale) ([]*App, error) {
 	apps := make([]*App, 0, len(suite))
 	for _, spec := range suite {
-		a, err := build(spec, sc)
+		a, err := declare(spec, sc)
 		if err != nil {
 			return nil, err
 		}
+		a.Allocate()
 		apps = append(apps, a)
 	}
 	return apps, nil
 }
 
-func build(spec appSpec, sc Scale) (*App, error) {
+func declare(spec appSpec, sc Scale) (*App, error) {
 	prog := ir.NewProgram()
 	app := &App{Name: spec.name, Prog: prog, IndexArrays: spec.index, seed: spec.seed}
 	for _, k := range spec.kernels {
@@ -304,19 +317,26 @@ func build(spec appSpec, sc Scale) (*App, error) {
 		app.Nests = append(app.Nests, nest)
 		prog.Nests = append(prog.Nests, nest)
 	}
-	app.Store = ir.NewStore(prog)
-	app.Store.FillRandom(prog, spec.seed)
-	// Index arrays hold shuffled indices over the full element range so
-	// indirect accesses scatter across the chip.
-	rng := rand.New(rand.NewSource(spec.seed * 7919))
 	for _, name := range spec.index {
-		arr := prog.Array(name)
-		if arr == nil {
+		if prog.Array(name) == nil {
 			return nil, fmt.Errorf("workloads: %s: index array %q not referenced", spec.name, name)
-		}
-		for i := 0; i < arr.Len; i++ {
-			app.Store.Set(name, i, float64(rng.Intn(sc.Elems)))
 		}
 	}
 	return app, nil
+}
+
+// Allocate allocates a declared application's arrays and fills them
+// deterministically from the app seed.
+func (a *App) Allocate() {
+	a.Store = ir.NewStore(a.Prog)
+	a.Store.FillRandom(a.Prog, a.seed)
+	// Index arrays hold shuffled indices over the full element range so
+	// indirect accesses scatter across the chip.
+	rng := rand.New(rand.NewSource(a.seed * 7919))
+	for _, name := range a.IndexArrays {
+		arr := a.Prog.Array(name)
+		for i := 0; i < arr.Len; i++ {
+			a.Store.Set(name, i, float64(rng.Intn(arr.Len)))
+		}
+	}
 }

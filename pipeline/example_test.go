@@ -28,8 +28,8 @@ func Example() {
 	// tasks emitted: true
 }
 
-// ExampleVerify shows the semantics check: the optimized statement-instance
-// order computes the same values as the reference execution.
+// ExampleVerify shows the dependence check: the race detector finds every
+// dependence ordered in both the optimized and the default schedule.
 func ExampleVerify() {
 	k := pipeline.Kernel{
 		Name:       "verify",
@@ -41,7 +41,7 @@ func ExampleVerify() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("results preserved:", ok)
+	fmt.Println("dependences preserved:", ok)
 	// Output:
-	// results preserved: true
+	// dependences preserved: true
 }

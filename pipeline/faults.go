@@ -31,9 +31,8 @@ func badInputf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrBadInput)...)
 }
 
-// repairContext derives the anytime-repair context from Config.Timeout: a
-// deadline when a budget was set, plain Background otherwise (the classic
-// run-to-completion ladder).
+// repairContext derives the repair ladder's context from Config.Timeout: a
+// deadline when a budget was set, plain Background otherwise.
 func repairContext(cfg Config) (context.Context, context.CancelFunc) {
 	if cfg.Timeout > 0 {
 		return context.WithTimeout(context.Background(), cfg.Timeout)
@@ -169,6 +168,10 @@ func setupFaults(k Kernel, cfg Config, spec FaultSpec, online bool) (*faultRun, 
 	prog, nest, store, opts, simCfg, err := build(k, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if n := opts.Mesh.Nodes(); n > maxFaultMeshNodes {
+		return nil, badInputf("pipeline: a %dx%d mesh exceeds the fault paths' limit of %d mesh nodes",
+			opts.Mesh.Cols(), opts.Mesh.Rows(), maxFaultMeshNodes)
 	}
 	f, err := spec.Build(opts.Mesh)
 	if err != nil {
@@ -413,16 +416,20 @@ func CheckAppSchedules(app string, iters, elems int, cfg Config) ([]ScheduleChec
 	if elems > 0 {
 		sc.Elems = elems
 	}
-	a, err := workloads.Build(app, sc)
-	if err != nil {
-		return nil, err
-	}
 	// Reuse the kernel translation only for platform options; the program
 	// and store come from the workload build.
 	_, _, _, opts, _, err := build(Kernel{Name: "probe", Statements: "A(i) = B(i)", Iterations: 1}, cfg)
 	if err != nil {
 		return nil, err
 	}
+	a, err := workloads.Declare(app, sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSize("application "+app, a.Prog); err != nil {
+		return nil, err
+	}
+	a.Allocate()
 	var out []ScheduleCheck
 	for _, nest := range a.Nests {
 		checks, err := checkBoth(a.Prog, nest, a.Store, opts, func(kind string) string {

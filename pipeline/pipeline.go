@@ -17,6 +17,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,10 +71,11 @@ type Config struct {
 	// <= 0 means one worker per CPU; 1 forces serial execution. The report is
 	// identical at every setting.
 	Jobs int
-	// Timeout bounds the fault-repair paths (`dmacp faults -timeout`): the
-	// escalation ladder runs anytime against the deadline and returns the
-	// best verifier-clean schedule found when it expires, or fails at stage
-	// "deadline" when none exists yet. 0 means no deadline.
+	// Timeout bounds the fault-repair paths (`dmacp faults -timeout`): once
+	// the deadline has expired, the incremental repair commits its greedy
+	// assignment without the batched min-cost solve, and a rejected
+	// incremental repair fails at stage "deadline" instead of escalating to
+	// a full re-placement. 0 means no deadline.
 	Timeout time.Duration
 }
 
@@ -160,17 +162,26 @@ func (r *Report) String() string {
 		-r.EnergySavings()*100, r.DefaultL1HitRate*100, r.OptimizedL1HitRate*100)
 }
 
-// Size limits on one kernel, at least 64× every shipped caller (dmacp's
-// default kernel declares 7 arrays of 65,536 8-byte elements, 3.5 MiB, and
-// runs 256 × 3 × 2 = 1,536 statement instances), so that absurd sizes fail
-// fast with ErrBadInput instead of exhausting memory or running for hours.
-// A run costs roughly 3 KB per statement instance, so a kernel at both
-// limits stays near 1 GB.
+// Size limits on one kernel or application, at least 64× every shipped
+// caller (dmacp's default kernel declares 7 arrays of 65,536 8-byte
+// elements, 3.5 MiB, and runs 256 × 3 × 2 = 1,536 statement instances), so
+// that absurd sizes fail fast with ErrBadInput instead of exhausting memory
+// or running for hours. A run costs roughly 3 KB per statement instance, so
+// a kernel at both limits stays near 1 GB.
 const (
-	// maxArrayBytes bounds the summed size of the kernel's arrays.
+	// maxArrayBytes bounds the summed size of the program's arrays.
 	maxArrayBytes = 1 << 28
-	// maxStatementInstances bounds Iterations × Sweeps × statements.
+	// maxStatementInstances bounds the statement instances of all nests:
+	// for a kernel, Iterations × Sweeps × statements.
 	maxStatementInstances = 1 << 18
+	// maxMeshNodes bounds Config.MeshCols × MeshRows. The mesh keeps O(1)
+	// words per node: dmacp's default kernel on a 2048×2048 mesh runs in
+	// under 2 GB.
+	maxMeshNodes = 1 << 22
+	// maxFaultMeshNodes bounds the mesh of the fault paths, whose live-route
+	// view is an n × n table of int32 hops: 8,192 nodes (a 90×90 mesh fits)
+	// keep it at 256 MiB.
+	maxFaultMeshNodes = 1 << 13
 )
 
 // productWithin reports whether the product of the non-negative factors
@@ -184,6 +195,34 @@ func productWithin(limit int, factors ...int) bool {
 		p *= f
 	}
 	return true
+}
+
+// checkSize rejects a declared program over the array-byte or
+// statement-instance limit, before a store allocates its elements.
+func checkSize(what string, prog *ir.Program) error {
+	bytes := 0
+	for _, name := range prog.ArrayNames() {
+		n := prog.Array(name).Len
+		if !productWithin(maxArrayBytes-bytes, n, 8) {
+			return badInputf("pipeline: %s: %d arrays exceed the limit of %d array bytes (%s has %d elements)",
+				what, len(prog.Arrays), maxArrayBytes, name, n)
+		}
+		bytes += n * 8
+	}
+	instances := 0
+	for _, nest := range prog.Nests {
+		var factors []int // loop trips, then statements
+		for _, l := range nest.Loops {
+			factors = append(factors, l.Trips())
+		}
+		factors = append(factors, len(nest.Body))
+		if !productWithin(maxStatementInstances-instances, factors...) {
+			return badInputf("pipeline: %s: nest %q's loop trips and statements %v exceed the limit of %d statement instances",
+				what, nest.Name, factors, maxStatementInstances)
+		}
+		instances += nest.StatementInstances()
+	}
+	return nil
 }
 
 // build translates the public types into the internal representation. Every
@@ -206,10 +245,6 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	if sweeps <= 0 {
 		sweeps = 1
 	}
-	if !productWithin(maxStatementInstances, k.Iterations, sweeps, len(body)) {
-		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: kernel %q: %d iterations × %d sweeps × %d statements exceeds the limit of %d statement instances",
-			k.Name, k.Iterations, sweeps, len(body), maxStatementInstances)
-	}
 	loops := []ir.Loop{{Var: "i", Lower: 0, Upper: k.Iterations, Step: 1}}
 	if sweeps > 1 {
 		loops = append([]ir.Loop{{Var: "t", Lower: 0, Upper: sweeps, Step: 1}}, loops...)
@@ -218,6 +253,10 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 
 	opts := core.DefaultOptions()
 	if cfg.MeshCols > 0 && cfg.MeshRows > 0 {
+		if !productWithin(maxMeshNodes, cfg.MeshCols, cfg.MeshRows) {
+			return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: a %dx%d mesh exceeds the limit of %d mesh nodes",
+				cfg.MeshCols, cfg.MeshRows, maxMeshNodes)
+		}
 		m, err := mesh.New(cfg.MeshCols, cfg.MeshRows)
 		if err != nil {
 			return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("%w: %w", err, ErrBadInput)
@@ -255,11 +294,10 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	// Declaring records array metadata only; the store allocates the
 	// elements, so the size check sits between the two.
 	prog.DeclareFromNest(nest, arrayLen, 8)
-	if !productWithin(maxArrayBytes, len(prog.Arrays), arrayLen, 8) {
-		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: kernel %q: %d arrays of %d 8-byte elements exceed the limit of %d array bytes",
-			k.Name, len(prog.Arrays), arrayLen, maxArrayBytes)
-	}
 	prog.Nests = append(prog.Nests, nest)
+	if err := checkSize("kernel "+strconv.Quote(k.Name), prog); err != nil {
+		return nil, nil, nil, zeroOpts, zeroSim, err
+	}
 	store := ir.NewStore(prog)
 	store.FillRandom(prog, k.Seed+1)
 
@@ -321,48 +359,19 @@ func Run(k Kernel, cfg Config) (*Report, error) {
 	}, nil
 }
 
-// Verify executes the kernel's statements twice from identical initial
-// state — once in plain iteration order (the reference semantics) and once
-// in the optimized schedule's statement order — and reports whether the
-// final array contents agree. The optimized schedule preserves statement
-// order per instance and never migrates final stores, so this must always
-// hold; the check is what the examples use to demonstrate correctness.
+// Verify partitions the kernel, places it with the default strategy, and
+// runs the static schedule race detector over both schedules, as
+// CheckSchedules does. It reports true only when every check is Clean: both
+// schedules order every RAW/WAR/WAW dependence between statement instances.
+// CheckSchedules returns the diagnostics when one does not.
 func Verify(k Kernel, cfg Config) (bool, error) {
-	prog, nest, store, _, _, err := build(k, cfg)
+	checks, err := CheckSchedules(k, cfg)
 	if err != nil {
 		return false, err
 	}
-	ref := store.Clone()
-	var execErr error
-	nest.ForEachIteration(func(env map[string]int) bool {
-		for _, s := range nest.Body {
-			if err := ref.ExecStatement(prog, s, env); err != nil {
-				execErr = err
-				return false
-			}
-		}
-		return true
-	})
-	if execErr != nil {
-		return false, execErr
-	}
-	// The optimized execution: same statement-instance order (windows group
-	// scheduling decisions, not execution semantics; dependences are honored
-	// by the sync arcs, which respect instance order).
-	opt := store.Clone()
-	for kth := 0; kth < nest.StatementInstances(); kth++ {
-		iter := kth / len(nest.Body)
-		stmt := nest.Body[kth%len(nest.Body)]
-		if err := opt.ExecStatement(prog, stmt, nest.IterationEnv(iter)); err != nil {
-			return false, err
-		}
-	}
-	for _, name := range prog.ArrayNames() {
-		arr := prog.Array(name)
-		for i := 0; i < arr.Len; i++ {
-			if ref.At(name, i) != opt.At(name, i) {
-				return false, nil
-			}
+	for _, c := range checks {
+		if !c.Clean {
+			return false, nil
 		}
 	}
 	return true, nil

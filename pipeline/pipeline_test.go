@@ -55,8 +55,10 @@ func TestRunRejectsBadKernels(t *testing.T) {
 
 // TestBuildFailsFastOnBadInput drives dmacp's default kernel (7 arrays, 256
 // iterations × 3 sweeps × 2 statements, 65,536-element arrays) with the
-// flags of four bad invocations: each must fail with ErrBadInput before
-// allocating its arrays or enumerating its instances.
+// flags of seven bad invocations of dmacp, dmacp faults and dmacp verify
+// -app: each must fail with ErrBadInput, naming the limit it broke, before
+// allocating its arrays, its mesh or its live-route table, or enumerating
+// its instances.
 func TestBuildFailsFastOnBadInput(t *testing.T) {
 	dmacpKernel := func() Kernel {
 		return Kernel{
@@ -68,22 +70,43 @@ func TestBuildFailsFastOnBadInput(t *testing.T) {
 			Seed:       1,
 		}
 	}
+	run := func(k Kernel, cfg Config) error { _, err := Run(k, cfg); return err }
+	faults := func(k Kernel, cfg Config) error {
+		_, err := RunFaults(k, cfg, FaultSpec{Links: 1, Seed: 1, ProtectMCs: true})
+		return err
+	}
+	verifyApp := func(k Kernel, cfg Config) error {
+		_, err := CheckAppSchedules("FFT", k.Iterations, k.ArrayLen, cfg)
+		return err
+	}
 	cases := []struct {
 		name  string
+		run   func(Kernel, Config) error
 		edit  func(*Kernel, *Config)
 		limit string
 	}{
-		{"-len 4000000000", func(k *Kernel, _ *Config) { k.ArrayLen = 4000000000 }, "array bytes"},
-		{"-iters 100000000 -len 16", func(k *Kernel, _ *Config) { k.Iterations, k.ArrayLen = 100000000, 16 }, "statement instances"},
-		{"-iters 0", func(k *Kernel, _ *Config) { k.Iterations = 0 }, ""},
-		{"-cluster bogus", func(_ *Kernel, c *Config) { c.ClusterMode = "bogus" }, ""},
+		{"-len 4000000000", run, func(k *Kernel, _ *Config) { k.ArrayLen = 4000000000 }, "array bytes"},
+		{"-iters 100000000 -len 16", run, func(k *Kernel, _ *Config) { k.Iterations, k.ArrayLen = 100000000, 16 }, "statement instances"},
+		{"-iters 0", run, func(k *Kernel, _ *Config) { k.Iterations = 0 }, ""},
+		{"-cluster bogus", run, func(_ *Kernel, c *Config) { c.ClusterMode = "bogus" }, ""},
+		{"-rows 50000 -cols 50000 -iters 4 -len 64", run, func(k *Kernel, c *Config) {
+			k.Iterations, k.ArrayLen = 4, 64
+			c.MeshCols, c.MeshRows = 50000, 50000
+		}, "limit of 4194304 mesh nodes"},
+		{"faults -rows 400 -cols 400 -links 1 -iters 4 -len 64", faults, func(k *Kernel, c *Config) {
+			k.Iterations, k.ArrayLen = 4, 64
+			c.MeshCols, c.MeshRows = 400, 400
+		}, "limit of 8192 mesh nodes"},
+		{"verify -app FFT -iters 16 -len 4000000000", verifyApp, func(k *Kernel, _ *Config) {
+			k.Iterations, k.ArrayLen = 16, 4000000000
+		}, "array bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k, cfg := dmacpKernel(), DefaultConfig()
 			tc.edit(&k, &cfg)
 			start := time.Now()
-			_, err := Run(k, cfg)
+			err := tc.run(k, cfg)
 			if elapsed := time.Since(start); elapsed > time.Second {
 				t.Errorf("rejection took %v", elapsed)
 			}
@@ -188,7 +211,7 @@ func TestVerifySemantics(t *testing.T) {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
 		if !ok {
-			t.Errorf("%s: optimized execution order changed results", k.Name)
+			t.Errorf("%s: a schedule reorders a dependence", k.Name)
 		}
 	}
 }
