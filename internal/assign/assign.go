@@ -15,22 +15,29 @@
 // a minimum-cost assignment, bit-identical across runs and worker counts:
 // nothing in the algorithm depends on map order, time, or randomness.
 //
-// One call allocates its working set once: a flat n x m cost matrix, the
-// distance, predecessor and potential vectors, a typed binary heap of
-// tasks, and per-slot occupant lists. A round costs O(n·m) relaxations,
-// O(m) per slot it settles, and the heap traffic of the assigned tasks it
-// reaches. Unassigned tasks start every round at distance 0 and relax
-// their slots directly instead of passing through the heap, the next slot
-// to settle is found by a scan over the m slots, and a settled slot reads
-// its reverse arcs from its occupant list rather than scanning every task.
-// The pop order, and so the assignment, is exactly that of a single
-// lazily pruned heap over all tasks and slots.
+// One call allocates its working set once: a flat n x m cost matrix, each
+// slot's column of tasks sorted once by (cost, task), the distance,
+// predecessor and potential vectors, a typed binary heap of tasks, and
+// per-slot occupant lists. An unassigned task sits at distance 0 with
+// potential 0 every round, so each round seeds every slot from the first
+// unassigned task of its sorted column — O(m), plus each column head's
+// amortized advance past assigned tasks — instead of relaxing every
+// unassigned task. The next slot to settle is found by a scan over the m
+// slots, a settled slot reads its reverse arcs from its occupant list, and
+// a round stops once every node at distance <= d is settled, d being the
+// distance at which the first slot with spare capacity popped. A round
+// then costs O(m) relaxations per assigned task it settles, O(m) per slot
+// it settles, and the heap traffic of those tasks. The pop order up to d,
+// and so the assignment, is exactly that of a single lazily pruned heap
+// over all tasks and slots run to exhaustion.
 package assign
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrInfeasible is returned by MinCost when the capacities cannot absorb
@@ -82,7 +89,9 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 	// one reverse arc, so the order they relax in cannot change a distance
 	// or a predecessor) and at[i] is task i's index in its slot's list.
 	// Potentials keep reduced costs non-negative across iterations
-	// (Johnson's trick), one per task node and one per slot node.
+	// (Johnson's trick), one per task node and one per slot node. An
+	// unassigned task sits at distance 0 every round, so its potential
+	// stays 0 until it is assigned, and a task is never unassigned again.
 	assigned := make([]int, n)
 	at := make([]int, n)
 	for i := range assigned {
@@ -91,6 +100,30 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 	occupants := make([][]int, m)
 	potTask := make([]float64, n)
 	potSlot := make([]float64, m)
+
+	// Each slot's column sorted once by (cost, task). With every unassigned
+	// task at distance 0 and potential 0, slot j's distance from them is its
+	// cheapest unassigned task's cost minus potSlot[j], reached from the
+	// lowest-index such task: the first unassigned entry of its column.
+	// head[j] only moves forward, past tasks assigned since.
+	order := make([]int32, n*m)
+	head := make([]int, m)
+	keys := make([]colKey, n)
+	for j := 0; j < m; j++ {
+		for i := range keys {
+			keys[i] = colKey{c[i*m+j], int32(i)}
+		}
+		slices.SortFunc(keys, func(a, b colKey) int {
+			if a.cost != b.cost {
+				return cmp.Compare(a.cost, b.cost)
+			}
+			return cmp.Compare(a.task, b.task)
+		})
+		col := order[j*n : j*n+n]
+		for i, k := range keys {
+			col[i] = k.task
+		}
+	}
 
 	// Per-round buffers, allocated once. The search is Dijkstra over graph
 	// nodes tasks [0, n) and slots [n, n+m), popping in (distance, node)
@@ -110,7 +143,7 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 	slotFirst := func(j, k int) bool { // does slot j pop before slot k?
 		return distSlot[j] < distSlot[k] || (distSlot[j] == distSlot[k] && j < k)
 	}
-	// relax scans task i's forward arcs to every slot but its own.
+	// relax scans assigned task i's forward arcs to every slot but its own.
 	relax := func(i int) {
 		row := c[i*m : i*m+m]
 		di, pi, own := distTask[i], potTask[i], assigned[i]
@@ -135,21 +168,31 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 		for i := range distTask {
 			distTask[i] = math.Inf(1)
 		}
-		for j := range distSlot {
-			distSlot[j] = math.Inf(1)
+		for j := range settled {
 			settled[j] = math.Inf(1)
 		}
 		pq, best = pq[:0], -1
-		// The unassigned tasks hold the lowest keys, (0, i) in index order,
-		// and no other node can reach distance 0 before they are all
-		// popped, so they are relaxed directly, in the order a heap would
-		// pop them.
-		for i := 0; i < n; i++ {
-			if assigned[i] < 0 {
-				distTask[i] = 0
-				relax(i)
+		// The unassigned tasks hold the lowest keys and no other node can
+		// reach distance 0 before they are all popped, so each slot is seeded
+		// from its column head: the state relaxing them in index order leaves.
+		for j := 0; j < m; j++ {
+			col := order[j*n : j*n+n]
+			h := head[j]
+			for assigned[col[h]] >= 0 {
+				h++
+			}
+			head[j] = h
+			i := int(col[h])
+			distSlot[j] = float64(c[i*m+j]) - potSlot[j]
+			prevTaskOfSlot[j] = i
+			if best < 0 || slotFirst(j, best) {
+				best = j
 			}
 		}
+		// Settle nodes until the next key exceeds d, the distance at which
+		// the first slot with spare capacity popped: every node at distance
+		// <= d is then final, and so is every predecessor on a path to one.
+		d := math.Inf(1)
 		for {
 			for len(pq) > 0 && pq[0].dist > distTask[pq[0].task] {
 				pq.pop() // superseded by a later, shorter entry
@@ -157,14 +200,20 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 			// On equal distance the task pops first: its node index is the
 			// lower one.
 			if len(pq) > 0 && (best < 0 || pq[0].dist <= distSlot[best]) {
+				if pq[0].dist > d {
+					break
+				}
 				relax(pq.pop().task)
 				continue
 			}
-			if best < 0 {
+			if best < 0 || distSlot[best] > d {
 				break
 			}
 			j := best
 			settled[j] = distSlot[j]
+			if math.IsInf(d, 1) && len(occupants[j]) < cap[j] {
+				d = distSlot[j]
+			}
 			// Reverse arcs: slots with occupants can release a task.
 			for _, i := range occupants[j] {
 				rc := -float64(c[i*m+j]) - potTask[i] + potSlot[j]
@@ -180,36 +229,32 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 				}
 			}
 		}
-
-		// Cheapest reachable slot with spare capacity ends the path; ties
-		// break toward the lower slot index by scan order.
-		endSlot := -1
-		for j := 0; j < m; j++ {
-			if len(occupants[j]) >= cap[j] || math.IsInf(distSlot[j], 1) {
-				continue
-			}
-			if endSlot < 0 || distSlot[j] < distSlot[endSlot] {
-				endSlot = j
-			}
-		}
-		if endSlot < 0 {
+		if math.IsInf(d, 1) {
 			return nil, 0, ErrInfeasible
 		}
 
-		// Update potentials with the computed distances, capped at the
-		// augmenting path's length (the standard SSP rule: capping keeps
-		// every residual reduced cost non-negative for the next Dijkstra
-		// pass; unreached nodes keep their old potential).
-		d := distSlot[endSlot]
+		// The path ends at the lowest-index spare slot at distance d. It
+		// need not be the first spare slot to pop: a slot popped at d can
+		// release an occupant at d whose forward arc then brings a
+		// lower-index spare slot down to d.
+		endSlot := 0
+		for len(occupants[endSlot]) >= cap[endSlot] || distSlot[endSlot] != d {
+			endSlot++
+		}
+
+		// Update potentials with the distances capped at d (the standard SSP
+		// rule: capping keeps every residual reduced cost non-negative for
+		// the next pass). Every node is reachable — each slot from any
+		// unassigned task, each assigned task from its slot — and each one
+		// left unsettled lies beyond d, so it adds exactly d. Unassigned
+		// tasks sit at distance 0 and add nothing.
 		for i := 0; i < n; i++ {
-			if !math.IsInf(distTask[i], 1) {
+			if assigned[i] >= 0 {
 				potTask[i] += math.Min(distTask[i], d)
 			}
 		}
 		for j := 0; j < m; j++ {
-			if !math.IsInf(distSlot[j], 1) {
-				potSlot[j] += math.Min(distSlot[j], d)
-			}
+			potSlot[j] += math.Min(distSlot[j], d)
 		}
 
 		// Augment one unit along the alternating path, flipping assignments
@@ -239,6 +284,12 @@ func MinCost(n int, cap []int, cost func(task, slot int) int64) ([]int, int64, e
 		totalCost += c[i*m+j]
 	}
 	return assigned, totalCost, nil
+}
+
+// colKey is one entry of a slot's cost-sorted column.
+type colKey struct {
+	cost int64
+	task int32
 }
 
 // taskItem is one task entry of the Dijkstra pass's queue.

@@ -272,15 +272,54 @@ func sameResult(n int, cap []int, c [][]int64) error {
 	return nil
 }
 
+// meshInstance draws one repair-shaped instance: n tasks over the live
+// nodes of a 6x6 mesh with the given nodes dead, each task costing the
+// summed Manhattan hops from srcs fetch sources to the candidate,
+// with the repair path's ceil(2n/m) capacities. Hop sums tie constantly,
+// at the augmenting path's end among others.
+func meshInstance(rng *rand.Rand, n, srcs int, dead map[int]bool) ([]int, [][]int64) {
+	const side = 6
+	var cands []int
+	for v := 0; v < side*side; v++ {
+		if !dead[v] {
+			cands = append(cands, v)
+		}
+	}
+	m := len(cands)
+	hops := func(a, b int) int64 {
+		dx, dy := a%side-b%side, a/side-b/side
+		return int64(max(dx, -dx) + max(dy, -dy))
+	}
+	c := make([][]int64, n)
+	for i := range c {
+		from := make([]int, srcs)
+		for k := range from {
+			from[k] = rng.Intn(side * side)
+		}
+		c[i] = make([]int64, m)
+		for j, v := range cands {
+			for _, s := range from {
+				c[i][j] += hops(s, v)
+			}
+		}
+	}
+	cap := make([]int, m)
+	for j := range cap {
+		cap[j] = (2*n + m - 1) / m
+	}
+	return cap, c
+}
+
 // TestMinCostMatchesReference requires MinCost to return exactly what the
 // pre-rework solver returns — the same assignment, not just the same
 // optimum — over seeded instances with n up to 120 tasks, m up to 36 slots,
 // zeroed capacities (some instances infeasible) and narrow cost spans that
-// make ties the rule rather than the exception.
+// make ties the rule rather than the exception, then over repair-shaped
+// instances of up to 300 tasks on a 6x6 mesh with one or two dead nodes.
 func TestMinCostMatchesReference(t *testing.T) {
-	trials := 3000
+	trials, meshTrials := 3000, 100
 	if testing.Short() {
-		trials = 300
+		trials, meshTrials = 300, 10
 	}
 	spans := []int64{1, 2, 3, 8, 100}
 	rng := rand.New(rand.NewSource(20))
@@ -292,6 +331,41 @@ func TestMinCostMatchesReference(t *testing.T) {
 		if err := sameResult(n, cap, c); err != nil {
 			t.Fatalf("trial %d (n=%d m=%d span=%d cap=%v): %v", trial, n, m, span, cap, err)
 		}
+	}
+	for trial := 0; trial < meshTrials; trial++ {
+		n := 1 + rng.Intn(300)
+		dead := map[int]bool{rng.Intn(36): true}
+		if rng.Intn(2) == 0 {
+			dead[rng.Intn(36)] = true
+		}
+		cap, c := meshInstance(rng, n, 1+rng.Intn(4), dead)
+		if err := sameResult(n, cap, c); err != nil {
+			t.Fatalf("mesh trial %d (n=%d dead=%v): %v", trial, n, dead, err)
+		}
+	}
+}
+
+// TestMinCostEndSlotIsLowestAtDistance pins the early exit's tie rule on an
+// instance where the first spare slot to pop is not the path's end. In the
+// last round task 2 is the only unassigned task: spare slot 1 pops first at
+// reduced distance 0, then full slot 2 at 0 releases task 1 at 0, whose
+// forward arc brings spare slot 0 down to 0 as well. The path must end at
+// slot 0, the lowest-index spare slot at that distance, as the full search
+// of the reference has it; stopping at slot 1 gives an equally cheap but
+// different assignment.
+func TestMinCostEndSlotIsLowestAtDistance(t *testing.T) {
+	c := [][]int64{{1, 3, 1}, {1, 2, 0}, {3, 1, 0}}
+	cap := []int{2, 2, 1}
+	got, cost, err := MinCost(len(c), cap, costFn(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 0, 2}
+	if ref, _, _ := referenceMinCost(len(c), cap, costFn(c)); !slices.Equal(ref, want) {
+		t.Fatalf("reference assignment %v, want %v", ref, want)
+	}
+	if !slices.Equal(got, want) || cost != 2 {
+		t.Fatalf("assignment %v cost %d, want %v cost 2", got, cost, want)
 	}
 }
 
@@ -336,34 +410,8 @@ func FuzzMinCost(f *testing.F) {
 // nodes, each task costing the summed hops from its three fetch sources,
 // with the repair path's ceil(2n/m) capacities.
 func BenchmarkMinCost(b *testing.B) {
-	const n, side = 300, 6
-	dead := map[int]bool{14: true, 21: true}
-	var cands []int
-	for v := 0; v < side*side; v++ {
-		if !dead[v] {
-			cands = append(cands, v)
-		}
-	}
-	m := len(cands)
-	hops := func(a, b int) int64 {
-		dx, dy := a%side-b%side, a/side-b/side
-		return int64(max(dx, -dx) + max(dy, -dy))
-	}
-	rng := rand.New(rand.NewSource(1))
-	c := make([][]int64, n)
-	for i := range c {
-		srcs := []int{rng.Intn(side * side), rng.Intn(side * side), rng.Intn(side * side)}
-		c[i] = make([]int64, m)
-		for j, v := range cands {
-			for _, s := range srcs {
-				c[i][j] += hops(s, v)
-			}
-		}
-	}
-	cap := make([]int, m)
-	for j := range cap {
-		cap[j] = (2*n + m - 1) / m
-	}
+	const n = 300
+	cap, c := meshInstance(rand.New(rand.NewSource(1)), n, 3, map[int]bool{14: true, 21: true})
 	cost := costFn(c)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -40,12 +40,16 @@ func ResidualOf(s *Schedule, ck *Checkpoint) *Schedule {
 // refreshes its hops: the state in which repair hands s to the dependence
 // replay. It returns the live-route distances the replay uses.
 func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*mesh.DistanceTable, error) {
-	dist, err := migrateStranded(s, m, f, o, &RepairReport{})
+	rep := &RepairReport{}
+	p, err := strand(s, m, f, o, rep)
 	if err != nil {
 		return nil, err
 	}
-	refreshHops(s, dist)
-	return dist, nil
+	if err := p.place(s, m, o.Strategy, rep); err != nil {
+		return nil, err
+	}
+	refreshHops(s, p.dist)
+	return p.dist, nil
 }
 
 // ReintegrateForReplay returns the schedule ReintegrateOnline would hand

@@ -14,11 +14,13 @@ import (
 type AssignStrategy int
 
 const (
-	// AssignAuto (the default) solves the batched min-cost assignment and
-	// the greedy ID-order placement on separate copies and commits whichever
-	// repaired schedule moves less data, tie-breaking toward the batched
-	// result. The accepted repair is therefore never worse than the PR 3
-	// greedy baseline.
+	// AssignAuto (the default) shares one strand step — the stranded tasks,
+	// their re-homed fetches and the placement costs — between the batched
+	// min-cost assignment and the greedy ID-order placement, solves the two
+	// on separate copies and commits whichever repaired schedule moves less
+	// data, tie-breaking toward the batched result. The accepted repair is
+	// therefore never worse than the PR 3 greedy baseline. When nothing is
+	// stranded the two are the same schedule, and one repair runs.
 	AssignAuto AssignStrategy = iota
 	// AssignGreedy is the PR 3 baseline: tasks are placed one at a time in
 	// ID order on the cheapest non-overloaded node. Kept for comparison
@@ -139,60 +141,24 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // mesh.ErrPartitioned) — leaving s partially modified; callers that need
 // the original afterwards should pass a Clone (RepairVerified does).
 //
-// With the default AssignAuto strategy the stranded-task placement is
-// solved twice — once with the greedy ID-order baseline on a Clone, then as
-// a batched min-cost assignment in place on s — and the schedule that moves
-// less data is committed, tie-breaking toward the batched result.
+// With the default AssignAuto strategy the stranded tasks, their re-homed
+// fetches and the placement costs are worked out once, and the placement
+// is then solved twice — once with the greedy ID-order baseline on a Clone,
+// then as a batched min-cost assignment in place on s — and the schedule
+// that moves less data is committed, tie-breaking toward the batched
+// result. When no task is stranded both would be the same schedule, so the
+// repair runs once, in place.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	return repairCtx(context.Background(), s, m, f, o)
 }
 
 // repairCtx is RepairSchedule under a context that only AssignAuto's
-// best-of consults.
+// best-of consults. Every strategy takes the same steps: strand (repair
+// steps 1-3 up to the placement), place, finish.
 func repairCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	if err := checkShape(s, m); err != nil {
 		return nil, err
 	}
-	if o.Strategy == AssignAuto && !o.Full && !f.Empty() {
-		return repairBestOf(ctx, s, m, f, o)
-	}
-	return repairSchedule(s, m, f, o)
-}
-
-// repairBestOf runs the greedy repair on a clone of s, then the batched
-// min-cost repair in place on s, and copies the greedy result into s only
-// when it produced strictly less post-repair movement (or the min-cost pass
-// failed). Ties go to the batched assignment, so the accepted repair is by
-// construction never worse than the greedy baseline. ctx is polled once,
-// between the two: when it has expired the greedy result is committed
-// without the costlier batched solve. One deep copy per call: s is already
-// the caller's clone in RepairVerifiedCtx.
-func repairBestOf(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
-	oMC, oGr := o, o
-	oMC.Strategy, oGr.Strategy = AssignMinCost, AssignGreedy
-	cGr := s.Clone()
-	repGr, errGr := repairSchedule(cGr, m, f, oGr)
-	if ctx.Err() != nil {
-		if errGr != nil {
-			return nil, errGr
-		}
-		*s = *cGr
-		return repGr, nil
-	}
-	repMC, errMC := repairSchedule(s, m, f, oMC)
-	switch {
-	case errMC == nil && (errGr != nil || repMC.MovementAfter <= repGr.MovementAfter):
-		return repMC, nil
-	case errGr == nil:
-		*s = *cGr
-		return repGr, nil
-	default:
-		return nil, errMC
-	}
-}
-
-// repairSchedule is the single-strategy repair pass behind RepairSchedule.
-func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	rep := &RepairReport{Full: o.Full, Strategy: "none"}
 	before, err := MovementOn(s, m, nil)
 	if err != nil {
@@ -203,41 +169,90 @@ func repairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 		rep.MovementAfter = before
 		return rep, nil
 	}
-	dist, err := migrateStranded(s, m, f, o, rep)
+	p, err := strand(s, m, f, o, rep)
 	if err != nil {
 		return nil, err
 	}
-	rep.AddedArcs, rep.RemovedArcs = replayArcs(s, dist)
-	after, err := MovementOn(s, m, f)
-	if err != nil {
-		return nil, fmt.Errorf("core: repaired schedule still crosses faults: %w", err)
+	strategy := o.Strategy
+	if o.Full {
+		strategy = AssignGreedy
 	}
-	rep.MovementAfter = after
+	if strategy == AssignAuto && len(p.migIdx) > 0 {
+		return repairBestOf(ctx, s, m, f, p, rep)
+	}
+	if err := p.placeAndFinish(s, m, f, strategy, rep); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 
-// migrateStranded is repair steps 1-3: it moves every task stranded
-// outside the placement region (every task, under o.Full) onto an in-region
-// node and re-homes the fetches whose source left the region, recording
-// the dead nodes, migrations, re-homed fetches and strategy in rep. The arc
-// set is left as it was. It returns the live-route distances on f.
-func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, rep *RepairReport) (*mesh.DistanceTable, error) {
-	threshold := o.LoadThreshold
-	if threshold <= 0 {
-		threshold = 0.10
+// repairBestOf places the stranded batch greedily on a clone of the
+// stranded s, then by the batched min-cost assignment in place on s,
+// finishes both, and copies the greedy result into s only when it produced
+// strictly less post-repair movement (or the min-cost pass failed). Ties go
+// to the batched assignment, so the accepted repair is by construction
+// never worse than the greedy baseline. ctx is polled once, between the
+// two: when it has expired the greedy result is committed without the
+// costlier batched solve. One deep copy per call with a non-empty batch (s
+// is already the caller's clone in RepairVerifiedCtx), taken after the
+// strand step so the clone inherits the re-homed fetches.
+func repairBestOf(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, p *strandPlan, rep *RepairReport) (*RepairReport, error) {
+	cGr, repGr := s.Clone(), *rep
+	errGr := p.placeAndFinish(cGr, m, f, AssignGreedy, &repGr)
+	if ctx.Err() != nil {
+		if errGr != nil {
+			return nil, errGr
+		}
+		*s = *cGr
+		return &repGr, nil
+	}
+	errMC := p.placeAndFinish(s, m, f, AssignMinCost, rep)
+	switch {
+	case errMC == nil && (errGr != nil || rep.MovementAfter <= repGr.MovementAfter):
+		return rep, nil
+	case errGr == nil:
+		*s = *cGr
+		return &repGr, nil
+	default:
+		return nil, errMC
+	}
+}
+
+// strandPlan is what the strand step leaves for placement: the live-route
+// distances on f, the in-region candidate nodes, which tasks migrate (in ID
+// order in migIdx), and each migrating root's result-line source.
+type strandPlan struct {
+	dist       *mesh.DistanceTable
+	candidates []mesh.NodeID
+	migrate    []bool
+	migIdx     []int
+	resultSrcs []mesh.NodeID
+	threshold  float64
+}
+
+// strand is repair steps 1-3 up to the placement: it finds the placement
+// region, picks the tasks stranded outside it (every task, under o.Full)
+// and re-homes the fetches whose source left the region, recording the
+// dead nodes and re-homed fetches in rep. No task moves and the arc set is
+// left as it was.
+func strand(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, rep *RepairReport) (*strandPlan, error) {
+	p := &strandPlan{threshold: o.LoadThreshold}
+	if p.threshold <= 0 {
+		p.threshold = 0.10
 	}
 
 	dist := m.AllDistancesAvoiding(f)
+	p.dist = dist
 
 	// The placement region: largest usable component around a usable MC.
 	region, regionMC := placementRegion(m, f, dist)
 	if regionMC == mesh.InvalidNode {
 		return nil, fmt.Errorf("core: repair impossible: no usable memory controller survives (%s): %w", f, mesh.ErrPartitioned)
 	}
-	candidates := make([]mesh.NodeID, 0, len(region))
+	p.candidates = make([]mesh.NodeID, 0, len(region))
 	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
 		if region[n] {
-			candidates = append(candidates, n)
+			p.candidates = append(p.candidates, n)
 		}
 	}
 	nearestMC := func(from mesh.NodeID) mesh.NodeID {
@@ -254,14 +269,14 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 	}
 
 	// Which tasks move, and which stranded nodes they leave.
-	migrate := make([]bool, len(s.Tasks))
+	p.migrate = make([]bool, len(s.Tasks))
 	stranded := make(map[mesh.NodeID]bool)
 	for i, t := range s.Tasks {
 		if !region[t.Node] {
-			migrate[i] = true
+			p.migrate[i] = true
 			stranded[t.Node] = true
 		} else if o.Full {
-			migrate[i] = true
+			p.migrate[i] = true
 		}
 	}
 	dead := make([]mesh.NodeID, 0, len(stranded))
@@ -289,76 +304,94 @@ func migrateStranded(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOption
 
 	// Collect the migrating batch in ID order. Each migrating root must
 	// reacquire its result line from the line's home (or DRAM when the home
-	// died); the store is no longer local. The per-(task, node) cost is the
-	// task's migration bytes x hops: every fetch travels from its (already
-	// re-homed) source plus the root's result reacquisition.
-	var migIdx []int
+	// died); the store is no longer local.
 	for i := range s.Tasks {
-		if migrate[i] {
-			migIdx = append(migIdx, i)
+		if p.migrate[i] {
+			p.migIdx = append(p.migIdx, i)
 		}
 	}
-	resultSrcs := make([]mesh.NodeID, len(migIdx))
-	for k, i := range migIdx {
+	p.resultSrcs = make([]mesh.NodeID, len(p.migIdx))
+	for k, i := range p.migIdx {
 		t := s.Tasks[i]
-		resultSrcs[k] = mesh.InvalidNode
+		p.resultSrcs[k] = mesh.InvalidNode
 		if t.IsRoot {
 			src := t.Node
 			if !region[src] {
 				src = nearestMC(src)
 			}
-			resultSrcs[k] = src
+			p.resultSrcs[k] = src
 		}
 	}
+	return p, nil
+}
+
+// placeAndFinish places the batch p strands in s by strategy, then
+// finishes the repair: the dependence replay, and the post-repair
+// movement on f.
+func (p *strandPlan) placeAndFinish(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, strategy AssignStrategy, rep *RepairReport) error {
+	if err := p.place(s, m, strategy, rep); err != nil {
+		return err
+	}
+	rep.AddedArcs, rep.RemovedArcs = replayArcs(s, p.dist)
+	after, err := MovementOn(s, m, f)
+	if err != nil {
+		return fmt.Errorf("core: repaired schedule still crosses faults: %w", err)
+	}
+	rep.MovementAfter = after
+	return nil
+}
+
+// place moves the batch p strands in s, which strand must have left as it
+// found it, onto in-region nodes: greedy ID order (each task on its
+// cheapest non-overloaded node) under AssignGreedy, one batched min-cost
+// flow over tasks x candidates under AssignMinCost. It records the
+// strategy and the migrations in rep; an empty batch records neither. The
+// per-(task, node) cost is the task's migration bytes x hops: every fetch
+// travels from its (already re-homed) source plus the root's result
+// reacquisition.
+func (p *strandPlan) place(s *Schedule, m *mesh.Mesh, strategy AssignStrategy, rep *RepairReport) error {
+	if len(p.migIdx) == 0 {
+		return nil
+	}
 	cost := func(k int, n mesh.NodeID) int64 {
-		t := s.Tasks[migIdx[k]]
+		t := s.Tasks[p.migIdx[k]]
 		var c int64
 		for _, fe := range t.Fetches {
-			c += int64(dist.Between(fe.From, n))
+			c += int64(p.dist.Between(fe.From, n))
 		}
-		if src := resultSrcs[k]; src != mesh.InvalidNode {
-			c += int64(dist.Between(src, n))
+		if src := p.resultSrcs[k]; src != mesh.InvalidNode {
+			c += int64(p.dist.Between(src, n))
 		}
 		return c
 	}
-
-	// Seed the load tracker with the work that stays put, then assign the
-	// batch: greedy ID order (each task on its cheapest non-overloaded node)
-	// or one batched min-cost flow over tasks x candidates.
-	lt := newLoadTracker(m.Nodes(), threshold)
-	for i, t := range s.Tasks {
-		if !migrate[i] {
-			lt.add(t.Node, t.Ops)
-		}
-	}
+	rep.Strategy = strategy.String()
 	var targets []mesh.NodeID
-	if len(migIdx) > 0 {
-		strategy := o.Strategy
-		if strategy != AssignMinCost || o.Full {
-			strategy = AssignGreedy
+	if strategy == AssignMinCost {
+		var err error
+		targets, err = placeMinCost(p.candidates, len(p.migIdx), cost)
+		if err != nil {
+			return err
 		}
-		rep.Strategy = strategy.String()
-		if strategy == AssignMinCost {
-			var err error
-			targets, err = placeMinCost(candidates, len(migIdx), cost)
-			if err != nil {
-				return nil, err
+	} else {
+		// Seed the load tracker with the work that stays put.
+		lt := newLoadTracker(m.Nodes(), p.threshold)
+		for i, t := range s.Tasks {
+			if !p.migrate[i] {
+				lt.add(t.Node, t.Ops)
 			}
-		} else {
-			targets = placeGreedy(lt, candidates, migIdx, s.Tasks, cost)
 		}
+		targets = placeGreedy(lt, p.candidates, p.migIdx, s.Tasks, cost)
 	}
 
-	for k, i := range migIdx {
+	for k, i := range p.migIdx {
 		t := s.Tasks[i]
 		best := targets[k]
 		if t.Node != best {
 			rep.Migrated++
 		}
-		moveTask(t, best, resultSrcs[k], m)
+		moveTask(t, best, p.resultSrcs[k], m)
 	}
-
-	return dist, nil
+	return nil
 }
 
 // replayArcs finishes a migration once every placement is final: each

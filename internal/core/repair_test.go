@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -177,6 +178,51 @@ func TestRepairNoFaultsIsNoop(t *testing.T) {
 	}
 	if rep.MovementBefore != before || rep.MovementAfter != before {
 		t.Errorf("movement %d/%d, want %d unchanged", rep.MovementBefore, rep.MovementAfter, before)
+	}
+}
+
+// TestRepairEmptyBatchRunsOnce pins AssignAuto on fault sets that strand
+// no task: dead links reroute traffic but leave every node in the
+// placement region, so its two candidates are the same schedule. It must
+// return exactly the schedule and report of either forced strategy, and
+// repair once — no clone, no second pass — so its allocations stay within a
+// small slack of the forced min-cost repair's.
+func TestRepairEmptyBatchRunsOnce(t *testing.T) {
+	s, opts := partitioned(t)
+	m := opts.Mesh
+	for seed := int64(1); seed <= 3; seed++ {
+		f := mesh.Inject(m, seed, 3, 0, 0, true)
+		repair := func(strat AssignStrategy) (*Schedule, *RepairReport) {
+			c := s.Clone()
+			rep, err := RepairSchedule(c, m, f, RepairOptions{Strategy: strat})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, strat, err)
+			}
+			return c, rep
+		}
+		auto, repAuto := repair(AssignAuto)
+		if len(repAuto.DeadNodes) != 0 || repAuto.Strategy != "none" {
+			t.Fatalf("seed %d: %s strands tasks (dead %v, strategy %q)", seed, f, repAuto.DeadNodes, repAuto.Strategy)
+		}
+		for _, strat := range []AssignStrategy{AssignMinCost, AssignGreedy} {
+			c, rep := repair(strat)
+			if !reflect.DeepEqual(rep, repAuto) {
+				t.Errorf("seed %d: auto report %+v, forced %s %+v", seed, *repAuto, strat, *rep)
+			}
+			if !reflect.DeepEqual(c, auto) {
+				t.Errorf("seed %d: auto schedule differs from the forced %s one", seed, strat)
+			}
+		}
+		allocs := func(strat AssignStrategy) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := RepairSchedule(s.Clone(), m, f, RepairOptions{Strategy: strat}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, mc := allocs(AssignAuto), allocs(AssignMinCost); a > mc+2 {
+			t.Errorf("seed %d: auto repair allocates %.0f times, forced min-cost %.0f", seed, a, mc)
+		}
 	}
 }
 

@@ -8,7 +8,11 @@ import (
 )
 
 // FaultEvent is one seeded mid-run fault arrival: Faults strikes the until
-// then pristine mesh when the simulated clock reaches Cycle.
+// then pristine mesh when the simulated clock reaches Cycle. Run reads only
+// Cycle, to cut its checkpoint there; Faults records the fault set for the
+// caller and is never read, so a wrong one goes unnoticed. Every caller sets
+// it, the benchmark module's included, so dropping or checking the field
+// changes that module too.
 type FaultEvent struct {
 	Cycle  float64
 	Faults *mesh.FaultSet
