@@ -8,17 +8,12 @@
 //	experiments -run all
 //	experiments -run fig13,fig17,fig24 -iters 128
 //	experiments -run all -markdown > EXPERIMENTS.md
-//	experiments -run onlinesweep -cpuprofile cpu.out
-//
-// -cpuprofile FILE writes a CPU profile of the selected experiments to FILE
-// (read it with `go tool pprof`); the tables are the same with or without it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"slices"
 	"sort"
 	"strings"
@@ -36,7 +31,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit Markdown (for EXPERIMENTS.md)")
 		jobs     = flag.Int("j", 0, "parallel workers (<= 0 = one per CPU, 1 = serial; tables are identical at every setting)")
 		nofuse   = flag.Bool("nofuse", false, "disable the producer→consumer fusion pre-pass")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file`")
 	)
 	flag.Parse()
 
@@ -47,6 +41,10 @@ func main() {
 		runner.Opts.Fuse = false
 	}
 
+	type entry struct {
+		id string
+		fn func() (*exp.Experiment, error)
+	}
 	all := []entry{
 		{"table1", runner.Table1},
 		{"table2", runner.Table2},
@@ -81,14 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var stopProfile func() error
-	if *cpuprof != "" {
-		if stopProfile, err = startCPUProfile(*cpuprof); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-
 	if *markdown {
 		fmt.Printf("# EXPERIMENTS — paper vs. measured\n\n")
 		fmt.Printf("Regenerated by `go run ./cmd/experiments -run %s -iters %d -elems %d -markdown`.\n\n",
@@ -97,27 +87,6 @@ func main() {
 			*iters, workloads.Sweeps, *elems)
 	}
 
-	err = runExperiments(all, want, *markdown)
-	if stopProfile != nil {
-		if perr := stopProfile(); perr != nil && err == nil {
-			err = fmt.Errorf("cpuprofile: %w", perr)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
-
-// entry is one experiment the -run list can select.
-type entry struct {
-	id string
-	fn func() (*exp.Experiment, error)
-}
-
-// runExperiments runs the selected experiments in order and prints each
-// one's table, stopping at the first that fails.
-func runExperiments(all []entry, want map[string]bool, markdown bool) error {
 	start := time.Now()
 	for _, e := range all {
 		if !want[e.id] {
@@ -126,9 +95,10 @@ func runExperiments(all []entry, want map[string]bool, markdown bool) error {
 		t0 := time.Now()
 		res, err := e.fn()
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
+			os.Exit(1)
 		}
-		if markdown {
+		if *markdown {
 			fmt.Printf("## %s\n\n", res.Title)
 			fmt.Printf("*Paper:* %s\n\n", res.PaperClaim)
 			fmt.Printf("```\n%s```\n\n", res.Table.String())
@@ -142,27 +112,9 @@ func runExperiments(all []entry, want map[string]bool, markdown bool) error {
 			fmt.Println()
 		}
 	}
-	if !markdown {
+	if !*markdown {
 		fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
 	}
-	return nil
-}
-
-// startCPUProfile starts a CPU profile written to path; the returned stop
-// ends it and closes the file.
-func startCPUProfile(path string) (stop func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() error {
-		pprof.StopCPUProfile()
-		return f.Close()
-	}, nil
 }
 
 // selectIDs resolves the -run list against the known experiment ids: "all"
