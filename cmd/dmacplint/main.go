@@ -23,11 +23,10 @@
 //
 // Usage:
 //
-//	dmacplint [-analyzers maporder,bytehops] [-tests] [-json] [packages ...]
+//	dmacplint [packages ...]
 //
-// With -json, findings are emitted as one indented JSON array on stdout
-// ([] when clean) for CI tooling and editors; the array is byte-identical
-// across runs on an unchanged tree. The exit code contract is unchanged.
+// Each finding prints as `file:line:col: analyzer: message`, followed by its
+// suggested fix when the analyzer has one; a non-empty list exits 1.
 //
 // Packages default to ./... relative to the current directory. Deliberate
 // exceptions are granted inline:
@@ -48,51 +47,23 @@ import (
 )
 
 func main() {
-	var (
-		sel     = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		tests   = flag.Bool("tests", false, "also analyze in-package _test.go files")
-		docs    = flag.Bool("doc", false, "print each analyzer's documentation and exit")
-		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	)
-	flag.Parse()
-
-	analyzers, err := analysis.ByName(*sel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmacplint:", err)
-		os.Exit(2)
-	}
-	if *docs {
-		for _, a := range analyzers {
-			fmt.Printf("%s\n\t%s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
+	flag.Parse() // no flags: rejects a stray one with exit 2
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(analysis.LoadConfig{Tests: *tests}, patterns...)
+	pkgs, err := analysis.Load(analysis.LoadConfig{}, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmacplint:", err)
 		os.Exit(2)
 	}
 
-	diags := analysis.Run(pkgs, analyzers)
-	if *jsonOut {
-		out, err := analysis.DiagnosticsJSON(diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmacplint:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(out)
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: %s: %s\n", d.Pos, d.Analyzer, d.Message)
-			if d.Fix != nil {
-				fmt.Printf("\tsuggested fix (%s):\n\t%s\n",
-					d.Fix.Message, strings.ReplaceAll(d.Fix.Replacement, "\n", "\n\t"))
-			}
+	diags := analysis.Run(pkgs, analysis.All())
+	for _, d := range diags {
+		fmt.Println(d)
+		if d.Fix != nil {
+			fmt.Printf("\tsuggested fix (%s):\n\t%s\n",
+				d.Fix.Message, strings.ReplaceAll(d.Fix.Replacement, "\n", "\n\t"))
 		}
 	}
 	if len(diags) > 0 {

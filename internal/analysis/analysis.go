@@ -55,8 +55,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow directives.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
 	// Run inspects a package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -118,27 +116,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, ParOwnership, SeedDiscipline, ByteHops, CtxDiscipline,
 	}
-}
-
-// ByName resolves a comma-separated analyzer selection ("" means all).
-func ByName(sel string) ([]*Analyzer, error) {
-	if sel == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(sel, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, names(All()))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 func names(as []*Analyzer) string {

@@ -27,10 +27,7 @@ import (
 // sides carry a known, conflicting unit are reported.
 var ByteHops = &Analyzer{
 	Name: "bytehops",
-	Doc: "unit-consistency check over bytes, hops, and bytes×hops movement " +
-		"quantities: forbid raw bytes+hops mixing and double-multiplied " +
-		"movement costs",
-	Run: runByteHops,
+	Run:  runByteHops,
 }
 
 // unit is a dimension vector: exponents of bytes and hops. The zero value

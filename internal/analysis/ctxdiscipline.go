@@ -15,9 +15,7 @@ import (
 // path. Both are flagged at the declaration site.
 var CtxDiscipline = &Analyzer{
 	Name: "ctxdiscipline",
-	Doc: "context.Context must be a function's first parameter and must " +
-		"never be stored in a struct field",
-	Run: runCtxDiscipline,
+	Run:  runCtxDiscipline,
 }
 
 func runCtxDiscipline(pass *Pass) {

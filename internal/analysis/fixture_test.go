@@ -177,17 +177,33 @@ func TestTreeIsLintClean(t *testing.T) {
 	}
 }
 
-// TestByName covers analyzer selection parsing for cmd/dmacplint.
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
+// TestDiagnosticsDeterministic pins the whole pipeline end to end: two
+// independent loads and runs of the suite over every analyzer fixture must
+// print byte-identical findings, suggested fixes included, and the findings
+// must come from each analyzer (so the comparison is never between two empty
+// lists).
+func TestDiagnosticsDeterministic(t *testing.T) {
+	run := func() string {
+		pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/...")
+		if err != nil {
+			t.Fatalf("loading fixtures: %v", err)
+		}
+		var b strings.Builder
+		for _, d := range Run(pkgs, All()) {
+			b.WriteString(d.String() + "\n")
+			if d.Fix != nil {
+				b.WriteString(d.Fix.Message + "\n" + d.Fix.Replacement + "\n")
+			}
+		}
+		return b.String()
 	}
-	two, err := ByName("maporder, bytehops")
-	if err != nil || len(two) != 2 || two[0] != MapOrder || two[1] != ByteHops {
-		t.Fatalf("ByName selection failed: %v, %v", two, err)
+	first, second := run(), run()
+	if first != second {
+		t.Errorf("findings differ across independent runs:\n--- first\n%s\n--- second\n%s", first, second)
 	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName(nosuch) succeeded, want error")
+	for _, a := range All() {
+		if !strings.Contains(first, ": "+a.Name+": ") {
+			t.Errorf("no %s finding in:\n%s", a.Name, first)
+		}
 	}
 }

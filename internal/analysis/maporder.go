@@ -26,10 +26,7 @@ import (
 // as a suggested fix.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "forbid order-sensitive iteration over Go maps in packages on the " +
-		"schedule-emission path (internal/core, internal/baseline, " +
-		"internal/fusion, internal/verify, internal/exp, internal/sim, pipeline)",
-	Run: runMapOrder,
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {

@@ -17,10 +17,7 @@ import (
 // from serial ones (or race outright), and is flagged at the write site.
 var ParOwnership = &Analyzer{
 	Name: "parownership",
-	Doc: "inside par.ForEach worker closures, restrict writes to captured " +
-		"variables to the worker's own indexed result slot or " +
-		"mutex-guarded sections",
-	Run: runParOwnership,
+	Run:  runParOwnership,
 }
 
 func runParOwnership(pass *Pass) {
@@ -41,7 +38,7 @@ func runParOwnership(pass *Pass) {
 	}
 }
 
-// isParForEach reports whether call invokes ForEach (or a future Run) from
+// isParForEach reports whether call invokes ForEach from
 // dmacp's internal/par package.
 func isParForEach(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -52,7 +49,7 @@ func isParForEach(info *types.Info, call *ast.CallExpr) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	if obj.Name() != "ForEach" && obj.Name() != "Run" {
+	if obj.Name() != "ForEach" {
 		return false
 	}
 	return strings.HasSuffix(obj.Pkg().Path(), "internal/par") ||

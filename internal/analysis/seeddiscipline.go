@@ -23,10 +23,7 @@ import (
 // like; they never emit schedules.
 var SeedDiscipline = &Analyzer{
 	Name: "seeddiscipline",
-	Doc: "forbid math/rand global-source functions and wall-clock-derived " +
-		"seeds outside _test.go files, keeping stochastic harnesses " +
-		"replayable from their recorded seeds",
-	Run: runSeedDiscipline,
+	Run:  runSeedDiscipline,
 }
 
 // globalRandFuncs are the math/rand package-level functions that consult the

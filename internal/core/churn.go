@@ -117,7 +117,7 @@ func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
-	if err := checkShape(s, m); err != nil {
+	if err := CheckShape(s, m); err != nil {
 		return nil, nil, err
 	}
 	if ck != nil && len(ck.Done) != len(s.Tasks) {

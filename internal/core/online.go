@@ -102,7 +102,7 @@ func RepairOnline(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o
 // the escalation ladder underneath is RepairVerifiedCtx, which stops short
 // of the costlier rungs once ctx has expired.
 func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *OnlineReport, error) {
-	if err := checkShape(s, m); err != nil {
+	if err := CheckShape(s, m); err != nil {
 		return nil, nil, err
 	}
 	if len(ck.Done) != len(s.Tasks) {

@@ -16,7 +16,19 @@ import (
 	"dmacp/internal/predictor"
 )
 
-// Options configures one partitioning run.
+// MaxWindow bounds the adaptive window-size search: the paper searches 1
+// through 8 statements.
+const MaxWindow = 8
+
+// DivWeight is the cost multiplier for divisions when measuring
+// subcomputation cost (the paper uses 10x).
+const DivWeight = 10
+
+// l1Ways is the associativity of the per-node L1 shadow caches.
+const l1Ways = 8
+
+// Options configures one partitioning run. The window bound, division
+// weight and L1 associativity are fixed (MaxWindow, DivWeight, l1Ways).
 type Options struct {
 	// Mesh is the target on-chip network. Required.
 	Mesh *mesh.Mesh
@@ -43,9 +55,6 @@ type Options struct {
 	// for single-use temporaries. Disabled by -nofuse on the CLIs.
 	Fuse bool
 
-	// MaxWindow bounds the adaptive window-size search (the paper searches 1
-	// through 8 statements).
-	MaxWindow int
 	// FixedWindow, when positive, disables the adaptive search and uses the
 	// given window size for every nest (the fixed-window bars of Figure 20).
 	FixedWindow int
@@ -57,9 +66,6 @@ type Options struct {
 	// taking a subcomputation would put its load more than this fraction
 	// above the next most loaded node (the paper's configurable 10%).
 	LoadThreshold float64
-	// DivWeight is the cost multiplier for divisions when measuring
-	// subcomputation cost (the paper uses 10x).
-	DivWeight int
 
 	// MCOverride optionally remaps pages to specific memory controllers
 	// (page number -> MC node), modeling the profile-based data-to-MC
@@ -74,10 +80,9 @@ type Options struct {
 	// outcome is identical at every setting.
 	Jobs int
 
-	// L1Bytes/L1Ways size the per-node L1 shadow caches that model reuse and
+	// L1Bytes sizes the per-node L1 shadow caches that model reuse and
 	// pollution.
 	L1Bytes uint64
-	L1Ways  int
 	// L2BankBytes sizes each node's L2 bank for the residency model.
 	L2BankBytes uint64
 	// L2Ways is the associativity of each L2 bank model.
@@ -97,12 +102,9 @@ func DefaultOptions() Options {
 		Layout:        l,
 		Mode:          mesh.Quadrant,
 		Fuse:          true,
-		MaxWindow:     8,
 		ReuseAware:    true,
 		LoadThreshold: 0.10,
-		DivWeight:     10,
 		L1Bytes:       32 << 10,
-		L1Ways:        8,
 		L2BankBytes:   1 << 20,
 		L2Ways:        16,
 	}
@@ -120,16 +122,10 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("core: layout has %d L2 banks but mesh has %d nodes",
 			o.Layout.L2Banks, o.Mesh.Nodes())
 	}
-	if o.MaxWindow <= 0 && o.FixedWindow <= 0 {
-		return fmt.Errorf("core: need MaxWindow or FixedWindow > 0")
-	}
 	if o.LoadThreshold < 0 {
 		return fmt.Errorf("core: negative LoadThreshold")
 	}
-	if o.DivWeight <= 0 {
-		return fmt.Errorf("core: DivWeight must be positive")
-	}
-	if o.L1Bytes == 0 || o.L1Ways <= 0 || o.L2BankBytes == 0 || o.L2Ways <= 0 {
+	if o.L1Bytes == 0 || o.L2BankBytes == 0 || o.L2Ways <= 0 {
 		return fmt.Errorf("core: cache model parameters must be positive")
 	}
 	return nil
@@ -140,7 +136,7 @@ func (o *Options) windowSizes() []int {
 	if o.FixedWindow > 0 {
 		return []int{o.FixedWindow}
 	}
-	sizes := make([]int, o.MaxWindow)
+	sizes := make([]int, MaxWindow)
 	for i := range sizes {
 		sizes[i] = i + 1
 	}

@@ -164,8 +164,8 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	// first minimum in window order — matches the serial sweep exactly. The
 	// winner is then re-run once with emission on the calling goroutine;
 	// emission never feeds back into a decision, so its Stats equal the
-	// trial's score. A singleton window set (FixedWindow, or MaxWindow=1)
-	// has nothing to select and runs its one emitting pass directly.
+	// trial's score. A FixedWindow run has nothing to select and runs its
+	// one emitting pass directly.
 	//
 	// Every trial plans most instances exactly as every other trial does:
 	// an instance none of whose leaves has a reuse candidate gets its
@@ -329,7 +329,7 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
 		p.opWeight = 1.0
 		if p.ops > 0 {
-			p.opWeight = float64(stmt.OpCount(opts.DivWeight)) / float64(p.ops)
+			p.opWeight = float64(stmt.OpCount(DivWeight)) / float64(p.ops)
 		}
 		tr.pre[i] = p
 		tr.prefix[i] = tr.perIter

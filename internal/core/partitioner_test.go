@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dmacp/internal/ir"
@@ -342,16 +343,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("nil mesh accepted")
 	}
-	bad = DefaultOptions()
-	bad.DivWeight = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero DivWeight accepted")
-	}
-	bad = DefaultOptions()
-	bad.MaxWindow, bad.FixedWindow = 0, 0
-	if err := bad.Validate(); err == nil {
-		t.Error("no window sizes accepted")
-	}
 }
 
 func TestPartitionScheduleValidates(t *testing.T) {
@@ -420,8 +411,20 @@ func TestValidateScheduleCatchesCorruption(t *testing.T) {
 		t.Error("corrupted hops not detected")
 	}
 	victim.WaitHops[0] -= 3
+	producer := victim.WaitFor[0]
 	victim.WaitFor[0] = victim.ID // self wait
 	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err == nil {
 		t.Error("self wait not detected")
+	}
+	victim.WaitFor[0] = producer
+	// A fetch source off the mesh is corruption too, not only a task node.
+	for _, task := range res.Schedule.Tasks {
+		if len(task.Fetches) > 0 {
+			task.Fetches[0].From = 999
+			break
+		}
+	}
+	if err := ValidateScheduleOn(res.Schedule, o.Mesh, nil); err == nil || !strings.Contains(err.Error(), "invalid node 999") {
+		t.Errorf("off-mesh fetch source: got %v, want an invalid-node error", err)
 	}
 }

@@ -156,7 +156,7 @@ func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 // best-of consults. Every strategy takes the same steps: strand (repair
 // steps 1-3 up to the placement), place, finish.
 func repairCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
-	if err := checkShape(s, m); err != nil {
+	if err := CheckShape(s, m); err != nil {
 		return nil, err
 	}
 	rep := &RepairReport{Full: o.Full, Strategy: "none"}
@@ -546,7 +546,7 @@ func moveTask(t *Task, to, src mesh.NodeID, m *mesh.Mesh) {
 // so a task's whole ancestor set is one number per chain: the highest
 // ancestor ID on it, the task itself included. p happens before i exactly
 // when p <= up[i][chain(p)]. The labels take n x (nodes in use) x 4 bytes.
-// It requires the shape checkShape enforces: dense IDs, every WaitFor entry
+// It requires the shape CheckShape enforces: dense IDs, every WaitFor entry
 // an earlier task, and every node inside dist.
 func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 	tasks := s.Tasks

@@ -131,5 +131,5 @@ func (r *Residency) Write(id int32, node mesh.NodeID, task int) []mesh.NodeID {
 // ShadowL1s returns the L1 models of the mesh's nodes, one cache per node,
 // sized by the options: the copies an emitter's residency holders stand for.
 func ShadowL1s(o *Options) *cache.Cache {
-	return cache.MustNew(cache.Config{SizeBytes: o.L1Bytes, LineBytes: o.Layout.LineBytes, Ways: o.L1Ways}, o.Mesh.Nodes())
+	return cache.MustNew(cache.Config{SizeBytes: o.L1Bytes, LineBytes: o.Layout.LineBytes, Ways: l1Ways}, o.Mesh.Nodes())
 }

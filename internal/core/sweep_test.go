@@ -82,10 +82,10 @@ func checkSweep(t *testing.T, name string, prog *ir.Program, nest *ir.Nest, stor
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(res.MovementBySize) != opts.MaxWindow {
-		t.Errorf("%s: %d trials, want %d", name, len(res.MovementBySize), opts.MaxWindow)
+	if len(res.MovementBySize) != core.MaxWindow {
+		t.Errorf("%s: %d trials, want %d", name, len(res.MovementBySize), core.MaxWindow)
 	}
-	for w := 1; w <= opts.MaxWindow; w++ {
+	for w := 1; w <= core.MaxWindow; w++ {
 		fixed := opts
 		fixed.FixedWindow = w
 		ref, err := core.Partition(prog, nest, store, fixed)

@@ -11,40 +11,28 @@ import (
 // mesh); tests and debugging call it after Partition, baseline.Place or a
 // repair. It returns the first violation found:
 //
-//   - task IDs are dense and ascending (the simulator relies on topological
-//     order);
-//   - every WaitFor arc points at an earlier task and carries a matching
-//     WaitHops entry equal to the fault-aware live-route distance between
-//     producer and consumer (the Manhattan distance on a pristine mesh);
-//   - every task sits on a usable mesh node (live tile and router);
+//   - the shape CheckShape enforces: dense ascending task IDs (the
+//     simulator relies on topological order), every WaitFor arc pointing
+//     at an earlier task, and every task node and fetch source on the mesh;
+//   - every WaitHops entry equals the fault-aware live-route distance
+//     between producer and consumer (the Manhattan distance on a pristine
+//     mesh);
+//   - every task sits on a usable node (live tile and router);
 //   - every statement instance has exactly one root task, and instance
 //     (Iter, Stmt) pairs appear in execution order.
 func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
-	if s == nil {
-		return fmt.Errorf("core: nil schedule")
+	if err := CheckShape(s, m); err != nil {
+		return err
 	}
 	dist := m.AllDistancesAvoiding(f)
 	type instKey struct{ iter, stmt int }
 	roots := make(map[instKey]int)
 	lastIter, lastStmt := -1, -1
 	for i, t := range s.Tasks {
-		if t.ID != i {
-			return fmt.Errorf("core: task %d has ID %d (want dense ascending)", i, t.ID)
-		}
-		if t.Node < 0 || int(t.Node) >= m.Nodes() {
-			return fmt.Errorf("core: task %d on invalid node %d", i, t.Node)
-		}
 		if !f.NodeUsable(t.Node) {
 			return fmt.Errorf("core: task %d placed on dead node %d", i, t.Node)
 		}
-		if len(t.WaitFor) != len(t.WaitHops) {
-			return fmt.Errorf("core: task %d WaitFor/WaitHops mismatch (%d vs %d)",
-				i, len(t.WaitFor), len(t.WaitHops))
-		}
 		for j, p := range t.WaitFor {
-			if p < 0 || p >= t.ID {
-				return fmt.Errorf("core: task %d waits on non-earlier task %d", i, p)
-			}
 			want := dist.Between(s.Tasks[p].Node, t.Node)
 			if want < 0 {
 				return fmt.Errorf("core: task %d arc from %d crosses a partitioned mesh (%d -> %d)",
@@ -84,11 +72,12 @@ func ValidateScheduleOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) error {
 	return nil
 }
 
-// checkShape checks the shape the repair ladder indexes by, before anything
-// is replayed or cut: task IDs dense and ascending, every WaitFor entry an
-// earlier task with a WaitHops entry beside it, and every task node and
-// fetch source on the mesh. The error names the first offending task.
-func checkShape(s *Schedule, m *mesh.Mesh) error {
+// CheckShape checks the shape the repair ladder and the simulator index by,
+// before anything is replayed, cut or timed: task IDs dense and ascending,
+// every WaitFor entry an earlier task with a WaitHops entry beside it, and
+// every task node and fetch source on the mesh. The error names the first
+// offending task.
+func CheckShape(s *Schedule, m *mesh.Mesh) error {
 	if s == nil {
 		return fmt.Errorf("core: nil schedule")
 	}

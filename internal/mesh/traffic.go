@@ -19,15 +19,9 @@ func NewTraffic(m *Mesh) *Traffic {
 	return &Traffic{m: m, load: make([]int64, m.NumLinkSlots())}
 }
 
-// Record adds flits units of load to every link on the XY route from src to
-// dst and returns the number of links traversed.
-func (t *Traffic) Record(src, dst NodeID, flits int64) int {
-	return t.RecordRoute(t.m.Route(src, dst), flits)
-}
-
-// RecordRoute adds flits units of load to every link of an explicit route
-// (e.g. a fault-aware detour from RouteAvoiding) and returns the number of
-// links traversed.
+// RecordRoute adds flits units of load to every link of route (an XY route
+// from Route, or a fault-aware detour from RouteAvoiding) and returns the
+// number of links traversed.
 func (t *Traffic) RecordRoute(route []Link, flits int64) int {
 	for _, l := range route {
 		if i := t.m.linkIndex(l); i >= 0 {
@@ -42,27 +36,22 @@ type LatencyParams struct {
 	// PerHop is the base cycles to traverse one link (router + wire).
 	PerHop float64
 	// Contention scales the queueing penalty added per unit of
-	// utilization-derived queueing in PathLatencyAt.
+	// utilization-derived queueing in RouteLatencyAt.
 	Contention float64
 	// LinkCapacity is the flits per cycle one link can carry, used by the
-	// utilization model of PathLatencyAt.
+	// utilization model of RouteLatencyAt.
 	LinkCapacity float64
 }
 
-// PathLatencyAt estimates the cycles for one cache-line transfer from src to
-// dst at the given elapsed simulation time, using an M/M/1-style queueing
-// model per link: each link's utilization is its accumulated load divided by
-// its capacity-time, and the queueing delay grows as util/(1-util). This is
-// the volume-sensitive model the timing simulator uses — heavier total
-// traffic slows every transfer, so schedules that move less data see lower
-// average latencies (Figure 19).
-func (t *Traffic) PathLatencyAt(src, dst NodeID, p LatencyParams, elapsed float64) float64 {
-	return t.RouteLatencyAt(t.m.Route(src, dst), p, elapsed)
-}
-
-// RouteLatencyAt is PathLatencyAt over an explicit route, so degraded-mesh
-// transfers pay for every link of their detour, not just the Manhattan
-// distance.
+// RouteLatencyAt estimates the cycles for one cache-line transfer along
+// route (an XY route from Route, or a fault-aware detour from
+// RouteAvoiding, so degraded-mesh transfers pay for every link of their
+// detour) at the given elapsed simulation time, using an M/M/1-style
+// queueing model per link: each link's utilization is its accumulated load
+// divided by its capacity-time, and the queueing delay grows as
+// util/(1-util). This is the volume-sensitive model the timing simulator
+// uses — heavier total traffic slows every transfer, so schedules that move
+// less data see lower average latencies (Figure 19).
 func (t *Traffic) RouteLatencyAt(route []Link, p LatencyParams, elapsed float64) float64 {
 	if len(route) == 0 {
 		return 0

@@ -62,25 +62,11 @@ func (m MemMode) dramCycles() float64 {
 	}
 }
 
-// Config parameterizes one simulation.
+// Config parameterizes one simulation. The machine's timing model (network
+// latency, cycle costs, memory parallelism) is fixed; see the constants
+// below.
 type Config struct {
 	Mesh *mesh.Mesh
-	// Latency is the per-hop/contention network model.
-	Latency mesh.LatencyParams
-	// CyclesPerOp is the compute cost of one weighted operation.
-	CyclesPerOp float64
-	// L1HitCycles and L2HitCycles are local access costs.
-	L1HitCycles float64
-	L2HitCycles float64
-	// MCServiceCycles is the serialization interval of one memory
-	// controller (queueing builds up behind it).
-	MCServiceCycles float64
-	// SyncCycles is the handshake cost charged per synchronization arc.
-	SyncCycles float64
-	// MemoryParallelism is the number of outstanding fetches a task can
-	// overlap (MSHR-style); total fetch latency is bounded below by
-	// sum/MemoryParallelism (the bandwidth term).
-	MemoryParallelism float64
 	// MemMode selects the off-chip latency profile.
 	MemMode MemMode
 
@@ -130,19 +116,30 @@ type Config struct {
 // evaluation.
 func DefaultConfig(m *mesh.Mesh) Config {
 	return Config{
-		Mesh:              m,
-		Latency:           mesh.LatencyParams{PerHop: 8, Contention: 25, LinkCapacity: 0.35},
-		CyclesPerOp:       3,
-		L1HitCycles:       2,
-		L2HitCycles:       12,
-		MCServiceCycles:   6,
-		SyncCycles:        8,
-		MemoryParallelism: 4,
-		MemMode:           Flat,
-		HopScale:          1,
-		ComputeScale:      1,
+		Mesh:         m,
+		MemMode:      Flat,
+		HopScale:     1,
+		ComputeScale: 1,
 	}
 }
+
+// Timing constants of the modeled machine, in cycles.
+const (
+	cyclesPerOp = 3  // compute cost of one weighted operation
+	l1HitCycles = 2  // local L1 access
+	l2HitCycles = 12 // local L2 bank access
+	// mcServiceCycles is the serialization interval of one memory
+	// controller (queueing builds up behind it).
+	mcServiceCycles = 6
+	syncCycles      = 8 // handshake per synchronization arc
+	// memoryParallelism is the number of outstanding fetches a task can
+	// overlap (MSHR-style); total fetch latency is bounded below by
+	// sum/memoryParallelism (the bandwidth term).
+	memoryParallelism = 4
+)
+
+// netLatency is the per-hop/contention network model.
+var netLatency = mesh.LatencyParams{PerHop: 8, Contention: 25, LinkCapacity: 0.35}
 
 // Energy is the per-component energy breakdown in nanojoules (constants
 // inspired by CACTI/McPAT-class models; relative magnitudes are what the
@@ -212,14 +209,21 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("sim: Config.Mesh is required")
 	}
+	// Reject a schedule the loop below would index out of range, and one
+	// that still touches a dead node (repair it first).
+	if err := core.CheckShape(sched, cfg.Mesh); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	for _, t := range sched.Tasks {
+		if !cfg.Faults.NodeUsable(t.Node) {
+			return nil, fmt.Errorf("sim: task %d placed on dead node %d; repair the schedule before simulating", t.ID, t.Node)
+		}
+	}
 	if cfg.HopScale == 0 {
 		cfg.HopScale = 1
 	}
 	if cfg.ComputeScale == 0 {
 		cfg.ComputeScale = 1
-	}
-	if cfg.MemoryParallelism == 0 {
-		cfg.MemoryParallelism = 4
 	}
 
 	res := &Result{}
@@ -242,21 +246,17 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 	// take its next request.
 	mcFree := make(map[mesh.NodeID]float64)
 
-	// Degraded mesh: reject schedules that still touch dead nodes (repair
-	// first), route every transfer around the faults, and cache the routes
-	// (the BFS detour for one pair never changes within a run).
+	// Degraded mesh: route every transfer around the faults, and cache the
+	// routes (the BFS detour for one pair never changes within a run).
+	// Pristine XY routes are rebuilt per transfer instead: caching them
+	// would hold one route per node pair, about 1M on a 1,024-node mesh.
 	faulty := !cfg.Faults.Empty()
-	if faulty {
-		for _, t := range sched.Tasks {
-			if !cfg.Faults.NodeUsable(t.Node) {
-				return nil, fmt.Errorf("sim: task %d placed on dead node %d; repair the schedule before simulating", t.ID, t.Node)
-			}
-		}
-	}
-	dt := cfg.Mesh.DistanceTable()
 	routeCache := make(map[[2]mesh.NodeID][]mesh.Link)
 	var routeErr error
 	routeOf := func(from, to mesh.NodeID) []mesh.Link {
+		if !faulty {
+			return cfg.Mesh.Route(from, to)
+		}
 		key := [2]mesh.NodeID{from, to}
 		if r, ok := routeCache[key]; ok {
 			return r
@@ -289,34 +289,20 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 
 	var recAcc float64
 	transferLatency := func(from, to mesh.NodeID, now float64) float64 {
-		var route []mesh.Link
-		hopCount := dt.Between(from, to)
-		if faulty {
-			route = routeOf(from, to)
-			hopCount = len(route)
-		}
-		hops := float64(hopCount) * cfg.HopScale
+		route := routeOf(from, to)
+		hops := float64(len(route)) * cfg.HopScale
 		res.Transfers++
 		res.HopsTotal += int64(hops)
 		if cfg.IdealNetwork {
 			return 0
 		}
-		var lat float64
-		if faulty {
-			lat = tr.RouteLatencyAt(route, cfg.Latency, now) * cfg.HopScale
-		} else {
-			lat = tr.PathLatencyAt(from, to, cfg.Latency, now) * cfg.HopScale
-		}
+		lat := tr.RouteLatencyAt(route, netLatency, now) * cfg.HopScale
 		// Scaled movement (the S2 isolation) also thins the traffic the
 		// congestion model sees: record a HopScale fraction of transfers.
 		recAcc += cfg.HopScale
 		if recAcc >= 1 {
 			recAcc--
-			if faulty {
-				tr.RecordRoute(route, 1)
-			} else {
-				tr.Record(from, to, 1)
-			}
+			tr.RecordRoute(route, 1)
 		}
 		if lat > res.MaxNetLatency {
 			res.MaxNetLatency = lat
@@ -339,7 +325,7 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 			// Cross-node results pay the handshake plus the transfer.
 			lat := 0.0
 			if hops > 0 {
-				lat = cfg.SyncCycles + transferLatency(sched.Tasks[p].Node, t.Node, finish[p])
+				lat = syncCycles + transferLatency(sched.Tasks[p].Node, t.Node, finish[p])
 				res.SyncArcs++
 			}
 			if arr := finish[p] + lat; arr > producersAt {
@@ -347,14 +333,14 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.ExtraSyncArcsPerTask > 0 {
-			producersAt += cfg.ExtraSyncArcsPerTask * cfg.SyncCycles
+			producersAt += cfg.ExtraSyncArcsPerTask * syncCycles
 			res.SyncArcs += int64(cfg.ExtraSyncArcsPerTask)
 		}
 		start := issueAt
 
 		// Input fetches: overlapping (non-blocking) loads; the task pays the
 		// slowest one, bounded below by the bandwidth term (at most
-		// MemoryParallelism fetches in flight), plus an issue slot each.
+		// memoryParallelism fetches in flight), plus an issue slot each.
 		var fetchMax, fetchSum, fetchIssue float64
 		for _, f := range t.Fetches {
 			l1hit := f.L1Hit
@@ -375,7 +361,7 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 			switch {
 			case l1hit:
 				res.L1Hits++
-				lat = cfg.L1HitCycles
+				lat = l1HitCycles
 			case f.L2Miss:
 				res.L2Misses++
 				// DRAM access behind the MC, serialized per controller. When
@@ -387,13 +373,13 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 					return nil, fmt.Errorf("sim: task %d: %w", t.ID, mcErr)
 				}
 				ready := max(start, mcFree[servingMC])
-				mcFree[servingMC] = ready + cfg.MCServiceCycles
+				mcFree[servingMC] = ready + mcServiceCycles
 				lat = (ready - start) + cfg.MemMode.dramCycles()
 				if f.From != t.Node {
 					lat += transferLatency(f.From, t.Node, start)
 				}
 			default:
-				lat = cfg.L2HitCycles
+				lat = l2HitCycles
 				if f.From != t.Node {
 					lat += transferLatency(f.From, t.Node, start)
 				}
@@ -420,11 +406,11 @@ func Run(sched *core.Schedule, cfg Config) (*Result, error) {
 		// keep executing their other assigned subcomputations while a
 		// request is outstanding — Section 4.5's code generation — and the
 		// caches are non-blocking).
-		compute := t.Ops * cfg.CyclesPerOp / cfg.ComputeScale
+		compute := t.Ops * cyclesPerOp / cfg.ComputeScale
 		occupancy := fetchIssue + compute
 		nodeFree[t.Node] = start + occupancy
 		fetchTime := fetchMax
-		if bw := fetchSum / cfg.MemoryParallelism; bw > fetchTime {
+		if bw := fetchSum / memoryParallelism; bw > fetchTime {
 			fetchTime = bw
 		}
 		fetchDone := start + fetchIssue + fetchTime

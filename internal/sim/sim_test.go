@@ -28,6 +28,28 @@ func TestRunRequiresMesh(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMalformedSchedule pins that a schedule indexing off the mesh
+// or waiting on a non-earlier task is an error, not an index panic, on a
+// pristine mesh too.
+func TestRunRejectsMalformedSchedule(t *testing.T) {
+	m := mesh.MustNew(6, 6)
+	for _, c := range []struct {
+		name    string
+		corrupt func(s *core.Schedule)
+	}{
+		{"fetch source off mesh", func(s *core.Schedule) { s.Tasks[1].Fetches[0].From = 999 }},
+		{"task node off mesh", func(s *core.Schedule) { s.Tasks[1].Node = 36 }},
+		{"wait on itself", func(s *core.Schedule) { s.Tasks[1].WaitFor[0] = 1 }},
+		{"wait on negative task", func(s *core.Schedule) { s.Tasks[1].WaitFor[0] = -1 }},
+	} {
+		s := chainSchedule(m)
+		c.corrupt(s)
+		if _, err := Run(s, DefaultConfig(m)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 func TestRunEmptySchedule(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	res, err := Run(&core.Schedule{}, DefaultConfig(m))
@@ -48,7 +70,7 @@ func TestRunChainOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The consumer must finish after producer compute + sync + transfer.
-	minimum := sched.Tasks[0].Ops*cfg.CyclesPerOp + cfg.SyncCycles
+	minimum := sched.Tasks[0].Ops*cyclesPerOp + syncCycles
 	if res.Cycles <= minimum {
 		t.Errorf("cycles = %v, want > %v", res.Cycles, minimum)
 	}
@@ -138,7 +160,7 @@ func TestMCQueueingSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The eighth request has waited at least 7 service slots.
-	if res.Cycles < cfg.MemMode.dramCycles()+7*cfg.MCServiceCycles {
+	if res.Cycles < cfg.MemMode.dramCycles()+7*mcServiceCycles {
 		t.Errorf("cycles = %v: MC queueing not modeled", res.Cycles)
 	}
 }

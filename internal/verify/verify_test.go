@@ -441,3 +441,19 @@ func TestWARReaderOnOutOfRangeNode(t *testing.T) {
 		t.Fatalf("WAR against the out-of-range reader not reported: %v", rep.Lines())
 	}
 }
+
+// TestOffMeshFetchSourceIsStructural checks that a fetch from a node the
+// mesh does not have is reported as structural corruption, not passed as
+// clean.
+func TestOffMeshFetchSourceIsStructural(t *testing.T) {
+	m := mesh.MustNew(6, 6)
+	task := &core.Task{ID: 0, Node: 0, IsRoot: true, ResultLine: 128, Fetches: []core.Fetch{{From: 999, Line: 64}}}
+	s := &core.Schedule{Tasks: []*core.Task{task}, Instances: 1}
+	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counts[verify.KindStructural] == 0 {
+		t.Errorf("off-mesh fetch source not reported as structural: %v", rep.Lines())
+	}
+}

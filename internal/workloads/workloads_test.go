@@ -156,7 +156,6 @@ func TestOpMixShapes(t *testing.T) {
 // scale — the end-to-end smoke test of the whole pipeline.
 func TestAllAppsPartition(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.MaxWindow = 4 // keep the test quick
 	apps, err := Suite(Scale{Iters: 24, Elems: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
