@@ -153,5 +153,5 @@ bench-test:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-check: build fmt-check vet lint staticcheck test race verifybig gates bench-test bench-smoke jobs-identical
+check: build fmt-check vet lint staticcheck test race verify verifybig gates bench-test bench-smoke jobs-identical
 	@echo "check: all gates passed"

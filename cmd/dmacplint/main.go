@@ -52,7 +52,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(analysis.LoadConfig{}, patterns...)
+	pkgs, err := analysis.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmacplint:", err)
 		os.Exit(2)

@@ -76,9 +76,6 @@ func itoa(i int) string {
 func runByteHops(pass *Pass) {
 	info := pass.Pkg.TypesInfo
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg.Fset, f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.BinaryExpr:

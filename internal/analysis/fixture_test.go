@@ -15,12 +15,11 @@ import (
 
 var wantRE = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
-// runFixture loads testdata/src/<fixture> (including _test.go files, so
-// per-file exemptions are exercised) and checks the analyzer's diagnostics
-// against the `// want` expectations, both directions.
+// runFixture loads testdata/src/<fixture> and checks the analyzer's
+// diagnostics against the `// want` expectations, both directions.
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/"+fixture)
+	pkgs, err := Load("./testdata/src/" + fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -82,7 +81,7 @@ func TestFusionFixture(t *testing.T) { runFixture(t, MapOrder, "fusion") }
 // flagged range in the maporder fixture must carry a replacement sketch that
 // collects, sorts, and re-ranges the keys.
 func TestMapOrderSuggestedFix(t *testing.T) {
-	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/maporder")
+	pkgs, err := Load("./testdata/src/maporder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestMapOrderSuggestedFix(t *testing.T) {
 // directive without an analyzer name or reason, or naming an analyzer that
 // does not exist, is itself reported.
 func TestAllowlistRejectsMalformedDirectives(t *testing.T) {
-	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/allowlist")
+	pkgs, err := Load("./testdata/src/allowlist")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestAllowlistRejectsMalformedDirectives(t *testing.T) {
 // directive with a typo'd analyzer name must NOT suppress the
 // seeddiscipline finding on the line below it.
 func TestAllowlistPlacementEdgeCases(t *testing.T) {
-	pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/allowlist")
+	pkgs, err := Load("./testdata/src/allowlist")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestTreeIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	pkgs, err := Load(LoadConfig{}, "dmacp/...")
+	pkgs, err := Load("dmacp/...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -184,7 +183,7 @@ func TestTreeIsLintClean(t *testing.T) {
 // lists).
 func TestDiagnosticsDeterministic(t *testing.T) {
 	run := func() string {
-		pkgs, err := Load(LoadConfig{Tests: true}, "./testdata/src/...")
+		pkgs, err := Load("./testdata/src/...")
 		if err != nil {
 			t.Fatalf("loading fixtures: %v", err)
 		}

@@ -25,40 +25,28 @@ type Package struct {
 	TypesInfo  *types.Info
 }
 
-// LoadConfig controls package loading.
-type LoadConfig struct {
-	// Tests additionally parses in-package _test.go files. The fixture
-	// harness uses this to exercise per-file test exemptions; the
-	// command-line linter leaves it off, since the invariants guard the
-	// production emission path. Test files may only import packages the
-	// non-test files already import (the loader resolves imports from the
-	// non-test dependency graph).
-	Tests bool
-}
-
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir         string
-	ImportPath  string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	DepOnly     bool
-	Error       *struct{ Err string }
+	Dir        string
+	ImportPath string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-// Load lists patterns with the go tool, parses every matched package from
-// source, and type-checks it with imports satisfied from compiler export
+// Load lists patterns with the go tool, parses every matched package's
+// non-test files from source, and type-checks it with imports satisfied from compiler export
 // data (`go list -export`), so it needs no network and no pre-installed
 // analysis modules. Patterns follow `go list` syntax; explicit directory
 // patterns may point below testdata, which is how fixtures are loaded.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
+func Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Export,GoFiles,TestGoFiles,DepOnly,Error",
+		"-json=Dir,ImportPath,Export,GoFiles,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
@@ -100,15 +88,11 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
-		fileNames := append([]string(nil), t.GoFiles...)
-		if cfg.Tests {
-			fileNames = append(fileNames, t.TestGoFiles...)
-		}
-		if len(fileNames) == 0 {
+		if len(t.GoFiles) == 0 {
 			continue
 		}
 		var files []*ast.File
-		for _, name := range fileNames {
+		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("parsing %s: %v", name, err)
@@ -135,9 +119,4 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
-}
-
-// isTestFile reports whether the file containing pos is a _test.go file.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

@@ -11,7 +11,7 @@ import (
 // randomness from explicit int64 seeds that appear in reports and bug
 // filings; a single call to a math/rand global function (which draws from
 // the process-wide, auto-seeded source) or a wall-clock-derived seed breaks
-// replay silently. Outside _test.go files the analyzer forbids:
+// replay silently. The analyzer forbids:
 //
 //   - math/rand (and math/rand/v2) package-level functions that use the
 //     global source: Intn, Float64, Shuffle, Perm, Seed, ...;
@@ -19,8 +19,8 @@ import (
 //     argument expression contains a time.Now() call.
 //
 // rand.New(rand.NewSource(seed)) with a caller-supplied deterministic seed
-// is the sanctioned pattern. Test files may use whatever randomness they
-// like; they never emit schedules.
+// is the sanctioned pattern. Test files are outside its reach: Load parses
+// no _test.go file, and tests never emit schedules.
 var SeedDiscipline = &Analyzer{
 	Name: "seeddiscipline",
 	Run:  runSeedDiscipline,
@@ -47,9 +47,6 @@ func runSeedDiscipline(pass *Pass) {
 	// see the same wall-clock call; report it once.
 	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg.Fset, f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"dmacp/internal/mesh"
-)
+import "dmacp/internal/mesh"
 
 // churnFlapCap is the per-element failure count at which re-integration
 // stops trusting a revived node: an element that has failed this many times
@@ -65,8 +60,8 @@ func (c *ChurnState) Failures(n mesh.NodeID) int {
 
 // ReintegrateReport describes one ReintegrateOnline decision round.
 type ReintegrateReport struct {
-	// CompletedTasks/ResidualTasks split the schedule at the checkpoint.
-	CompletedTasks, ResidualTasks int
+	// ResidualTasks counts the tasks of the schedule being re-integrated.
+	ResidualTasks int
 	// Candidates counts residual tasks for which some revived node would
 	// reduce fetch movement at all; Migrated counts those actually moved
 	// back (0 unless Accepted).
@@ -87,52 +82,49 @@ type ReintegrateReport struct {
 	AddedArcs, RemovedArcs int
 	// Accepted reports whether the migrated schedule was committed. When
 	// false the returned schedule is the stay-put residual: re-integration
-	// is an optimization, never an obligation, so a verifier rejection or an
-	// expired deadline falls back rather than fails.
+	// is an optimization, never an obligation, so a verifier rejection
+	// falls back rather than fails.
 	Accepted bool
 }
 
 // ReintegrateOnline decides, after a recovery event revived nodes, whether
-// displaced work migrates back. s is the schedule that was running when the
-// recovery arrived and ck its cut (nil means nothing completed yet: the
-// whole schedule is residual); f is the post-recovery fault set and revived
-// the nodes the event brought back (mesh.RevivedNodes). Each residual task
-// is priced per the paper's objective: moving to the cheapest revived node
-// must save strictly more than churnHysteresis x the migration cost (the
-// displaced result state's trip back), and the target must not have
-// flapped churnFlapCap times (ChurnState). Accepted moves are applied on a
-// clone, the dependence structure replayed, and the result committed only
-// when it is verifier-clean AND the total accounting wins: MovementAfter +
-// MigrationTraffic <= MovementBefore. On any rejection — pricing failure,
-// verifier, accounting, or context expiry — the stay-put residual is
-// returned with Accepted=false; re-integration never makes things worse.
-// Only a malformed schedule (see RepairSchedule) or a checkpoint of the
-// wrong length is an error.
+// displaced work migrates back. s is the residual schedule still to run
+// when the recovery arrived (for a mid-run recovery, the online repair's
+// output, already cut at its checkpoint); f is the post-recovery fault set
+// and revived the nodes the event brought back (mesh.RevivedNodes). Each
+// task of s is priced per the paper's objective: moving to the cheapest
+// revived node must save strictly more than churnHysteresis x the
+// migration cost (the displaced result state's trip back), and the target
+// must not have flapped churnFlapCap times (ChurnState). Accepted moves are
+// applied on a clone, the dependence structure replayed, and the result
+// committed only when it is verifier-clean AND the total accounting wins:
+// MovementAfter + MigrationTraffic <= MovementBefore. On any rejection —
+// pricing failure, verifier or accounting — a clone of s with its hops
+// refreshed on the recovered mesh is returned with Accepted=false;
+// re-integration never makes things worse. Only a malformed schedule (see
+// RepairSchedule) is an error. s is never mutated.
 //
 // The no-thrash invariant follows by construction: a task returns only when
 // its saving clears the hysteresis margin, and after an element's second
 // failure the churn cap refuses it outright, so N repeated fault/revive
 // cycles of the same element cost O(1) migrations total after the first.
-func ReintegrateOnline(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, churn *ChurnState, check RepairChecker) (*Schedule, *ReintegrateReport, error) {
+func ReintegrateOnline(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, churn *ChurnState, check RepairChecker) (*Schedule, *ReintegrateReport, error) {
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
 	if err := CheckShape(s, m); err != nil {
 		return nil, nil, err
 	}
-	if ck != nil && len(ck.Done) != len(s.Tasks) {
-		return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
-	}
 	rep := &ReintegrateReport{}
-	plan := planReintegration(s, ck, m, f, revived, churnHysteresis, churn, rep)
-	if plan.moved == nil || ctx.Err() != nil {
+	plan := planReintegration(s, m, f, revived, churnHysteresis, churn, rep)
+	if plan.moved == nil {
 		return plan.residual, rep, nil
 	}
 
 	c := plan.moved
 	added, removed := replayArcs(c, plan.dist)
 	after, err := MovementOn(c, m, f)
-	if err != nil || after+plan.traffic > rep.MovementBefore || ctx.Err() != nil {
+	if err != nil || after+plan.traffic > rep.MovementBefore {
 		return plan.residual, rep, nil
 	}
 	if verr := ValidateScheduleOn(c, m, f); verr != nil {
@@ -166,19 +158,12 @@ type reintegrationPlan struct {
 	traffic int64
 }
 
-// planReintegration cuts the residual, refreshes its hops, prices every
-// residual task's return to a revived node, and applies the returns whose
-// saving clears h x their migration cost on a clone, filling rep's split,
-// candidate and movement-before fields.
-func planReintegration(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
-	var residual *Schedule
-	if ck != nil {
-		var st residualStats
-		residual, st = buildResidual(s, ck)
-		rep.CompletedTasks = st.completed
-	} else {
-		residual = s.Clone()
-	}
+// planReintegration clones s, refreshes the clone's hops, prices every
+// task's return to a revived node, and applies the returns whose saving
+// clears h x their migration cost on a second clone, filling rep's task
+// count, candidate and movement-before fields.
+func planReintegration(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
+	residual := s.Clone()
 	rep.ResidualTasks = len(residual.Tasks)
 
 	// The residual's hop annotations were computed on the pre-recovery mesh;

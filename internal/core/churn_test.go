@@ -87,8 +87,7 @@ func TestNoThrashInvariant(t *testing.T) {
 
 		f.ReviveTile(victim)
 		churn.Observe(m, f)
-		back, rrep, err := ReintegrateOnline(context.Background(), s, nil, m, f,
-			[]mesh.NodeID{victim}, churn, nil)
+		back, rrep, err := ReintegrateOnline(s, m, f, []mesh.NodeID{victim}, churn, nil)
 		if err != nil {
 			t.Fatalf("cycle %d reintegrate: %v", c, err)
 		}
@@ -139,7 +138,7 @@ func TestReintegrateHysteresisBlocksMarginalMoves(t *testing.T) {
 	// An absurd hysteresis threshold: no saving can clear it, so nothing may
 	// migrate and the plan is the stay-put residual.
 	rrep := &ReintegrateReport{}
-	plan := planReintegration(repaired, nil, m, f, []mesh.NodeID{victim}, 1e12, NewChurnState(), rrep)
+	plan := planReintegration(repaired, m, f, []mesh.NodeID{victim}, 1e12, NewChurnState(), rrep)
 	back := plan.residual
 	if plan.moved != nil || plan.returns != 0 {
 		t.Fatalf("hysteresis 1e12 still migrated %d tasks", plan.returns)
@@ -149,40 +148,6 @@ func TestReintegrateHysteresisBlocksMarginalMoves(t *testing.T) {
 	}
 	if tasksOn(back, victim) != 0 {
 		t.Fatal("stay-put residual must not use the revived node")
-	}
-}
-
-func TestReintegrateReturnsResidualOnExpiredContext(t *testing.T) {
-	s, opts := partitioned(t)
-	m := opts.Mesh
-	var victim mesh.NodeID = mesh.InvalidNode
-	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
-		if !m.IsMemoryController(n) && tasksOn(s, n) > 0 {
-			victim = n
-			break
-		}
-	}
-	if victim == mesh.InvalidNode {
-		t.Skip("no non-MC node hosts tasks")
-	}
-	f := mesh.NewFaultSet()
-	f.KillTile(victim)
-	repaired, _, err := RepairVerified(s, m, f, RepairOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ReviveTile(victim)
-
-	back, rrep, err := ReintegrateOnline(expiredCtx(t), repaired, nil, m, f,
-		[]mesh.NodeID{victim}, NewChurnState(), nil)
-	if err != nil {
-		t.Fatalf("expired context must fall back, not fail: %v", err)
-	}
-	if rrep.Accepted {
-		t.Fatal("expired context must not commit a migration")
-	}
-	if tasksOn(back, victim) != 0 {
-		t.Fatal("expired context must return the stay-put residual")
 	}
 }
 

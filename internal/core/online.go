@@ -180,8 +180,7 @@ type residualStats struct {
 // the cut), and fetches whose last writer completed are retargeted to the
 // write-invalidated line's surviving home copy — keeping L1-hit claims only
 // where the checkpoint shows a live copy at the consumer. The input schedule
-// is never mutated. Both RepairOnline and ReintegrateOnline cut through
-// here, so the two surgeries cannot drift apart.
+// is never mutated.
 func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	var st residualStats
 	// The residual's tasks, fetches and arcs each take one slab, carved as

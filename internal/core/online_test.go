@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -178,8 +177,7 @@ func TestRepairRejectsMalformedArcs(t *testing.T) {
 					return err
 				},
 				"ReintegrateOnline": func() error {
-					_, _, err := ReintegrateOnline(context.Background(), s, nil, m, mesh.NewFaultSet(),
-						[]mesh.NodeID{0}, NewChurnState(), nil)
+					_, _, err := ReintegrateOnline(s, m, mesh.NewFaultSet(), []mesh.NodeID{0}, NewChurnState(), nil)
 					return err
 				},
 			}

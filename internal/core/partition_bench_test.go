@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -99,8 +98,7 @@ func BenchmarkReintegrateOnline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cleared := faults.Clone()
-	cleared.Revive(faults.RecoveryAll())
+	cleared := mesh.NewFaultSet()
 	revived := mesh.RevivedNodes(m, faults, cleared)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -108,7 +106,7 @@ func BenchmarkReintegrateOnline(b *testing.B) {
 		churn := core.NewChurnState()
 		churn.Observe(m, faults)
 		churn.Observe(m, cleared)
-		if _, _, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared, revived, churn, nil); err != nil {
+		if _, _, err := core.ReintegrateOnline(residual, m, cleared, revived, churn, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

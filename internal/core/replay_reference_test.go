@@ -138,14 +138,13 @@ func TestReemitMatchesReference(t *testing.T) {
 		if err != nil {
 			return // unrepairable events have nothing to re-integrate
 		}
-		cleared := f.Clone()
-		cleared.Revive(f.RecoveryAll())
+		cleared := mesh.NewFaultSet()
 		revived := mesh.RevivedNodes(m, f, cleared)
 		for _, h := range []float64{1, 0.01} {
 			churn := core.NewChurnState()
 			churn.Observe(m, f)
 			churn.Observe(m, cleared)
-			back, dist := core.ReintegrateForReplay(repaired, nil, m, cleared, revived, h, churn)
+			back, dist := core.ReintegrateForReplay(repaired, m, cleared, revived, h, churn)
 			if back != nil {
 				sameReplay(t, fmt.Sprintf("%s reintegrate h=%g", name, h), back, dist, &returned)
 			}

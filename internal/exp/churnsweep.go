@@ -154,15 +154,12 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 			// The dead elements come back: decide per displaced task whether
 			// migrating home beats staying put, under hysteresis and the
 			// flap cap.
-			cleared := f.Clone()
-			rec := f.RecoveryAll()
-			cleared.Revive(rec)
+			cleared := mesh.NewFaultSet()
 			revived := mesh.RevivedNodes(m, f, cleared)
 			churn := core.NewChurnState()
 			churn.Observe(m, f)
 			churn.Observe(m, cleared)
-			back, rrep, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared,
-				revived, churn, s.checker(cleared, completed))
+			back, rrep, err := core.ReintegrateOnline(residual, m, cleared, revived, churn, s.checker(cleared, completed))
 			if err != nil {
 				out.violations = append(out.violations, fmt.Sprintf(
 					"%s: re-integration must fall back, not fail: %v", variant, err))
@@ -216,8 +213,7 @@ func ChurnSweep(cfg GateConfig) (*ChurnSweepResult, error) {
 				sched = repaired
 				f.ReviveTile(victim)
 				churn.Observe(m, f)
-				back, rrep, err := core.ReintegrateOnline(context.Background(), sched, nil, m, f,
-					[]mesh.NodeID{victim}, churn, nil)
+				back, rrep, err := core.ReintegrateOnline(sched, m, f, []mesh.NodeID{victim}, churn, nil)
 				if err != nil {
 					out.violations = append(out.violations, fmt.Sprintf(
 						"%s churn cycle %d: re-integration failed: %v", s.nest.Name, c, err))

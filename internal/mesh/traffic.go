@@ -20,15 +20,13 @@ func NewTraffic(m *Mesh) *Traffic {
 }
 
 // RecordRoute adds flits units of load to every link of route (an XY route
-// from Route, or a fault-aware detour from RouteAvoiding) and returns the
-// number of links traversed.
-func (t *Traffic) RecordRoute(route []Link, flits int64) int {
+// from Route, or a fault-aware detour from RouteAvoiding).
+func (t *Traffic) RecordRoute(route []Link, flits int64) {
 	for _, l := range route {
 		if i := t.m.linkIndex(l); i >= 0 {
 			t.load[i] += flits
 		}
 	}
-	return len(route)
 }
 
 // LatencyParams configures the contention-aware latency model.

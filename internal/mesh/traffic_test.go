@@ -2,15 +2,6 @@ package mesh
 
 import "testing"
 
-func TestTrafficRecordCountsHops(t *testing.T) {
-	m := MustNew(6, 6)
-	tr := NewTraffic(m)
-	hops := tr.RecordRoute(m.Route(m.NodeAt(0, 0), m.NodeAt(3, 2)), 1)
-	if hops != 5 {
-		t.Errorf("hops = %d, want 5", hops)
-	}
-}
-
 func TestPathLatencyAtUncongested(t *testing.T) {
 	m := MustNew(6, 6)
 	tr := NewTraffic(m)

@@ -416,9 +416,7 @@ func CheckAppSchedules(app string, iters, elems int, cfg Config) ([]ScheduleChec
 	if elems > 0 {
 		sc.Elems = elems
 	}
-	// Reuse the kernel translation only for platform options; the program
-	// and store come from the workload build.
-	_, _, _, opts, _, err := build(Kernel{Name: "probe", Statements: "A(i) = B(i)", Iterations: 1}, cfg)
+	opts, _, err := platform(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -251,39 +251,9 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	}
 	nest := &ir.Nest{Name: k.Name, Loops: loops, Body: body}
 
-	opts := core.DefaultOptions()
-	if cfg.MeshCols > 0 && cfg.MeshRows > 0 {
-		if !productWithin(maxMeshNodes, cfg.MeshCols, cfg.MeshRows) {
-			return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: a %dx%d mesh exceeds the limit of %d mesh nodes",
-				cfg.MeshCols, cfg.MeshRows, maxMeshNodes)
-		}
-		m, err := mesh.New(cfg.MeshCols, cfg.MeshRows)
-		if err != nil {
-			return nil, nil, nil, zeroOpts, zeroSim, fmt.Errorf("%w: %w", err, ErrBadInput)
-		}
-		opts.Mesh = m
-		opts.Layout.L2Banks = m.Nodes()
-	}
-	switch cfg.ClusterMode {
-	case "", "quadrant":
-		opts.Mode = mesh.Quadrant
-	case "all-to-all":
-		opts.Mode = mesh.AllToAll
-	case "snc-4", "SNC-4":
-		opts.Mode = mesh.SNC4
-	default:
-		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: unknown cluster mode %q", cfg.ClusterMode)
-	}
-	simCfg := sim.DefaultConfig(opts.Mesh)
-	switch cfg.MemoryMode {
-	case "", "flat":
-		simCfg.MemMode = sim.Flat
-	case "cache":
-		simCfg.MemMode = sim.CacheMode
-	case "hybrid":
-		simCfg.MemMode = sim.Hybrid
-	default:
-		return nil, nil, nil, zeroOpts, zeroSim, badInputf("pipeline: unknown memory mode %q", cfg.MemoryMode)
+	opts, simCfg, err := platform(cfg)
+	if err != nil {
+		return nil, nil, nil, zeroOpts, zeroSim, err
 	}
 
 	arrayLen := k.ArrayLen
@@ -300,6 +270,47 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 	}
 	store := ir.NewStore(prog)
 	store.FillRandom(prog, k.Seed+1)
+	return prog, nest, store, opts, simCfg, nil
+}
+
+// platform translates cfg's platform half — mesh, cluster mode, memory
+// mode, partitioner knobs and the L2 predictor — into partitioner options
+// and a simulator configuration. Every error it returns wraps ErrBadInput.
+func platform(cfg Config) (core.Options, sim.Config, error) {
+	opts := core.DefaultOptions()
+	if cfg.MeshCols > 0 && cfg.MeshRows > 0 {
+		if !productWithin(maxMeshNodes, cfg.MeshCols, cfg.MeshRows) {
+			return core.Options{}, sim.Config{}, badInputf("pipeline: a %dx%d mesh exceeds the limit of %d mesh nodes",
+				cfg.MeshCols, cfg.MeshRows, maxMeshNodes)
+		}
+		m, err := mesh.New(cfg.MeshCols, cfg.MeshRows)
+		if err != nil {
+			return core.Options{}, sim.Config{}, fmt.Errorf("%w: %w", err, ErrBadInput)
+		}
+		opts.Mesh = m
+		opts.Layout.L2Banks = m.Nodes()
+	}
+	switch cfg.ClusterMode {
+	case "", "quadrant":
+		opts.Mode = mesh.Quadrant
+	case "all-to-all":
+		opts.Mode = mesh.AllToAll
+	case "snc-4", "SNC-4":
+		opts.Mode = mesh.SNC4
+	default:
+		return core.Options{}, sim.Config{}, badInputf("pipeline: unknown cluster mode %q", cfg.ClusterMode)
+	}
+	simCfg := sim.DefaultConfig(opts.Mesh)
+	switch cfg.MemoryMode {
+	case "", "flat":
+		simCfg.MemMode = sim.Flat
+	case "cache":
+		simCfg.MemMode = sim.CacheMode
+	case "hybrid":
+		simCfg.MemMode = sim.Hybrid
+	default:
+		return core.Options{}, sim.Config{}, badInputf("pipeline: unknown memory mode %q", cfg.MemoryMode)
+	}
 
 	opts.FixedWindow = cfg.FixedWindow
 	opts.Fuse = !cfg.NoFuse
@@ -311,7 +322,7 @@ func build(k Kernel, cfg Config) (*ir.Program, *ir.Nest, *ir.Store, core.Options
 		Ways:         opts.L2Ways,
 		SampleMod:    8,
 	})
-	return prog, nest, store, opts, simCfg, nil
+	return opts, simCfg, nil
 }
 
 // Run partitions the kernel, builds the default placement, simulates both,

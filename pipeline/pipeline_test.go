@@ -55,7 +55,7 @@ func TestRunRejectsBadKernels(t *testing.T) {
 
 // TestBuildFailsFastOnBadInput drives dmacp's default kernel (7 arrays, 256
 // iterations × 3 sweeps × 2 statements, 65,536-element arrays) with the
-// flags of seven bad invocations of dmacp, dmacp faults and dmacp verify
+// flags of eight bad invocations of dmacp, dmacp faults and dmacp verify
 // -app: each must fail with ErrBadInput, naming the limit it broke, before
 // allocating its arrays, its mesh or its live-route table, or enumerating
 // its instances.
@@ -100,6 +100,7 @@ func TestBuildFailsFastOnBadInput(t *testing.T) {
 		{"verify -app FFT -iters 16 -len 4000000000", verifyApp, func(k *Kernel, _ *Config) {
 			k.Iterations, k.ArrayLen = 16, 4000000000
 		}, "array bytes"},
+		{"verify -app FFT -cluster bogus", verifyApp, func(_ *Kernel, c *Config) { c.ClusterMode = "bogus" }, "cluster mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
