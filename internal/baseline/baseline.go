@@ -194,9 +194,11 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	l1 := core.ShadowL1s(&opts)
 	sched := &core.Schedule{Instances: iters * len(nest.Body)}
 	res := &Result{Schedule: sched, ChunkOf: chunkOf}
-	// resid is the write-invalidate residency of the emitted lines: the
-	// flow, output and anti orderings read it.
+	// resid is the write-invalidate residency of the emitted lines, by the
+	// IDs lineIDs gives them: the flow, output and anti orderings read it,
+	// and the IDs travel with the schedule.
 	var resid core.Residency
+	var lineIDs core.LineIDs
 	addWait := func(t *core.Task, producer int) {
 		if slices.Contains(t.WaitFor, producer) {
 			return
@@ -232,13 +234,14 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				if !ok {
 					ll = storeLL
 				}
-				id := resid.Intern(ll.Line)
+				id := lineIDs.Intern(ll.Line)
 				hit := l1.Access(int(node), ll.Line)
 				t.Fetches = append(t.Fetches, core.Fetch{
 					From:   ll.Node(),
 					Line:   ll.Line,
 					L2Miss: !ll.ActualHit && !hit,
 					L1Hit:  hit,
+					LineID: id,
 				})
 				if !hit {
 					movement += opts.Mesh.Distance(node, ll.Node())
@@ -259,16 +262,18 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			// unless it already owns it. The optimized schedule's root task
 			// performs the store at the home node itself, which is exactly
 			// the near-data advantage being measured.
+			sid := lineIDs.Intern(storeLL.Line)
 			storeHit := l1.Contains(int(node), storeLL.Line)
 			t.Fetches = append(t.Fetches, core.Fetch{
 				From:   storeLL.Node(),
 				Line:   storeLL.Line,
 				L2Miss: !storeLL.ActualHit && !storeHit,
 				L1Hit:  storeHit,
+				LineID: sid,
 			})
 			movement += opts.Mesh.Distance(node, storeLL.Home)
 			l1.Access(int(node), storeLL.Line)
-			t.ResultLine = storeLL.Line
+			t.ResultLine, t.ResultID = storeLL.Line, sid
 			// Output ordering: the RFO and store of the output line must
 			// follow its previous writer (WAW) and every read issued from
 			// another core since that write (WAR). Same-core predecessors are
@@ -283,7 +288,6 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			// can hold a copy: every shadow-L1 insert is either a read,
 			// recorded until the line's next write, or the previous writer's
 			// store, whose core kept its copy.
-			sid := resid.Intern(storeLL.Line)
 			if w, okw := resid.Writer(sid); okw && w.Node != node {
 				addWait(t, int(w.Task))
 			}
@@ -308,6 +312,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	// the remaining arc structure implies (the verifier's sync-sufficiency
 	// pass cross-validates that zero redundant arcs remain). SyncsAfter is
 	// exactly the number of arcs the simulator charges.
+	sched.Lines = lineIDs.Len()
 	removed := core.ReduceSyncs(sched.Tasks)
 	sched.SyncsAfter = sched.SyncsBefore - removed
 	if sched.SyncsAfter < 0 {

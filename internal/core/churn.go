@@ -60,8 +60,6 @@ func (c *ChurnState) Failures(n mesh.NodeID) int {
 
 // ReintegrateReport describes one ReintegrateOnline decision round.
 type ReintegrateReport struct {
-	// ResidualTasks counts the tasks of the schedule being re-integrated.
-	ResidualTasks int
 	// Candidates counts residual tasks for which some revived node would
 	// reduce fetch movement at all; Migrated counts those actually moved
 	// back (0 unless Accepted).
@@ -77,9 +75,6 @@ type ReintegrateReport struct {
 	// MovementBefore/MovementAfter are the residual schedule's bytes x hops
 	// on the post-recovery mesh without and with the re-integration applied.
 	MovementBefore, MovementAfter int64
-	// AddedArcs/RemovedArcs account the dependence replay after migration
-	// (0 unless moves were attempted).
-	AddedArcs, RemovedArcs int
 	// Accepted reports whether the migrated schedule was committed. When
 	// false the returned schedule is the stay-put residual: re-integration
 	// is an optimization, never an obligation, so a verifier rejection
@@ -122,7 +117,7 @@ func ReintegrateOnline(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []me
 	}
 
 	c := plan.moved
-	added, removed := replayArcs(c, plan.dist)
+	replayArcs(c, plan.dist)
 	after, err := MovementOn(c, m, f)
 	if err != nil || after+plan.traffic > rep.MovementBefore {
 		return plan.residual, rep, nil
@@ -138,8 +133,6 @@ func ReintegrateOnline(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []me
 	rep.Migrated = plan.returns
 	rep.MigrationTraffic = plan.traffic
 	rep.MovementAfter = after
-	rep.AddedArcs = added
-	rep.RemovedArcs = removed
 	return c, rep, nil
 }
 
@@ -160,11 +153,10 @@ type reintegrationPlan struct {
 
 // planReintegration clones s, refreshes the clone's hops, prices every
 // task's return to a revived node, and applies the returns whose saving
-// clears h x their migration cost on a second clone, filling rep's task
-// count, candidate and movement-before fields.
+// clears h x their migration cost on a second clone, filling rep's
+// candidate, declined and movement-before fields.
 func planReintegration(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState, rep *ReintegrateReport) reintegrationPlan {
 	residual := s.Clone()
-	rep.ResidualTasks = len(residual.Tasks)
 
 	// The residual's hop annotations were computed on the pre-recovery mesh;
 	// routes shorten once elements revive, so refresh every arc against the

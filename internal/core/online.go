@@ -38,16 +38,54 @@ type Checkpoint struct {
 
 // CompletedInstances returns the (iter, stmt) -> done predicate for the
 // verifier's residual-schedule mode (verify.Input.Completed): an instance
-// is completed when its tasks are flagged done in the checkpoint.
+// is completed when its tasks are flagged done in the checkpoint. The
+// predicate reads a dense InstanceSet, so an (iter, stmt) outside the
+// range of the done tasks' instances is never completed.
 func (ck *Checkpoint) CompletedInstances(s *Schedule) func(iter, stmt int) bool {
-	type instKey struct{ iter, stmt int }
-	done := make(map[instKey]bool, s.Instances)
-	for i, t := range s.Tasks {
-		if i < len(ck.Done) && ck.Done[i] {
-			done[instKey{t.Iter, t.Stmt}] = true
+	return InstancesOf(s.Tasks, func(i int) bool { return i < len(ck.Done) && ck.Done[i] }).Has
+}
+
+// InstanceSet is a set of statement instances: a dense table over
+// iter*stmts+stmt spanning the (Iter, Stmt) range of its members.
+type InstanceSet struct {
+	iters, stmts int
+	in           []bool
+}
+
+// InstancesOf returns the set of the instances of the tasks i for which
+// member(i) holds. A task with a negative Iter or Stmt is left out. Only
+// the members are read, twice: once to size the table, once to fill it.
+func InstancesOf(tasks []*Task, member func(i int) bool) InstanceSet {
+	var x InstanceSet
+	for i, t := range tasks {
+		if member(i) {
+			x.iters = max(x.iters, t.Iter+1)
+			x.stmts = max(x.stmts, t.Stmt+1)
 		}
 	}
-	return func(iter, stmt int) bool { return done[instKey{iter, stmt}] }
+	x.in = make([]bool, x.iters*x.stmts)
+	for i, t := range tasks {
+		if member(i) {
+			if k := x.index(t.Iter, t.Stmt); k >= 0 {
+				x.in[k] = true
+			}
+		}
+	}
+	return x
+}
+
+// index returns instance (iter, stmt)'s slot, or -1 outside the range.
+func (x InstanceSet) index(iter, stmt int) int {
+	if iter < 0 || iter >= x.iters || stmt < 0 || stmt >= x.stmts {
+		return -1
+	}
+	return iter*x.stmts + stmt
+}
+
+// Has reports whether instance (iter, stmt) is in the set.
+func (x InstanceSet) Has(iter, stmt int) bool {
+	k := x.index(iter, stmt)
+	return k >= 0 && x.in[k]
 }
 
 // OnlineReport describes one RepairOnline run.
@@ -158,7 +196,18 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 	rep.DroppedArcs = rstats.dropped
 	rep.ResidualTasks = len(rs.Tasks)
 
-	repaired, rrep, err := RepairVerifiedCtx(ctx, rs, m, f, o, check)
+	// The cut is this call's own, so the ladder's first attempt repairs it
+	// in place; an escalation cuts it again.
+	cut := rs
+	fresh := func() *Schedule {
+		if c := cut; c != nil {
+			cut = nil
+			return c
+		}
+		c, _ := buildResidual(s, ck)
+		return c
+	}
+	repaired, rrep, err := repairVerified(ctx, fresh, m, f, o, check)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -175,12 +224,13 @@ type residualStats struct {
 }
 
 // buildResidual cuts s at the checkpoint: tasks of unfinished instances
-// survive with IDs renumbered densely in original (topological) order, arcs
-// whose producer completed are dropped (execution time orders them across
-// the cut), and fetches whose last writer completed are retargeted to the
+// survive with IDs renumbered densely in original (topological) order and
+// their line IDs kept (the residual shares s's Lines bound), arcs whose
+// producer completed are dropped (execution time orders them across the
+// cut), and fetches whose last writer completed are retargeted to the
 // write-invalidated line's surviving home copy — keeping L1-hit claims only
-// where the checkpoint shows a live copy at the consumer. The input schedule
-// is never mutated.
+// where the checkpoint shows a live copy at the consumer. The input
+// schedule is never mutated.
 func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	var st residualStats
 	// The residual's tasks, fetches and arcs each take one slab, carved as
@@ -193,18 +243,19 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			nw += len(t.WaitFor)
 		}
 	}
-	rs := &Schedule{Tasks: make([]*Task, 0, nt)}
+	rs := &Schedule{Tasks: make([]*Task, 0, nt), Lines: s.Lines}
 	tasks := make([]Task, nt)
 	fetches := make([]Fetch, 0, nf)
 	ints := make([]int, 0, 2*nw)
 	newID := make([]int, len(s.Tasks))
 	// Each line's last root store, by original task ID.
 	var res Residency
+	res.Reserve(s.Lines)
 	for i, t := range s.Tasks {
 		if ck.Done[i] {
 			st.completed++
 			if t.IsRoot {
-				res.Write(res.Intern(t.ResultLine), t.Node, i)
+				res.Write(t.ResultID, t.Node, i)
 			}
 			newID[i] = -1
 			continue
@@ -215,7 +266,7 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 		ct.Fetches, fetches = carve(fetches, t.Fetches)
 		for fi := range ct.Fetches {
 			fe := &ct.Fetches[fi]
-			w, wrote := res.Writer(res.Intern(fe.Line))
+			w, wrote := res.Writer(fe.LineID)
 			if !wrote || !ck.Done[w.Task] {
 				continue // input data, or a residual producer supplies it
 			}
@@ -258,7 +309,7 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			ct.WaitFor, ct.WaitHops = ints[a:b:b], ints[b:len(ints):len(ints)]
 		}
 		if t.IsRoot {
-			res.Write(res.Intern(t.ResultLine), t.Node, i)
+			res.Write(t.ResultID, t.Node, i)
 			rs.Instances++
 		}
 		newID[i] = ct.ID

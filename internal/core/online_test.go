@@ -140,6 +140,44 @@ func TestRepairOnlineResidualExcludesCompleted(t *testing.T) {
 	}
 }
 
+// TestRepairOnlineLadderMatchesResidualRepair checks that the online
+// repair, which repairs its own residual cut in place and cuts a fresh one
+// for an escalation, returns what RepairVerified returns on that residual:
+// once with the incremental repair accepted, once with it rejected so the
+// full re-placement runs.
+func TestRepairOnlineLadderMatchesResidualRepair(t *testing.T) {
+	s, opts := partitioned(t)
+	m := opts.Mesh
+	ck := firstInstanceCheckpoint(s, m)
+	f := mesh.Inject(m, 3, 3, 0, 1, true)
+	for _, rejects := range []int{0, 1} {
+		checker := func() RepairChecker {
+			calls := 0
+			return func(c *Schedule) error {
+				if calls++; calls <= rejects {
+					return errors.New("rejected by test checker")
+				}
+				return ValidateScheduleOn(c, m, f)
+			}
+		}
+		got, orep, err := RepairOnline(s, ck, m, f, RepairOptions{}, checker())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, _ := buildResidual(s, ck)
+		want, wrep, err := RepairVerified(rs, m, f, RepairOptions{}, checker())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrep.Full != (rejects > 0) || wrep.Migrated == 0 {
+			t.Fatalf("%d rejections: reference repair Full=%v migrated %d", rejects, wrep.Full, wrep.Migrated)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(orep.Repair, wrep) {
+			t.Errorf("%d rejections: online repair differs from the residual's repair", rejects)
+		}
+	}
+}
+
 // TestRepairRejectsMalformedArcs corrupts one task's arcs or nodes and
 // requires every repair entry point to refuse the schedule with an error
 // naming the task, instead of panicking on an out-of-range index or — for a

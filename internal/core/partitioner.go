@@ -374,7 +374,7 @@ func locateNest(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 		}
 	}
 
-	tr.nLines = len(lineIDs.Lines())
+	tr.nLines = lineIDs.Len()
 	tr.analyzable = loc.AnalyzableFraction()
 	tr.labels = loc.LineLabels()
 	tr.translations = loc.Allocator().Pages()
@@ -460,13 +460,13 @@ func runPass(tr *locTrace, opts *Options, window int, emit bool) *passResult {
 		varMap: make([][]mesh.NodeID, tr.nLines),
 		varWin: make([]int32, tr.nLines),
 	}
-	p.res.grow(int32(tr.nLines) - 1)
+	p.res.Reserve(tr.nLines)
 	p.sc.builder.dt = p.dt
 
 	m := len(tr.pre)
 	instances := len(tr.stores)
 	if emit {
-		p.sched = &Schedule{Instances: instances}
+		p.sched = &Schedule{Instances: instances, Lines: tr.nLines}
 		p.offload = make(map[ir.OpClass]int)
 	}
 
@@ -591,7 +591,7 @@ func (p *pass) emitArcs(storeLoc LineLoc, sid int32) {
 			sched.SyncsBefore++
 		}
 	}
-	root.ResultLine = storeLoc.Line
+	root.ResultLine, root.ResultID = storeLoc.Line, sid
 }
 
 // touch updates the reuse map and the shadow L1s with what the instance

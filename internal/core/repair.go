@@ -135,8 +135,8 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 //
 // It fails, before touching s, when the schedule is malformed: task IDs not
 // dense, a WaitFor entry that is not an earlier task, WaitFor and WaitHops
-// of different lengths, or a task or fetch source off the mesh (the error
-// names the task). It fails when no usable memory controller survives —
+// of different lengths, a task or fetch source off the mesh, or a line ID
+// outside [0, s.Lines) (the error names the task). It fails when no usable memory controller survives —
 // such a mesh cannot serve any schedule (the error wraps
 // mesh.ErrPartitioned) — leaving s partially modified; callers that need
 // the original afterwards should pass a Clone (RepairVerified does).
@@ -527,7 +527,7 @@ func moveTask(t *Task, to, src mesh.NodeID, m *mesh.Mesh) {
 		}
 	}
 	if t.IsRoot && !fetchesLine(t, t.ResultLine) {
-		t.Fetches = append(t.Fetches, Fetch{From: src, Line: t.ResultLine,
+		t.Fetches = append(t.Fetches, Fetch{From: src, Line: t.ResultLine, LineID: t.ResultID,
 			L2Miss: m.IsMemoryController(src) && src != to})
 	}
 }
@@ -547,7 +547,7 @@ func moveTask(t *Task, to, src mesh.NodeID, m *mesh.Mesh) {
 // ancestor ID on it, the task itself included. p happens before i exactly
 // when p <= up[i][chain(p)]. The labels take n x (nodes in use) x 4 bytes.
 // It requires the shape CheckShape enforces: dense IDs, every WaitFor entry
-// an earlier task, and every node inside dist.
+// an earlier task, every line ID below s.Lines, and every node inside dist.
 func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 	tasks := s.Tasks
 	rp := arcReplay{tasks: tasks, dist: dist, chainOf: make([]int32, dist.Nodes())}
@@ -567,9 +567,10 @@ func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 		lastOnChain[c] = -1
 	}
 
-	// Per-line residency, by first-touch ID: the last root store and the
-	// latest reader on each node since it, in ascending node order.
-	res := Residency{LineIDs: LineIDs{ids: make(map[uint64]int32, len(tasks))}}
+	// Per-line residency, by the schedule's line IDs: the last root store
+	// and the latest reader on each node since it, in ascending node order.
+	var res Residency
+	res.Reserve(s.Lines)
 
 	for i, t := range tasks {
 		c := rp.chainOf[t.Node]
@@ -590,14 +591,14 @@ func reemitDependenceArcs(s *Schedule, dist *mesh.DistanceTable) int {
 		}
 
 		for _, fe := range t.Fetches {
-			id := res.Intern(fe.Line)
+			id := fe.LineID
 			if w, ok := res.Writer(id); ok {
 				rp.need(t, r, int(w.Task)) // RAW
 			}
 			res.Read(id, t.Node, i)
 		}
 		if t.IsRoot {
-			id := res.Intern(t.ResultLine)
+			id := t.ResultID
 			if w, ok := res.Writer(id); ok {
 				rp.need(t, r, int(w.Task)) // WAW
 			}
@@ -690,12 +691,18 @@ func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 // which then fails with a *RepairFailure at stage "deadline" wrapping the
 // context's error. The returned schedule is always verifier-clean.
 func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
+	return repairVerified(ctx, s.Clone, m, f, o, check)
+}
+
+// repairVerified is RepairVerifiedCtx on the copies fresh returns, one per
+// attempt: each must be a schedule no one else holds, equal to the input.
+func repairVerified(ctx context.Context, fresh func() *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
 	if check == nil {
 		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
 	}
-	// attempt clones, repairs, and verifier-gates one configuration.
+	// attempt repairs a fresh copy and verifier-gates one configuration.
 	attempt := func(opts RepairOptions, repairStage, rejectStage string) (*Schedule, *RepairReport, error) {
-		c := s.Clone()
+		c := fresh()
 		rep, err := repairCtx(ctx, c, m, f, opts)
 		if err != nil {
 			return nil, nil, &RepairFailure{Stage: repairStage, Err: err}

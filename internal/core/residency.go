@@ -6,10 +6,12 @@ import (
 )
 
 // LineIDs interns cache lines to dense IDs, numbered from 0 in the order
-// the lines were first interned. The zero value is ready to use.
+// the lines were first interned. Only the emitters intern (the
+// partitioner's locateNest and baseline.Place); the IDs then travel with
+// the schedule (Fetch.LineID, Task.ResultID), so nothing downstream hashes
+// a line again. The zero value is ready to use.
 type LineIDs struct {
-	ids   map[uint64]int32
-	lines []uint64
+	ids map[uint64]int32
 }
 
 // Intern returns line's ID, assigning the next one on first sight.
@@ -19,15 +21,14 @@ func (l *LineIDs) Intern(line uint64) int32 {
 		if l.ids == nil {
 			l.ids = make(map[uint64]int32)
 		}
-		id = int32(len(l.lines))
+		id = int32(len(l.ids))
 		l.ids[line] = id
-		l.lines = append(l.lines, line)
 	}
 	return id
 }
 
-// Lines returns the interned lines, indexed by ID.
-func (l *LineIDs) Lines() []uint64 { return l.lines }
+// Len returns the number of lines interned: the bound on their IDs.
+func (l *LineIDs) Len() int { return len(l.ids) }
 
 // Holder is one access of a line: the task that made it and its node.
 type Holder struct {
@@ -41,11 +42,11 @@ type Holder struct {
 // by node. A read leaves a copy in its node's L1 and a store invalidates
 // every other copy, so a line's holders are its writer's node and its
 // readers' nodes. Earlier same-node reads are ordered by per-node program
-// order, so one reader per node suffices. Callers that know lines only by
-// address intern them through the embedded LineIDs. Every method but
-// Writer grows the tables to its ID; the zero value is ready to use.
+// order, so one reader per node suffices. IDs are the schedule's
+// (Fetch.LineID, Task.ResultID) or an emitter's LineIDs. Every method but
+// Writer grows the tables to its ID, and Reserve sizes them up front; the
+// zero value is ready to use.
 type Residency struct {
-	LineIDs
 	writers []lastStore
 	readers [][]Holder
 	holders []mesh.NodeID // the result of Holders and Write, reused
@@ -55,6 +56,10 @@ type Residency struct {
 // lastStore is a line's last write, packed: its node, and its task's ID
 // plus one, so the zero value means no store yet.
 type lastStore struct{ node, task1 int32 }
+
+// Reserve sizes the tables for the line IDs below lines, such as a
+// schedule's Lines.
+func (r *Residency) Reserve(lines int) { r.grow(int32(lines) - 1) }
 
 // grow extends the tables to cover id.
 func (r *Residency) grow(id int32) {

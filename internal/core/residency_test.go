@@ -155,7 +155,7 @@ func TestLineIDsDenseFirstTouch(t *testing.T) {
 			t.Fatalf("intern #%d (line %d) = %d, want %d", i, line, id, want)
 		}
 	}
-	if got := l.Lines(); !slices.Equal(got, []uint64{640, 64, 128}) {
-		t.Fatalf("lines %v, want [640 64 128]", got)
+	if got := l.Len(); got != 3 {
+		t.Fatalf("%d lines interned, want 3", got)
 	}
 }

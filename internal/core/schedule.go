@@ -13,6 +13,10 @@ type Fetch struct {
 	L2Miss bool
 	// L1Hit marks accesses satisfied from a reused L1 copy.
 	L1Hit bool
+	// LineID is Line's dense ID in [0, Schedule.Lines), set by the emitter
+	// that numbered the schedule's lines: equal lines carry equal IDs. It
+	// sits in what was padding, so a Fetch stays 24 bytes.
+	LineID int32
 }
 
 // Task is one subcomputation instance placed on a node. Tasks form a DAG via
@@ -31,8 +35,11 @@ type Task struct {
 	WaitHops []int
 	// IsRoot marks the final task of a statement instance (the one that
 	// stores the result at the output's home node); ResultLine is the line
-	// the root's store writes.
+	// the root's store writes and ResultID its dense ID, numbered with the
+	// fetches' LineIDs. ResultID sits in IsRoot's padding, so a Task stays
+	// 136 bytes.
 	IsRoot     bool
+	ResultID   int32
 	ResultLine uint64
 	// Stmt and Iter identify the statement instance the task belongs to.
 	Stmt, Iter int
@@ -54,6 +61,13 @@ type Schedule struct {
 	SyncsBefore, SyncsAfter int
 	// Instances is the number of statement instances scheduled.
 	Instances int
+	// Lines bounds the line IDs: every Fetch.LineID and root ResultID lies
+	// in [0, Lines). The emitters number lines densely in first-touch order;
+	// copies, cuts and repairs keep the numbering and the bound, so a
+	// residual may leave some IDs unused. Per-line state outside the
+	// verifier is indexed by these IDs; no line table travels with the
+	// schedule.
+	Lines int
 }
 
 // Clone returns a deep copy of the schedule; repair mutates the copy so the
@@ -68,6 +82,7 @@ func (s *Schedule) Clone() *Schedule {
 		SyncsBefore: s.SyncsBefore,
 		SyncsAfter:  s.SyncsAfter,
 		Instances:   s.Instances,
+		Lines:       s.Lines,
 	}
 	nf, nw := 0, 0
 	for _, t := range s.Tasks {
@@ -86,6 +101,32 @@ func (s *Schedule) Clone() *Schedule {
 		out.Tasks[i] = ct
 	}
 	return out
+}
+
+// NumberLines gives every fetch and root result line of a schedule built by
+// hand a dense ID, in first-touch task order (each task's fetches, then its
+// result line), and sets Lines. The emitters number their lines as they
+// emit; a caller that changes a line of an emitted schedule renumbers it
+// with NumberLines so that equal lines carry equal IDs again.
+func (s *Schedule) NumberLines() {
+	ids := make(map[uint64]int32)
+	id := func(line uint64) int32 {
+		v, ok := ids[line]
+		if !ok {
+			v = int32(len(ids))
+			ids[line] = v
+		}
+		return v
+	}
+	for _, t := range s.Tasks {
+		for fi := range t.Fetches {
+			t.Fetches[fi].LineID = id(t.Fetches[fi].Line)
+		}
+		if t.IsRoot {
+			t.ResultID = id(t.ResultLine)
+		}
+	}
+	s.Lines = len(ids)
 }
 
 // carve copies src onto the end of slab and returns the copy, capped at its
@@ -264,7 +305,8 @@ func (p *pass) place(plan *StatementPlan, an *PlanAnalysis, ps *stmtPre, stmtIdx
 }
 
 // appendVertexFetches appends the line accesses vertex v contributes to a
-// task on taskNode: one per resident line, flagged with its service level.
+// task on taskNode: one per resident line, with its ID, flagged with its
+// service level.
 // ReusedLines promised an L1 copy at the vertex's planned node; when the
 // consuming task runs elsewhere (load-balance hoist, or a pure data vertex
 // folded into a parent on another node) the hit claim does not transfer —
@@ -273,12 +315,13 @@ func (p *pass) place(plan *StatementPlan, an *PlanAnalysis, ps *stmtPre, stmtIdx
 // consuming node's shadow L1 afterwards.
 func appendVertexFetches(dst []Fetch, plan *StatementPlan, v int, taskNode mesh.NodeID) []Fetch {
 	pv := plan.Vertices[v]
-	for _, line := range pv.Lines {
+	for li, line := range pv.Lines {
 		dst = append(dst, Fetch{
 			From:   pv.Node,
 			Line:   line,
 			L2Miss: containsLine(pv.MissLines, line),
 			L1Hit:  taskNode == pv.Node && containsLine(pv.ReusedLines, line),
+			LineID: pv.LineIDs[li],
 		})
 	}
 	return dst

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dmacp/internal/mesh"
 )
@@ -202,5 +203,44 @@ func TestAddWaitKeepsParallelSlices(t *testing.T) {
 	task.addWait(2, 0)
 	if len(task.WaitFor) != len(task.WaitHops) || len(task.WaitFor) != 2 {
 		t.Errorf("WaitFor=%v WaitHops=%v", task.WaitFor, task.WaitHops)
+	}
+}
+
+// TestScheduleFieldSizes pins the sizes the line IDs fit into: LineID and
+// ResultID sit in padding, so a Fetch stays 24 bytes and a Task 136 on a
+// 64-bit platform.
+func TestScheduleFieldSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Fetch{}); got != 24 {
+		t.Errorf("Fetch is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Task{}); got != 136 {
+		t.Errorf("Task is %d bytes, want 136", got)
+	}
+}
+
+// TestNumberLinesFirstTouch checks that NumberLines numbers lines in
+// first-touch task order, each task's fetches before its result line, and
+// gives a repeated line its first ID.
+func TestNumberLinesFirstTouch(t *testing.T) {
+	s := &Schedule{Tasks: []*Task{
+		{ID: 0, Fetches: []Fetch{{Line: 640}, {Line: 64}}, IsRoot: true, ResultLine: 128},
+		{ID: 1, Fetches: []Fetch{{Line: 128}, {Line: 640}}},
+		{ID: 2, Fetches: []Fetch{{Line: 192}}, IsRoot: true, ResultLine: 64},
+	}}
+	s.NumberLines()
+	var got []int32
+	for _, tk := range s.Tasks {
+		for _, fe := range tk.Fetches {
+			got = append(got, fe.LineID)
+		}
+		if tk.IsRoot {
+			got = append(got, tk.ResultID)
+		}
+	}
+	if want := []int32{0, 1, 2, 2, 0, 3, 1}; !slices.Equal(got, want) || s.Lines != 4 {
+		t.Fatalf("IDs %v over %d lines, want %v over 4", got, s.Lines, want)
 	}
 }

@@ -88,6 +88,9 @@ func appDigests(name string, seed int64) ([]string, error) {
 		part.int(int64(res.WindowSize))
 		part.int(res.Stats.TotalMovement)
 		part.schedule(res.Schedule)
+		if _, err := lineIDsConsistent(res.Schedule, true); err != nil {
+			return nil, fmt.Errorf("%s/%s partition: %w", name, nest.Name, err)
+		}
 
 		def, err := baseline.Place(app.Prog, nest, app.Store, opts, baseline.ProfiledLocality)
 		if err != nil {
@@ -96,6 +99,9 @@ func appDigests(name string, seed int64) ([]string, error) {
 		place.int(def.TotalMovement)
 		place.float(def.L1HitRate)
 		place.schedule(def.Schedule)
+		if _, err := lineIDsConsistent(def.Schedule, true); err != nil {
+			return nil, fmt.Errorf("%s/%s baseline: %w", name, nest.Name, err)
+		}
 
 		cfg := sim.DefaultConfig(m)
 		run, err := sim.Run(res.Schedule, cfg)
@@ -122,6 +128,9 @@ func appDigests(name string, seed int64) ([]string, error) {
 			online.str(err.Error())
 		} else {
 			online.schedule(rs)
+		}
+		if err := derivedLineIDs(res.Schedule, rs, m, f, ro); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", name, nest.Name, err)
 		}
 	}
 	out := make([]string, 0, 4)
@@ -248,4 +257,87 @@ func (d *digest) onlineReport(r *core.OnlineReport) {
 	d.str(rr.Strategy)
 	d.int(rr.MovementBefore)
 	d.int(rr.MovementAfter)
+}
+
+// derivedLineIDs checks the line IDs of the schedules derived from the
+// partitioner's s on mesh m under faults f: its offline repair, the online
+// residual rs (nil when the online repair failed), and rs re-integrated
+// once every fault clears. None of them is digested; each must keep s's
+// numbering and its bound.
+func derivedLineIDs(s, rs *core.Schedule, m *mesh.Mesh, f *mesh.FaultSet, ro core.RepairOptions) error {
+	parent, err := lineIDsConsistent(s, true)
+	if err != nil {
+		return err
+	}
+	derived := map[string]*core.Schedule{"online": rs}
+	if rep, _, err := core.RepairVerified(s, m, f, ro, nil); err == nil {
+		derived["repair"] = rep
+	}
+	if rs != nil {
+		cleared := mesh.NewFaultSet()
+		back, _, err := core.ReintegrateOnline(rs, m, cleared, mesh.RevivedNodes(m, f, cleared), core.NewChurnState(), nil)
+		if err != nil {
+			return fmt.Errorf("re-integrate: %w", err)
+		}
+		derived["re-integrate"] = back
+	}
+	for _, path := range []string{"repair", "online", "re-integrate"} {
+		d := derived[path]
+		if d == nil {
+			continue
+		}
+		if d.Lines != s.Lines {
+			return fmt.Errorf("%s: %d line IDs, the partitioned schedule has %d", path, d.Lines, s.Lines)
+		}
+		lineOf, err := lineIDsConsistent(d, path == "repair")
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for id := int32(0); int(id) < s.Lines; id++ {
+			if line, ok := lineOf[id]; ok && parent[id] != line {
+				return fmt.Errorf("%s: ID %d names line %#x, the partitioned schedule's names %#x", path, id, line, parent[id])
+			}
+		}
+	}
+	return nil
+}
+
+// lineIDsConsistent checks a schedule's line numbering and returns it, ID
+// to line: every fetch's LineID and root's ResultID lies in [0, s.Lines),
+// and equal lines carry equal IDs while different lines carry different
+// ones. With dense set, every ID in [0, s.Lines) must be in use, as it is
+// in an emitted schedule; a residual keeps its parent's bound and may leave
+// IDs unused.
+func lineIDsConsistent(s *core.Schedule, dense bool) (map[int32]uint64, error) {
+	idOf := make(map[uint64]int32)
+	lineOf := make(map[int32]uint64)
+	see := func(task int, line uint64, id int32) error {
+		if id < 0 || int(id) >= s.Lines {
+			return fmt.Errorf("task %d: line %#x has ID %d outside [0, %d)", task, line, id, s.Lines)
+		}
+		if prev, ok := idOf[line]; ok && prev != id {
+			return fmt.Errorf("task %d: line %#x has IDs %d and %d", task, line, prev, id)
+		}
+		if prev, ok := lineOf[id]; ok && prev != line {
+			return fmt.Errorf("task %d: ID %d names lines %#x and %#x", task, id, prev, line)
+		}
+		idOf[line], lineOf[id] = id, line
+		return nil
+	}
+	for _, t := range s.Tasks {
+		for _, fe := range t.Fetches {
+			if err := see(t.ID, fe.Line, fe.LineID); err != nil {
+				return nil, err
+			}
+		}
+		if t.IsRoot {
+			if err := see(t.ID, t.ResultLine, t.ResultID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if dense && len(lineOf) != s.Lines {
+		return nil, fmt.Errorf("%d line IDs in use, want all of [0, %d)", len(lineOf), s.Lines)
+	}
+	return lineOf, nil
 }

@@ -13,7 +13,8 @@ import (
 // FuzzPartition feeds arbitrary statement-language sources through the
 // partitioner with the static race detector as the oracle: for any program
 // the parser accepts, the emitted schedule must verify with zero dependence
-// violations and Partition must never panic. Seeds come from the
+// violations, number its lines consistently (lineIDsConsistent), and
+// Partition must never panic. Seeds come from the
 // differential harness's random-program generator, so the corpus starts in
 // the interesting region of the grammar; go-fuzz mutation takes it from
 // there. Crashing inputs land in testdata/fuzz/FuzzPartition as permanent
@@ -81,6 +82,10 @@ func FuzzPartition(f *testing.F) {
 		if len(rep.Violations) > 0 {
 			t.Fatalf("partitioner emitted a racy schedule for:\n%s\nwindow=%d mode=%v\n%s",
 				src, opts.FixedWindow, opts.Mode, rep.Violations[0])
+		}
+		if _, err := lineIDsConsistent(res.Schedule, true); err != nil {
+			t.Fatalf("partitioner misnumbered the lines of:\n%s\nwindow=%d mode=%v\n%v",
+				src, opts.FixedWindow, opts.Mode, err)
 		}
 	})
 }

@@ -38,15 +38,11 @@ func buildCheckpoint(sched *core.Schedule, nodes int, startAt, occEndAt, finish 
 		Done:     make([]bool, len(sched.Tasks)),
 		NodeFree: make([]float64, nodes),
 	}
-	type instKey struct{ iter, stmt int }
-	doneInst := make(map[instKey]bool)
-	for _, t := range sched.Tasks {
-		if t.IsRoot && finish[t.ID] <= cycle {
-			doneInst[instKey{t.Iter, t.Stmt}] = true
-		}
-	}
+	doneInst := core.InstancesOf(sched.Tasks, func(i int) bool {
+		return sched.Tasks[i].IsRoot && finish[i] <= cycle
+	})
 	for i, t := range sched.Tasks {
-		if doneInst[instKey{t.Iter, t.Stmt}] {
+		if doneInst.Has(t.Iter, t.Stmt) {
 			ck.Done[i] = true
 			if e := occEndAt[i]; e > ck.NodeFree[t.Node] {
 				ck.NodeFree[t.Node] = e
@@ -56,24 +52,29 @@ func buildCheckpoint(sched *core.Schedule, nodes int, startAt, occEndAt, finish 
 		}
 	}
 
-	// Residency replay with write-invalidation, completed tasks in ID order;
-	// then every holder of a line keeps a copy.
+	// Residency replay with write-invalidation, completed tasks in ID order,
+	// by the schedule's line IDs; lines notes each replayed ID's line. Then
+	// every holder of a line keeps a copy.
 	var res core.Residency
+	res.Reserve(sched.Lines)
+	lines := make([]uint64, sched.Lines)
 	ck.Home = make(map[uint64]mesh.NodeID)
 	for i, t := range sched.Tasks {
 		if !ck.Done[i] {
 			continue
 		}
 		for _, f := range t.Fetches {
-			res.Read(res.Intern(f.Line), t.Node, i)
+			res.Read(f.LineID, t.Node, i)
+			lines[f.LineID] = f.Line
 		}
 		if t.IsRoot {
-			res.Write(res.Intern(t.ResultLine), t.Node, i)
+			res.Write(t.ResultID, t.Node, i)
+			lines[t.ResultID] = t.ResultLine
 			ck.Home[t.ResultLine] = t.Node
 		}
 	}
 	ck.L1Resident = make(map[mesh.NodeID][]uint64, nodes)
-	for id, line := range res.Lines() {
+	for id, line := range lines {
 		for _, n := range res.Holders(int32(id), mesh.InvalidNode) {
 			ck.L1Resident[n] = append(ck.L1Resident[n], line)
 		}

@@ -26,7 +26,7 @@ func twoInstanceSchedule(m *mesh.Mesh) *core.Schedule {
 		Fetches: []core.Fetch{{From: m.NodeAt(1, 1), Line: 0x100}}}
 	b1.WaitFor = []int{1, 2}
 	b1.WaitHops = []int{m.Distance(a1.Node, b1.Node), m.Distance(b0.Node, b1.Node)}
-	return &core.Schedule{Tasks: []*core.Task{a0, a1, b0, b1}, Instances: 2, SyncsBefore: 3, SyncsAfter: 3}
+	return numbered(&core.Schedule{Tasks: []*core.Task{a0, a1, b0, b1}, Instances: 2, SyncsBefore: 3, SyncsAfter: 3})
 }
 
 func TestCheckpointInstanceGranularity(t *testing.T) {

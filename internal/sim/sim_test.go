@@ -19,7 +19,14 @@ func chainSchedule(m *mesh.Mesh) *core.Schedule {
 	}
 	consumer.WaitFor = []int{0}
 	consumer.WaitHops = []int{m.Distance(producer.Node, consumer.Node)}
-	return &core.Schedule{Tasks: []*core.Task{producer, consumer}, Instances: 1, SyncsBefore: 1, SyncsAfter: 1}
+	return numbered(&core.Schedule{Tasks: []*core.Task{producer, consumer}, Instances: 1, SyncsBefore: 1, SyncsAfter: 1})
+}
+
+// numbered gives a hand-built schedule's lines their dense IDs, as an
+// emitter would, and returns it.
+func numbered(s *core.Schedule) *core.Schedule {
+	s.NumberLines()
+	return s
 }
 
 func TestRunRequiresMesh(t *testing.T) {
@@ -105,10 +112,10 @@ func TestIdealNetworkFaster(t *testing.T) {
 func TestL2MissCostsMore(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	mk := func(miss bool) *core.Schedule {
-		return &core.Schedule{Tasks: []*core.Task{{
+		return numbered(&core.Schedule{Tasks: []*core.Task{{
 			ID: 0, Node: m.NodeAt(3, 3), Ops: 1, IsRoot: true,
 			Fetches: []core.Fetch{{From: m.NodeAt(0, 0), Line: 0x40, L2Miss: miss}},
-		}}, Instances: 1}
+		}}, Instances: 1})
 	}
 	cfg := DefaultConfig(m)
 	hit, _ := Run(mk(false), cfg)
@@ -127,10 +134,10 @@ func TestL2MissCostsMore(t *testing.T) {
 func TestL1HitIsCheapest(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	mk := func(l1 bool) *core.Schedule {
-		return &core.Schedule{Tasks: []*core.Task{{
+		return numbered(&core.Schedule{Tasks: []*core.Task{{
 			ID: 0, Node: m.NodeAt(3, 3), Ops: 0, IsRoot: true,
 			Fetches: []core.Fetch{{From: m.NodeAt(3, 3), Line: 0x40, L1Hit: l1}},
-		}}, Instances: 1}
+		}}, Instances: 1})
 	}
 	cfg := DefaultConfig(m)
 	l1, _ := Run(mk(true), cfg)
@@ -155,7 +162,7 @@ func TestMCQueueingSerializes(t *testing.T) {
 		})
 	}
 	cfg := DefaultConfig(m)
-	res, err := Run(&core.Schedule{Tasks: tasks, Instances: 8}, cfg)
+	res, err := Run(numbered(&core.Schedule{Tasks: tasks, Instances: 8}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +199,7 @@ func TestForcedL1HitRate(t *testing.T) {
 	cfg := DefaultConfig(m)
 	rate := 0.4
 	cfg.ForcedL1HitRate = &rate
-	res, err := Run(&core.Schedule{Tasks: tasks, Instances: 100}, cfg)
+	res, err := Run(numbered(&core.Schedule{Tasks: tasks, Instances: 100}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestHopScaleReducesTrafficCost(t *testing.T) {
 
 func TestComputeScaleShortensCompute(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	sched := &core.Schedule{Tasks: []*core.Task{{ID: 0, Node: 0, Ops: 100, IsRoot: true}}, Instances: 1}
+	sched := numbered(&core.Schedule{Tasks: []*core.Task{{ID: 0, Node: 0, Ops: 100, IsRoot: true}}, Instances: 1})
 	cfg := DefaultConfig(m)
 	base, _ := Run(sched, cfg)
 	cfg.ComputeScale = 2
@@ -230,7 +237,7 @@ func TestComputeScaleShortensCompute(t *testing.T) {
 
 func TestExtraSyncArcsSlowDown(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	sched := &core.Schedule{Tasks: []*core.Task{{ID: 0, Node: 0, Ops: 1, IsRoot: true}}, Instances: 1}
+	sched := numbered(&core.Schedule{Tasks: []*core.Task{{ID: 0, Node: 0, Ops: 1, IsRoot: true}}, Instances: 1})
 	cfg := DefaultConfig(m)
 	base, _ := Run(sched, cfg)
 	cfg.ExtraSyncArcsPerTask = 2
@@ -268,10 +275,10 @@ func TestNodeSerialization(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	// Two independent tasks on the same node must serialize.
 	mk := func(node mesh.NodeID) *core.Schedule {
-		return &core.Schedule{Tasks: []*core.Task{
+		return numbered(&core.Schedule{Tasks: []*core.Task{
 			{ID: 0, Node: 0, Ops: 50, IsRoot: true},
 			{ID: 1, Node: node, Ops: 50, IsRoot: true},
-		}, Instances: 2}
+		}, Instances: 2})
 	}
 	cfg := DefaultConfig(m)
 	same, _ := Run(mk(0), cfg)

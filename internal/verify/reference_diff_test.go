@@ -177,6 +177,7 @@ func mutate(rng *rand.Rand, s *core.Schedule, m *mesh.Mesh) *core.Schedule {
 					tk.IsRoot = false
 				} else {
 					tk.ResultLine += 64
+					c.NumberLines() // the wrong line stays the one defect
 				}
 			}
 		}

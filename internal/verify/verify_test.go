@@ -203,6 +203,7 @@ func TestWrongResultDetected(t *testing.T) {
 			break
 		}
 	}
+	in.Schedule.NumberLines() // keep the wrong line the only defect
 	rep, err := verify.Check(in, verify.Options{MaxDiagnostics: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +229,7 @@ func TestDeadlockDetected(t *testing.T) {
 	t0.WaitHops = []int{0}
 	t1 := &core.Task{ID: 1, Node: 0, IsRoot: true, Iter: 1, Stmt: 0, ResultLine: 64}
 	s := &core.Schedule{Tasks: []*core.Task{t0, t1}, Instances: 2}
+	s.NumberLines()
 	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -255,6 +257,7 @@ func TestRedundantArcFlagged(t *testing.T) {
 	t2.WaitFor = []int{1, 0} // 0 -> 2 implied by 0 -> 1 -> 2
 	t2.WaitHops = []int{m.Distance(1, 2), m.Distance(0, 2)}
 	s := &core.Schedule{Tasks: []*core.Task{t0, t1, t2}, Instances: 3}
+	s.NumberLines()
 	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +327,9 @@ func TestStaleReuseViolation(t *testing.T) {
 		t2 := &core.Task{ID: 2, Node: hitNode, Iter: 2,
 			Fetches: []core.Fetch{{From: from, Line: line, L1Hit: true}},
 			WaitFor: []int{1}, WaitHops: []int{m.Distance(1, hitNode)}}
-		return &core.Schedule{Tasks: []*core.Task{t0, t1, t2}, Instances: 1}
+		s := &core.Schedule{Tasks: []*core.Task{t0, t1, t2}, Instances: 1}
+		s.NumberLines()
+		return s
 	}
 	for name, hitNode := range map[string]mesh.NodeID{"killed-copy": 0, "never-created": 2} {
 		rep, err := verify.Check(verify.Input{Schedule: build(hitNode, 0), Mesh: m}, verify.Options{})
@@ -424,6 +429,7 @@ func TestWARReaderOnOutOfRangeNode(t *testing.T) {
 	reader := &core.Task{ID: 0, Node: 7, Iter: 0, Fetches: []core.Fetch{{From: 1, Line: line}}}
 	writer := &core.Task{ID: 1, Node: 1, Iter: 1, IsRoot: true, ResultLine: line}
 	s := &core.Schedule{Tasks: []*core.Task{reader, writer}, Instances: 1}
+	s.NumberLines()
 	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -449,6 +455,7 @@ func TestOffMeshFetchSourceIsStructural(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	task := &core.Task{ID: 0, Node: 0, IsRoot: true, ResultLine: 128, Fetches: []core.Fetch{{From: 999, Line: 64}}}
 	s := &core.Schedule{Tasks: []*core.Task{task}, Instances: 1}
+	s.NumberLines()
 	rep, err := verify.Check(verify.Input{Schedule: s, Mesh: m}, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
