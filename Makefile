@@ -105,7 +105,9 @@ verifybig:
 # verifier's reports deep-equal to its test-only pre-rework reference, and
 # (internal/core) the partitioner's identities: every window-sweep trial
 # scores what a fixed-window run does, and every shared reuse-free plan
-# equals a fresh split.
+# equals a fresh split. TestCheckMatchesReference runs on its own at
+# GOMAXPROCS 1 and 4 (-cpu 1,4), so the reference meets Check's parts both
+# on the calling goroutine and side by side.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
 	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
 	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments TestScheduleDigests \
@@ -115,7 +117,8 @@ empty :=
 space := $(empty) $(empty)
 
 gates:
-	$(GO) test ./internal/exp/ ./internal/verify/ ./internal/core/ -run '^($(subst $(space),|,$(strip $(GATES))))$$' -count=1 -v
+	$(GO) test ./internal/exp/ ./internal/core/ -run '^($(subst $(space),|,$(strip $(filter-out TestCheckMatchesReference,$(GATES)))))$$' -count=1 -v
+	$(GO) test ./internal/verify/ -run '^TestCheckMatchesReference$$' -cpu 1,4 -count=1 -v
 
 # Every table of the experiment suite at the default (EXPERIMENTS.md) scale
 # must be byte-identical serial and parallel: one build, `-run all -markdown`

@@ -104,9 +104,6 @@ type ReintegrateReport struct {
 // failure the churn cap refuses it outright, so N repeated fault/revive
 // cycles of the same element cost O(1) migrations total after the first.
 func ReintegrateOnline(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, churn *ChurnState, check RepairChecker) (*Schedule, *ReintegrateReport, error) {
-	if check == nil {
-		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
-	}
 	if err := CheckShape(s, m); err != nil {
 		return nil, nil, err
 	}
@@ -125,7 +122,7 @@ func ReintegrateOnline(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []me
 	if verr := ValidateScheduleOn(c, m, f); verr != nil {
 		return plan.residual, rep, nil
 	}
-	if cerr := check(c); cerr != nil {
+	if check != nil && check(c) != nil {
 		return plan.residual, rep, nil
 	}
 

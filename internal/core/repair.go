@@ -697,9 +697,6 @@ func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.F
 // repairVerified is RepairVerifiedCtx on the copies fresh returns, one per
 // attempt: each must be a schedule no one else holds, equal to the input.
 func repairVerified(ctx context.Context, fresh func() *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
-	if check == nil {
-		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
-	}
 	// attempt repairs a fresh copy and verifier-gates one configuration.
 	attempt := func(opts RepairOptions, repairStage, rejectStage string) (*Schedule, *RepairReport, error) {
 		c := fresh()
@@ -710,8 +707,10 @@ func repairVerified(ctx context.Context, fresh func() *Schedule, m *mesh.Mesh, f
 		if verr := ValidateScheduleOn(c, m, f); verr != nil {
 			return nil, nil, &RepairFailure{Stage: rejectStage, Err: verr}
 		}
-		if cerr := check(c); cerr != nil {
-			return nil, nil, &RepairFailure{Stage: rejectStage, Err: cerr}
+		if check != nil {
+			if cerr := check(c); cerr != nil {
+				return nil, nil, &RepairFailure{Stage: rejectStage, Err: cerr}
+			}
 		}
 		return c, rep, nil
 	}

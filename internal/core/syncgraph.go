@@ -177,7 +177,9 @@ func (w *syncWalker) dropRedundant(t *Task) int {
 // index vertex plus one (0 for the tasks nobody waits for).
 func arcIndex(tasks []*Task) (*reach.Index, []int32) {
 	vid := make([]int32, len(tasks))
+	arcs := 0
 	for _, t := range tasks {
+		arcs += len(t.WaitFor)
 		for _, p := range t.WaitFor {
 			vid[p] = 1
 		}
@@ -190,6 +192,7 @@ func arcIndex(tasks []*Task) (*reach.Index, []int32) {
 		}
 	}
 	b := reach.NewBuilder(int(n))
+	b.Grow(arcs)
 	for i, t := range tasks {
 		if vid[i] == 0 {
 			continue
@@ -210,15 +213,13 @@ func DedupeWaits(tasks []*Task) int {
 		if len(t.WaitFor) < 2 {
 			continue
 		}
-		seen := make(map[int]bool, len(t.WaitFor))
 		keepIDs := t.WaitFor[:0]
 		keepHops := t.WaitHops[:0]
 		for i, p := range t.WaitFor {
-			if seen[p] {
+			if slices.Contains(keepIDs, p) {
 				removed++
 				continue
 			}
-			seen[p] = true
 			keepIDs = append(keepIDs, p)
 			keepHops = append(keepHops, t.WaitHops[i])
 		}

@@ -21,6 +21,11 @@
 // verifier adds per-node program order before wait arcs, which gives at
 // most one chain per mesh node in use.
 //
+// The Builder keeps the edges in two flat slices and Build groups them into
+// compressed (CSR) predecessor and successor lists, each vertex's list in
+// Edge order, so the decomposition is the same as with per-vertex lists and
+// a build allocates a fixed handful of slices.
+//
 // Graphs whose chain count exceeds the configured budget keep the longest
 // chains indexed and answer queries out of the sparse residue with an
 // on-demand BFS that prunes by topological position and shortcuts through
@@ -28,22 +33,25 @@
 // cost does.
 package reach
 
-// Builder accumulates edges before Build freezes them into an Index.
+import "slices"
+
+// Builder accumulates edges, in Edge order, before Build freezes them into
+// an Index.
 type Builder struct {
-	n     int
-	preds [][]int32
-	succs [][]int32
-	indeg []int32
+	n        int
+	from, to []int32
 }
 
 // NewBuilder returns a builder for a graph with n vertices, 0..n-1.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		n:     n,
-		preds: make([][]int32, n),
-		succs: make([][]int32, n),
-		indeg: make([]int32, n),
-	}
+	return &Builder{n: n}
+}
+
+// Grow makes room for edges more edges, so a caller that knows its edge
+// count up front fills the two slices without regrowing them.
+func (b *Builder) Grow(edges int) {
+	b.from = slices.Grow(b.from, edges)
+	b.to = slices.Grow(b.to, edges)
 }
 
 // Edge records from -> to. Out-of-range endpoints and self-loops are
@@ -53,15 +61,33 @@ func (b *Builder) Edge(from, to int) {
 	if from < 0 || to < 0 || from >= b.n || to >= b.n || from == to {
 		return
 	}
-	b.preds[to] = append(b.preds[to], int32(from))
-	b.succs[from] = append(b.succs[from], int32(to))
-	b.indeg[to]++
+	b.from = append(b.from, int32(from))
+	b.to = append(b.to, int32(to))
 }
 
 // DefaultMaxChains is the indexed-chain budget Build applies when the
 // caller passes maxChains <= 0. At int32 granularity the index then costs
 // at most n*DefaultMaxChains*4 bytes.
 const DefaultMaxChains = 256
+
+// csr groups the edges by key: the list of vertex v is adj[start[v]:start[v+1]],
+// holding val of v's edges in Edge order.
+func csr(n int, key, val []int32) (start, adj []int32) {
+	start = make([]int32, n+1)
+	for _, k := range key {
+		start[k+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	adj = make([]int32, len(key))
+	fill := append([]int32(nil), start[:n]...)
+	for e, k := range key {
+		adj[fill[k]] = val[e]
+		fill[k]++
+	}
+	return start, adj
+}
 
 // Build freezes the graph into an Index. At most maxChains chains (the
 // longest ones) get O(1) query labels; the rest fall back to BFS
@@ -72,22 +98,23 @@ const DefaultMaxChains = 256
 // The builder must not be reused after Build.
 func (b *Builder) Build(maxChains int) (*Index, []int) {
 	n := b.n
+	predStart, preds := csr(n, b.to, b.from)
+	succStart, succs := csr(n, b.from, b.to)
 
-	// Topological order via Kahn's algorithm; a shortfall means a cycle.
+	// Topological order via Kahn's algorithm, with order doubling as the
+	// FIFO queue; a shortfall means a cycle.
+	indeg := make([]int32, n)
 	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		if b.indeg[i] == 0 {
-			queue = append(queue, int32(i))
+		if indeg[i] = predStart[i+1] - predStart[i]; indeg[i] == 0 {
+			order = append(order, int32(i))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, s := range b.succs[v] {
-			if b.indeg[s]--; b.indeg[s] == 0 {
-				queue = append(queue, s)
+	for head := 0; head < len(order); head++ {
+		v := order[head]
+		for _, s := range succs[succStart[v]:succStart[v+1]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
 			}
 		}
 	}
@@ -95,7 +122,7 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 		const maxListed = 16
 		var stuck []int
 		for i := 0; i < n && len(stuck) < maxListed; i++ {
-			if b.indeg[i] > 0 {
+			if indeg[i] > 0 {
 				stuck = append(stuck, i)
 			}
 		}
@@ -103,12 +130,13 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	}
 
 	ix := &Index{
-		n:     n,
-		pos:   make([]int32, n),
-		chain: make([]int32, n),
-		cpos:  make([]int32, n),
-		succs: b.succs,
-		seen:  make([]uint32, n),
+		n:         n,
+		pos:       make([]int32, n),
+		chain:     make([]int32, n),
+		cpos:      make([]int32, n),
+		succStart: succStart,
+		succs:     succs,
+		seen:      make([]uint32, n),
 	}
 	for i, v := range order {
 		ix.pos[v] = int32(i)
@@ -125,7 +153,7 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	length := make([]int32, 0, 64) // chain -> length
 	for _, v := range order {
 		placed := false
-		for _, p := range b.preds[v] {
+		for _, p := range preds[predStart[v]:predStart[v+1]] {
 			if c := ix.chain[p]; tail[c] == p {
 				ix.chain[v] = c
 				ix.cpos[v] = ix.cpos[p] + 1
@@ -174,17 +202,20 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	// highest position on indexed chain c among v's ancestors *including v
 	// itself* (0: none) — self-inclusion makes same-chain queries fall out
 	// of the same compare, and the one-past encoding makes the zeroed
-	// table the initial state.
+	// table the initial state. The first predecessor's row is copied, not
+	// merged into zeros.
 	k := ix.indexed
 	ix.up = make([]int32, n*k)
 	for _, v := range order {
 		row := ix.up[int(v)*k : int(v)*k+k]
-		for _, p := range b.preds[v] {
+		for i, p := range preds[predStart[v]:predStart[v+1]] {
 			prow := ix.up[int(p)*k : int(p)*k+k]
+			if i == 0 {
+				copy(row, prow)
+				continue
+			}
 			for c, pc := range prow {
-				if pc > row[c] {
-					row[c] = pc
-				}
+				row[c] = max(row[c], pc)
 			}
 		}
 		if c := ix.chain[v]; int(c) < k {
@@ -239,12 +270,15 @@ func sortChainsByLength(ids []int32, length []int32) {
 // BFS fallback, so a single Index must not be queried concurrently.
 type Index struct {
 	n       int
-	pos     []int32   // topological position
-	chain   []int32   // chain ID (IDs < indexed have O(1) labels)
-	cpos    []int32   // position within the chain
-	indexed int       // number of labeled chains
-	up      []int32   // n×indexed ancestor labels (chain position+1), row-major
-	succs   [][]int32 // adjacency for the BFS fallback
+	pos     []int32 // topological position
+	chain   []int32 // chain ID (IDs < indexed have O(1) labels)
+	cpos    []int32 // position within the chain
+	indexed int     // number of labeled chains
+	up      []int32 // n×indexed ancestor labels (chain position+1), row-major
+
+	// succs[succStart[v]:succStart[v+1]] are v's successors, for the BFS
+	// fallback.
+	succStart, succs []int32
 
 	stamp uint32
 	seen  []uint32
@@ -304,7 +338,7 @@ func (ix *Index) bfs(a, b int) bool {
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
-		for _, s := range ix.succs[u] {
+		for _, s := range ix.succs[ix.succStart[u]:ix.succStart[u+1]] {
 			if int(s) == b {
 				ix.queue = q
 				return true

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"dmacp/internal/core"
+	"dmacp/internal/mesh"
 	"dmacp/internal/reach"
 )
 
@@ -30,6 +31,10 @@ type Closure struct {
 // 4,000-task schedule on 6×6.
 const maxClosureTasks = 20000
 
+// maxDenseNode bounds the node-indexed program-order table the closure
+// build keeps: 65,536 nodes is a 256×256 mesh.
+const maxDenseNode = 1 << 16
+
 // BuildClosure computes the reachability closure of the tasks under the
 // union of their WaitFor arcs and — when sameNodeOrder is set — the per-node
 // program order (tasks placed on one node execute in ID order; both the
@@ -49,17 +54,42 @@ func BuildClosure(tasks []*core.Task, sameNodeOrder bool) (*Closure, []int) {
 func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxTasks int) (*Closure, []int) {
 	n := len(tasks)
 	b := reach.NewBuilder(n)
+	edges := n
+	for _, t := range tasks {
+		edges += len(t.WaitFor)
+	}
+	b.Grow(edges)
 	// Program-order edges go in first, so each task's same-node predecessor
 	// heads its predecessor list and reach's greedy decomposition extends
 	// that node's chain before considering a wait arc: the chain count then
 	// stays at or below the number of nodes in use.
 	if sameNodeOrder {
-		lastOn := make(map[int]int)
+		// last[node] is the latest task on the node plus one. Nodes off
+		// [0, maxDenseNode) occur only in corrupted schedules; they go
+		// through a map, so the slice stays bounded.
+		span := 0
+		for _, t := range tasks {
+			if v := int(t.Node); v >= span && v < maxDenseNode {
+				span = v + 1
+			}
+		}
+		last := make([]int32, span)
+		var far map[mesh.NodeID]int
 		for i, t := range tasks {
-			if prev, ok := lastOn[int(t.Node)]; ok {
+			if v := int(t.Node); v >= 0 && v < span {
+				if last[v] > 0 {
+					b.Edge(int(last[v])-1, i)
+				}
+				last[v] = int32(i + 1)
+				continue
+			}
+			if far == nil {
+				far = make(map[mesh.NodeID]int)
+			}
+			if prev, ok := far[t.Node]; ok {
 				b.Edge(prev, i)
 			}
-			lastOn[int(t.Node)] = i
+			far[t.Node] = i
 		}
 	}
 	for i, t := range tasks {

@@ -117,3 +117,18 @@ func TestClosureDifferentialSeeded(t *testing.T) {
 		}
 	}
 }
+
+// TestClosureOffRangeNodes checks program order on nodes outside the
+// node-indexed table (negative, or past maxDenseNode), which corrupted
+// schedules can carry: the closure matches the bitset reference.
+func TestClosureOffRangeNodes(t *testing.T) {
+	nodes := []mesh.NodeID{-1, maxDenseNode, 3, -1, 3, maxDenseNode + 7, maxDenseNode, -2, 0}
+	tasks := make([]*core.Task, len(nodes))
+	for i, n := range nodes {
+		tasks[i] = &core.Task{ID: i, Node: n}
+	}
+	tasks[5].WaitFor, tasks[5].WaitHops = []int{0}, []int{0}
+	for _, maxTasks := range []int{0, 1} {
+		diffClosures(t, tasks, true, maxTasks)
+	}
+}

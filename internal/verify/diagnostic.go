@@ -229,3 +229,30 @@ func (r *Report) addWarning(d RaceDiagnostic, max int) {
 		r.Warnings = append(r.Warnings, d)
 	}
 }
+
+// merge adds sub's findings to r as if they had been added to r one by one,
+// under the same cap: r keeps sub's first diagnostics up to max.
+func (r *Report) merge(sub *Report, max int) {
+	r.DepsChecked += sub.DepsChecked
+	r.ViolationCount += sub.ViolationCount
+	r.WarningCount += sub.WarningCount
+	for k := KindRAW; k <= KindStaleReuse; k++ {
+		if c := sub.Counts[k]; c > 0 {
+			if r.Counts == nil {
+				r.Counts = make(map[Kind]int)
+			}
+			r.Counts[k] += c
+		}
+	}
+	r.Violations = appendCapped(r.Violations, sub.Violations, max)
+	r.Warnings = appendCapped(r.Warnings, sub.Warnings, max)
+}
+
+// appendCapped appends src to dst, which holds at most limit elements, up
+// to limit elements in total.
+func appendCapped(dst, src []RaceDiagnostic, limit int) []RaceDiagnostic {
+	if room := limit - len(dst); len(src) > room {
+		src = src[:room]
+	}
+	return append(dst, src...)
+}

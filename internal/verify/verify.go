@@ -19,6 +19,15 @@
 // stores at cache-line granularity checking every RAW, WAR and WAW pair
 // against the closure.
 //
+// The analyses that do not need each other run side by side on the worker
+// pool (internal/par): structural validation with the closure build, the
+// instance and bounds checks, and the race replay. The replay cannot wait
+// for the closure, so it asks a speculative oracle that answers from
+// per-node program order or a direct WaitFor arc and assumes every other
+// pair ordered; the closure then confirms the assumed pairs, and any
+// refutation re-runs the replay on the closure. The findings merge in the
+// serial order, so reports are identical at any GOMAXPROCS.
+//
 // On top of the race check it performs the analyses only a static pass can:
 // deadlock-freedom of the wait graph, sync-sufficiency (WaitFor arcs already
 // implied by the remaining arc structure, cross-validating
@@ -32,11 +41,13 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"dmacp/internal/addrmap"
 	"dmacp/internal/core"
 	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
+	"dmacp/internal/par"
 )
 
 // Input bundles what one Check run inspects.
@@ -133,6 +144,12 @@ func Check(in Input, o Options) (*Report, error) {
 }
 
 // check is Check with the closure's soft memory bound as a parameter.
+//
+// Its parts run on the worker pool, each into its own sub-report, and merge
+// in the serial order under the same caps. A part that panicked is re-run
+// on the calling goroutine, where it panics as a serial run would; the race
+// replay is re-run on the closure when the closure refutes an assumed
+// answer. The redundancy check runs on the closure after the merge.
 func check(in Input, o Options, closureTasks int) (*Report, error) {
 	o = o.withDefaults()
 	if in.Schedule == nil {
@@ -141,37 +158,126 @@ func check(in Input, o Options, closureTasks int) (*Report, error) {
 	if in.Mesh == nil {
 		return nil, fmt.Errorf("verify: nil mesh")
 	}
-	tasks := in.Schedule.Tasks
-
-	rep := &Report{Tasks: len(tasks), Instances: in.Schedule.Instances}
-
-	// Structural invariants first; a structurally broken schedule is still
-	// analyzed best-effort so the report can carry the deeper findings too.
-	if err := core.ValidateScheduleOn(in.Schedule, in.Mesh, in.Faults); err != nil {
-		rep.addViolation(RaceDiagnostic{
-			Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
-			Detail: err.Error(),
-		}, o.MaxDiagnostics)
+	var parts [numParts]part
+	// A recovered panic leaves its part's slot empty; the slot is refilled
+	// below.
+	_ = par.ForEach(0, numParts, func(i int) {
+		parts[i] = runPart(in, o, closureTasks, i)
+	})
+	finish := func(i int) part {
+		if parts[i].rep == nil {
+			parts[i] = runPart(in, o, closureTasks, i)
+		}
+		return parts[i]
 	}
 
-	// Happens-before closure over WaitFor arcs plus per-node program order.
-	// A cycle means the schedule deadlocks; no order-based check is possible.
-	hb, stuck := buildClosureBounded(tasks, true, closureTasks)
+	rep := &Report{Tasks: len(in.Schedule.Tasks), Instances: in.Schedule.Instances}
+	structure := finish(partStructure)
+	rep.merge(structure.rep, o.MaxDiagnostics)
+	// A cycle means the schedule deadlocks; no order-based check is
+	// possible, and a serial run stops here.
+	hb := structure.hb
 	if hb == nil {
 		rep.addViolation(RaceDiagnostic{
 			Kind: KindDeadlock, EarlierTask: noTask, LaterTask: noTask,
-			Detail: fmt.Sprintf("wait graph has a cycle; tasks stuck: %v", stuck),
+			Detail: fmt.Sprintf("wait graph has a cycle; tasks stuck: %v", structure.stuck),
 		}, o.MaxDiagnostics)
 		return rep, nil
 	}
-
-	if in.Prog != nil && in.Nest != nil {
-		checkInstances(in, o, rep)
-		checkBounds(in, o, rep)
+	rep.merge(finish(partInstances).rep, o.MaxDiagnostics)
+	races := parts[partRaces]
+	if races.rep == nil || !races.spec.confirmed(hb) {
+		races.rep = &Report{}
+		checkRaces(in, o, races.rep, hb.Ordered)
 	}
-	checkRaces(in, o, rep, hb)
+	rep.merge(races.rep, o.MaxDiagnostics)
 	checkRedundancy(in, o, rep, hb)
 	return rep, nil
+}
+
+// The independent parts of a Check run, in the order their findings merge.
+const (
+	partStructure = iota
+	partInstances
+	partRaces
+	numParts
+)
+
+// part is one part's outcome: its sub-report (nil until the part ran to the
+// end) and, for the structure part, the closure or the tasks stuck on a
+// cycle; for the races part, the speculation its replay answered from.
+type part struct {
+	rep   *Report
+	hb    *Closure
+	stuck []int
+	spec  *speculation
+}
+
+// runPart runs part i of a Check run.
+func runPart(in Input, o Options, closureTasks, i int) part {
+	rep := &Report{}
+	switch i {
+	case partStructure:
+		// A structurally broken schedule is still analyzed best-effort, so
+		// the report can carry the deeper findings too.
+		if err := core.ValidateScheduleOn(in.Schedule, in.Mesh, in.Faults); err != nil {
+			rep.addViolation(RaceDiagnostic{
+				Kind: KindStructural, EarlierTask: noTask, LaterTask: noTask,
+				Detail: err.Error(),
+			}, o.MaxDiagnostics)
+		}
+		// Happens-before closure over WaitFor arcs plus per-node program
+		// order.
+		hb, stuck := buildClosureBounded(in.Schedule.Tasks, true, closureTasks)
+		return part{rep: rep, hb: hb, stuck: stuck}
+	case partInstances:
+		if in.Prog != nil && in.Nest != nil {
+			checkInstances(in, o, rep)
+			checkBounds(in, o, rep)
+		}
+		return part{rep: rep}
+	default:
+		spec := &speculation{tasks: in.Schedule.Tasks}
+		checkRaces(in, o, rep, spec.ordered)
+		return part{rep: rep, spec: spec}
+	}
+}
+
+// speculation is the race replay's ordering oracle while the closure is
+// still being built. It answers from what a single task already shows:
+// per-node program order (a and b on one node, a first) or a direct WaitFor
+// arc a -> b, both of which the closure orders. Any other pair it records and
+// answers "ordered". On clean schedules nearly every query is answered
+// directly and every recorded pair is ordered.
+type speculation struct {
+	tasks   []*core.Task
+	assumed [][2]int
+}
+
+// ordered answers a happens-before query as Closure.Ordered would if the
+// recorded pairs hold.
+func (s *speculation) ordered(a, b int) bool {
+	if a == b {
+		return true
+	}
+	if n := len(s.tasks); a >= 0 && b >= 0 && a < n && b < n &&
+		((a < b && s.tasks[a].Node == s.tasks[b].Node) || slices.Contains(s.tasks[b].WaitFor, a)) {
+		return true
+	}
+	s.assumed = append(s.assumed, [2]int{a, b})
+	return true
+}
+
+// confirmed reports whether hb orders every pair the speculation assumed.
+// The race replay is a deterministic function of its query answers, so
+// then its result equals a replay on hb.
+func (s *speculation) confirmed(hb *Closure) bool {
+	for _, q := range s.assumed {
+		if !hb.Ordered(q[0], q[1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // name labels a line for diagnostics.
@@ -193,7 +299,8 @@ func lineOf(in Input, va uint64) (uint64, bool) {
 }
 
 // checkRaces replays the schedule's fetches and stores in task order at
-// cache-line granularity and queries the closure for every dependent pair:
+// cache-line granularity and asks ordered (the closure's Ordered, or the
+// speculation standing in for it) about every dependent pair:
 // RAW (last writer ordered before each reader), WAR (every reader since the
 // last write ordered before the next writer) and WAW (writers of one line
 // ordered). Tracking one reader per (line, node) suffices because same-node
@@ -210,7 +317,7 @@ func lineOf(in Input, va uint64) (uint64, bool) {
 // reader's copy. A hit with neither justification — killed by
 // invalidation, or never created — would observe a stale value on
 // coherent hardware and is a Violation.
-func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
+func checkRaces(in Input, o Options, rep *Report, ordered func(a, b int) bool) {
 	tasks := in.Schedule.Tasks
 	lines := make(map[uint64]int32) // line -> index into states
 	var states []lineState
@@ -253,7 +360,7 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 			st := stateOf(f.Line)
 			if w := st.writer; st.written && w != t.ID {
 				rep.DepsChecked++
-				if !hb.Ordered(w, t.ID) && firstReport(w, t.ID, f.Line) {
+				if !ordered(w, t.ID) && firstReport(w, t.ID, f.Line) {
 					rep.addViolation(diag(KindRAW, tasks[w], t, f.Line,
 						"flow dependence unordered: no wait path from the write to the read"), o.MaxDiagnostics)
 				}
@@ -262,7 +369,7 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 					switch {
 					case okc && c >= w:
 						// Local reuse: the node's copy postdates the write.
-					case f.From == tasks[w].Node && hb.Ordered(w, t.ID):
+					case f.From == tasks[w].Node && ordered(w, t.ID):
 						// Store-to-load forwarding: the fetch sources the
 						// writer's node — where the only post-invalidation copy
 						// lives — and is ordered after the write, so the fresh
@@ -291,7 +398,7 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 		st := stateOf(line)
 		if w := st.writer; st.written && w != t.ID {
 			rep.DepsChecked++
-			if !hb.Ordered(w, t.ID) && firstReport(w, t.ID, line) {
+			if !ordered(w, t.ID) && firstReport(w, t.ID, line) {
 				rep.addViolation(diag(KindWAW, tasks[w], t, line,
 					"output dependence unordered: two stores to the line race"), o.MaxDiagnostics)
 			}
@@ -303,7 +410,7 @@ func checkRaces(in Input, o Options, rep *Report, hb *Closure) {
 				continue
 			}
 			rep.DepsChecked++
-			if !hb.Ordered(r.task, t.ID) && firstReport(r.task, t.ID, line) {
+			if !ordered(r.task, t.ID) && firstReport(r.task, t.ID, line) {
 				rep.addViolation(diag(KindWAR, tasks[r.task], t, line,
 					"anti dependence unordered: the store can overtake the read"), o.MaxDiagnostics)
 			}
