@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/verify/ -run '^FuzzClosureDiff$$' -fuzz FuzzClosureDiff -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^FuzzReduceSyncs$$' -fuzz FuzzReduceSyncs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/assign/ -run '^FuzzMinCost$$' -fuzz FuzzMinCost -fuzztime $(FUZZTIME)
+	$(GO) test ./pipeline/ -run '^FuzzPipelineInput$$' -fuzz FuzzPipelineInput -fuzztime $(FUZZTIME)
 
 # Static schedule race detection over the default kernel, both schedules.
 # -strict: advisory warnings also fail the gate (the emitters ship
@@ -89,13 +90,11 @@ verifybig:
 # The differential gates, each over its full suite:
 #   verifydiff   random programs x every scheduler variant verify clean
 #   faultsweep   seeded fault ladder over all 12 workloads: every repaired
-#                schedule verifies clean, movement degrades monotonically
+#                schedule verifies clean, movement degrades monotonically;
+#                an expired deadline still returns a verifier-clean repair
 #   onlinesweep  every mid-run fault event repairs verifier-clean, batched
 #                reassignment never loses to greedy (strictly wins on >= 3
 #                workloads), re-repair beats re-partition-from-scratch
-#   churnsweep   recovery events re-integrate verifier-clean and only when the
-#                movement accounting wins; kill/revive loops cannot thrash;
-#                an expired deadline still returns a verifier-clean repair
 #   fusionsweep  fused schedules verify clean and execute identically, fused
 #                bytes x hops <= unfused everywhere (strictly on >= 4)
 # plus each gate's byte-identity at -j 1 vs -j 8 and its Runner experiment
@@ -109,7 +108,7 @@ verifybig:
 # GOMAXPROCS 1 and 4 (-cpu 1,4), so the reference meets Check's parts both
 # on the calling goroutine and side by side.
 GATES = TestVerifyDifferentialAllVariantsClean TestFaultSweepAllWorkloadsRepairClean \
-	TestOnlineSweepGate TestChurnSweepGate TestFusionSweepGate \
+	TestOnlineSweepGate TestFusionSweepGate \
 	TestGatesDeterministicAcrossJobs TestRunnerGateExperiments TestScheduleDigests \
 	TestCheckMatchesReference TestSweepWinnerMatchesFixedWindow \
 	TestSharedPlansMatchFreshBuild

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		runList  = flag.String("run", "all", "comma-separated experiment ids (table1..table3, fig13..fig24, ablations, verifydiff, faultsweep, onlinesweep, churnsweep, fusionsweep) or 'all'")
+		runList  = flag.String("run", "all", "comma-separated experiment ids (table1..table3, fig13..fig24, ablations, verifydiff, faultsweep, onlinesweep, fusionsweep) or 'all'")
 		iters    = flag.Int("iters", workloads.DefaultScale().Iters, "workload base iterations")
 		elems    = flag.Int("elems", workloads.DefaultScale().Elems, "workload array length")
 		markdown = flag.Bool("markdown", false, "emit Markdown (for EXPERIMENTS.md)")
@@ -65,7 +65,6 @@ func main() {
 		{"verifydiff", runner.VerifyDiff},
 		{"faultsweep", runner.FaultSweep},
 		{"onlinesweep", runner.OnlineSweep},
-		{"churnsweep", runner.ChurnSweep},
 		{"fusionsweep", runner.FusionSweep},
 	}
 

@@ -52,17 +52,6 @@ func MigrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptio
 	return p.dist, nil
 }
 
-// ReintegrateForReplay returns the schedule ReintegrateOnline would hand
-// the dependence replay, its hops refreshed (nil when no task returns), and
-// the distances the replay uses.
-func ReintegrateForReplay(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, revived []mesh.NodeID, h float64, churn *ChurnState) (*Schedule, *mesh.DistanceTable) {
-	plan := planReintegration(s, m, f, revived, h, churn, &ReintegrateReport{})
-	if plan.moved != nil {
-		refreshHops(plan.moved, plan.dist)
-	}
-	return plan.moved, plan.dist
-}
-
 // CheckSharedPlans locates nest, builds its shared reuse-free plans as a
 // window sweep does, and compares every plan and analysis, in each field a
 // scheduling pass reads, with a fresh buildPlan + AnalyzeInto from empty reuse

@@ -214,10 +214,6 @@ func TestRepairRejectsMalformedArcs(t *testing.T) {
 					_, _, err := RepairOnline(s, emptyCheckpoint(s, m), m, f, RepairOptions{}, nil)
 					return err
 				},
-				"ReintegrateOnline": func() error {
-					_, _, err := ReintegrateOnline(s, m, mesh.NewFaultSet(), []mesh.NodeID{0}, NewChurnState(), nil)
-					return err
-				},
 			}
 			for name, run := range entries {
 				err := run()

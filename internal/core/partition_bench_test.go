@@ -67,51 +67,6 @@ func BenchmarkPartitionSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkReintegrateOnline times one re-integration decision round (pricing,
-// movement accounting and the verifier gate) on its own. Set-up partitions
-// Barnes' force nest, checkpoints a mid-run fault set, repairs the residual
-// schedule around it, and then revives every dead element.
-func BenchmarkReintegrateOnline(b *testing.B) {
-	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 48, Elems: 1 << 13})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.DefaultOptions()
-	opts.FixedWindow = 4
-	m := opts.Mesh
-	part, err := core.Partition(app.Prog, app.Nests[0], app.Store, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	simCfg := sim.DefaultConfig(m)
-	base, err := sim.Run(part.Schedule, simCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := mesh.Inject(m, 1, 3, 0, 1, true)
-	simCfg.FaultEvents = []sim.FaultEvent{{Cycle: base.Cycles / 2, Faults: faults}}
-	run, err := sim.Run(part.Schedule, simCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	residual, _, err := core.RepairOnline(part.Schedule, run.Checkpoints[0], m, faults, core.RepairOptions{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cleared := mesh.NewFaultSet()
-	revived := mesh.RevivedNodes(m, faults, cleared)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		churn := core.NewChurnState()
-		churn.Observe(m, faults)
-		churn.Observe(m, cleared)
-		if _, _, err := core.ReintegrateOnline(residual, m, cleared, revived, churn, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRepairSchedule times one AssignAuto repair (both assignment
 // strategies, the dependence replay and the sync reduction) of a residual
 // schedule. Set-up partitions Barnes' force nest, lets 3 dead links and 1

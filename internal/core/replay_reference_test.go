@@ -88,17 +88,16 @@ func onlineEvents(t *testing.T, apps []string, visit func(name string, s *core.S
 }
 
 // TestReemitMatchesReference requires the chain-label dependence replay to
-// add exactly the arcs the bitset replay it replaced adds, on the three
-// kinds of input the repair ladder feeds it: the residual of every online
-// fault event over the suite after migration under both assignment
-// strategies, partitioned schedules with random tasks moved to random
-// nodes, and the re-integration path's returned-work clones.
+// add exactly the arcs the bitset replay it replaced adds, on the two kinds
+// of input the repair ladder feeds it: the residual of every online fault
+// event over the suite after migration under both assignment strategies,
+// and partitioned schedules with random tasks moved to random nodes.
 func TestReemitMatchesReference(t *testing.T) {
 	apps := workloads.Names()
 	if testing.Short() {
 		apps = apps[:3]
 	}
-	var online, moved, returned replayTally
+	var online, moved replayTally
 	rng := rand.New(rand.NewSource(20))
 	onlineEvents(t, apps, func(name string, s *core.Schedule, ck *core.Checkpoint, m *mesh.Mesh, f *mesh.FaultSet) {
 		residual := core.ResidualOf(s, ck)
@@ -131,29 +130,11 @@ func TestReemitMatchesReference(t *testing.T) {
 			tk.WaitFor, tk.WaitHops = waits, hops
 		}
 		sameReplay(t, name+" random moves", c, dist, &moved)
-
-		// Re-integration after every dead element revives, at the default
-		// hysteresis and at one low enough to return most candidates.
-		repaired, _, err := core.RepairOnline(s, ck, m, f, core.RepairOptions{}, nil)
-		if err != nil {
-			return // unrepairable events have nothing to re-integrate
-		}
-		cleared := mesh.NewFaultSet()
-		revived := mesh.RevivedNodes(m, f, cleared)
-		for _, h := range []float64{1, 0.01} {
-			churn := core.NewChurnState()
-			churn.Observe(m, f)
-			churn.Observe(m, cleared)
-			back, dist := core.ReintegrateForReplay(repaired, m, cleared, revived, h, churn)
-			if back != nil {
-				sameReplay(t, fmt.Sprintf("%s reintegrate h=%g", name, h), back, dist, &returned)
-			}
-		}
 	})
 	for _, c := range []struct {
 		name  string
 		tally replayTally
-	}{{"online residuals", online}, {"random moves", moved}, {"re-integration", returned}} {
+	}{{"online residuals", online}, {"random moves", moved}} {
 		t.Logf("%s: %d schedules, %d arcs added", c.name, c.tally.schedules, c.tally.added)
 		if c.tally.schedules == 0 || c.tally.added == 0 {
 			t.Errorf("%s: compared %d schedules adding %d arcs; the class went unexercised",

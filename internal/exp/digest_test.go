@@ -260,10 +260,9 @@ func (d *digest) onlineReport(r *core.OnlineReport) {
 }
 
 // derivedLineIDs checks the line IDs of the schedules derived from the
-// partitioner's s on mesh m under faults f: its offline repair, the online
-// residual rs (nil when the online repair failed), and rs re-integrated
-// once every fault clears. None of them is digested; each must keep s's
-// numbering and its bound.
+// partitioner's s on mesh m under faults f: its offline repair and the
+// online residual rs (nil when the online repair failed). Neither is
+// digested; each must keep s's numbering and its bound.
 func derivedLineIDs(s, rs *core.Schedule, m *mesh.Mesh, f *mesh.FaultSet, ro core.RepairOptions) error {
 	parent, err := lineIDsConsistent(s, true)
 	if err != nil {
@@ -273,15 +272,7 @@ func derivedLineIDs(s, rs *core.Schedule, m *mesh.Mesh, f *mesh.FaultSet, ro cor
 	if rep, _, err := core.RepairVerified(s, m, f, ro, nil); err == nil {
 		derived["repair"] = rep
 	}
-	if rs != nil {
-		cleared := mesh.NewFaultSet()
-		back, _, err := core.ReintegrateOnline(rs, m, cleared, mesh.RevivedNodes(m, f, cleared), core.NewChurnState(), nil)
-		if err != nil {
-			return fmt.Errorf("re-integrate: %w", err)
-		}
-		derived["re-integrate"] = back
-	}
-	for _, path := range []string{"repair", "online", "re-integrate"} {
+	for _, path := range []string{"repair", "online"} {
 		d := derived[path]
 		if d == nil {
 			continue

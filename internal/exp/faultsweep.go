@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
@@ -46,9 +48,13 @@ type FaultSweepResult struct {
 	Migrated    int
 	AddedArcs   int
 	FullRepairs int
+	// DeadlineProbes counts the series that ran the deadline probe (see
+	// deadlineProbe); the table does not print it.
+	DeadlineProbes int
 	// Violations holds one line per failure: a repair that errored on a
-	// repairable mesh, a repaired schedule the verifier refuted, or a
-	// simulation that rejected a repaired schedule. Empty means every
+	// repairable mesh, a repaired schedule the verifier refuted, a
+	// simulation that rejected a repaired schedule, or a deadline probe
+	// whose incumbent failed or beat the unbounded run. Empty means every
 	// surviving schedule is dependence-sound.
 	Violations []string
 	// NonMonotonic holds one line per level whose mean movement ratio fell
@@ -73,13 +79,14 @@ const monotonicTolerance = 0.02
 
 // faultTally is one series' share of a fault sweep, one slot per level.
 type faultTally struct {
-	sums, csums []float64
-	counts      []int
-	repaired    int
-	migrated    int
-	addedArcs   int
-	fullRepairs int
-	violations  []string
+	sums, csums    []float64
+	counts         []int
+	repaired       int
+	migrated       int
+	addedArcs      int
+	fullRepairs    int
+	deadlineProbes int
+	violations     []string
 }
 
 // FaultSweep partitions every workload nest under the gate variant, injects
@@ -88,7 +95,8 @@ type faultTally struct {
 // statically verifies every survivor against the IR with fault-aware
 // structural checks, and simulates it on the degraded mesh. It asserts the
 // robustness contract: no surviving schedule drops a dependence, and data
-// movement degrades monotonically-reasonably with fault count.
+// movement degrades monotonically-reasonably with fault count. Each series
+// also runs the deadline probe.
 func FaultSweep(cfg GateConfig) (*FaultSweepResult, error) {
 	nl := len(faultLevels)
 	apps, byApp, err := runSeries("faultsweep", cfg, func(s *gateSeries, out *faultTally) error {
@@ -134,6 +142,7 @@ func FaultSweep(cfg GateConfig) (*FaultSweepResult, error) {
 				out.csums[li] += sr.Cycles / baseSim.Cycles
 			}
 		}
+		deadlineProbe(s, out)
 		return nil
 	})
 	if err != nil {
@@ -166,6 +175,7 @@ func FaultSweep(cfg GateConfig) (*FaultSweepResult, error) {
 			res.Migrated += out.migrated
 			res.AddedArcs += out.addedArcs
 			res.FullRepairs += out.fullRepairs
+			res.DeadlineProbes += out.deadlineProbes
 			res.Violations = append(res.Violations, out.violations...)
 		}
 	}
@@ -193,6 +203,54 @@ func FaultSweep(cfg GateConfig) (*FaultSweepResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// deadlineProbe kills the first non-MC tile hosting tasks of s and repairs
+// the schedule twice: under an expired deadline, which must still return a
+// verifier-clean greedy incumbent, and under a deadline that cannot pass,
+// which must never end with more movement than that incumbent. Neither
+// outcome depends on timing, so the sweep stays byte-identical at every -j.
+// A series with no such tile runs no probe.
+func deadlineProbe(s *gateSeries, out *faultTally) {
+	sched, m := s.part.Schedule, s.opts.Mesh
+	victim := mesh.InvalidNode
+	for _, t := range sched.Tasks {
+		if !m.IsMemoryController(t.Node) && (victim == mesh.InvalidNode || t.Node < victim) {
+			victim = t.Node
+		}
+	}
+	if victim == mesh.InvalidNode {
+		return
+	}
+	f := mesh.NewFaultSet()
+	f.KillTile(victim)
+	ro := core.RepairOptions{LoadThreshold: s.opts.LoadThreshold}
+	out.deadlineProbes++
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Time{})
+	defer cancel()
+	bounded, brep, err := core.RepairVerifiedCtx(expired, sched, m, f, ro, nil)
+	if err != nil {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: deadline repair with an incumbent failed: %v", s.nest.Name, err))
+		return
+	}
+	if err := core.ValidateScheduleOn(bounded, m, f); err != nil {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: deadline incumbent not verifier-clean: %v", s.nest.Name, err))
+		return
+	}
+	unbounded, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	_, urep, err := core.RepairVerifiedCtx(unbounded, sched, m, f, ro, nil)
+	if err != nil {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: unbounded repair failed: %v", s.nest.Name, err))
+	} else if urep.MovementAfter > brep.MovementAfter {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: unbounded repair (%d) worse than the pre-deadline incumbent (%d)",
+			s.nest.Name, urep.MovementAfter, brep.MovementAfter))
+	}
 }
 
 // FaultSweep exposes the fault-injection harness as an experiment entry.

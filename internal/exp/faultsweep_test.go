@@ -14,7 +14,9 @@ import (
 // all 12 workloads, inject up to 3 dead links plus 1 dead non-MC tile,
 // repair every schedule through the verifier-gated path, and require that
 // every survivor verifies clean and that movement degrades
-// monotonically-reasonably across the nested fault ladder.
+// monotonically-reasonably across the nested fault ladder. The deadline
+// probes must run and return verifier-clean incumbents that unbounded runs
+// never regress below.
 func TestFaultSweepAllWorkloadsRepairClean(t *testing.T) {
 	res, err := FaultSweep(GateConfig{Scale: workloads.TestScale(), Seed: 1})
 	if err != nil {
@@ -38,6 +40,9 @@ func TestFaultSweepAllWorkloadsRepairClean(t *testing.T) {
 	}
 	if res.CycleRatio[0] == 0 {
 		t.Error("level 0 cycle ratio missing: degraded simulation did not run")
+	}
+	if res.DeadlineProbes == 0 {
+		t.Error("deadline probe ran no events")
 	}
 }
 

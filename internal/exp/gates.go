@@ -1,8 +1,7 @@
-// The workload differential gates — FaultSweep, OnlineSweep, ChurnSweep and
-// FusionSweep — share one harness: every gate builds the suite, partitions
-// each (app, nest) series under one partitioner variant, runs its own case
-// body per series on the worker pool, and merges the per-series tallies in
-// series order. `make gates` runs all of them (and VerifyDifferential).
+// The workload differential gates — FaultSweep, OnlineSweep and FusionSweep —
+// share one harness: every gate builds the suite, partitions each (app, nest)
+// series under one partitioner variant, runs its own case body per series on
+// the worker pool, and merges the per-series tallies in series order. `make gates` runs all of them (and VerifyDifferential).
 
 package exp
 

@@ -25,7 +25,7 @@ type gateCase struct {
 // result erases a gate's result type so the cases fit one table.
 func result[T any](r T, err error) (any, error) { return r, err }
 
-// gateCases lists the five differential gates, one subtest each.
+// gateCases lists the four differential gates, one subtest each.
 var gateCases = []gateCase{
 	{
 		id: "verifydiff",
@@ -48,14 +48,6 @@ var gateCases = []gateCase{
 				Scale: workloads.TestScale(), Seed: 7, Jobs: jobs}))
 		},
 		entry: (*Runner).OnlineSweep, title: "Online fault arrival",
-	},
-	{
-		id: "churnsweep",
-		sweep: func(jobs int) (any, error) {
-			return result(ChurnSweep(GateConfig{Apps: []string{"FFT", "MiniMD"},
-				Scale: workloads.TestScale(), Seed: 7, Jobs: jobs}))
-		},
-		entry: (*Runner).ChurnSweep, title: "Fault churn",
 	},
 	{
 		id: "fusionsweep",

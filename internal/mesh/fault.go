@@ -34,8 +34,8 @@ type FaultSet struct {
 
 	// distMu guards the memoized degraded distance view. Repair,
 	// validation and the simulator all read the same view; caching it here
-	// amortizes the per-node BFS across those passes. Any Kill* or
-	// ReviveTile mutation invalidates the cache.
+	// amortizes the per-node BFS across those passes. Every Kill*
+	// mutation invalidates the cache.
 	distMu   sync.Mutex
 	distMesh *Mesh
 	dist     *DistanceTable
@@ -287,7 +287,7 @@ func (m *Mesh) RouteAvoiding(src, dst NodeID, f *FaultSet) ([]Link, error) {
 // partitioned. Schedule repair, validation and the simulator read it
 // instead of running BFS per query. A pristine mesh (nil or empty f)
 // returns the mesh's own DistanceTable; a degraded view is memoized on the
-// fault set (cleared by any Kill* or ReviveTile mutation). Either way the
+// fault set (cleared by every Kill* mutation). Either way the
 // view is shared and read-only.
 func (m *Mesh) AllDistancesAvoiding(f *FaultSet) *DistanceTable {
 	if f.Empty() {
