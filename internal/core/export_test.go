@@ -32,8 +32,7 @@ var (
 
 // ResidualOf cuts s at the checkpoint as RepairOnline does.
 func ResidualOf(s *Schedule, ck *Checkpoint) *Schedule {
-	rs, _ := buildResidual(s, ck)
-	return rs
+	return buildResidual(s, ck, &OnlineReport{})
 }
 
 // MigrateForReplay runs repair's migration on s under o's strategy and

@@ -51,8 +51,11 @@ func TestCheckShapeRejectsBadLineIDs(t *testing.T) {
 			ck := &core.Checkpoint{
 				Done:       make([]bool, len(s.Tasks)),
 				NodeFree:   make([]float64, m.Nodes()),
-				L1Resident: map[mesh.NodeID][]uint64{},
-				Home:       map[uint64]mesh.NodeID{},
+				L1Resident: make([][]int32, m.Nodes()),
+				Home:       make([]mesh.NodeID, s.Lines),
+			}
+			for id := range ck.Home {
+				ck.Home[id] = mesh.InvalidNode
 			}
 			entries := map[string]func() error{
 				"CheckShape":         func() error { return core.CheckShape(s, m) },

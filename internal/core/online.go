@@ -27,13 +27,38 @@ type Checkpoint struct {
 	// seeds sim.Config.NodeFreeAt so the residual resumes where the
 	// completed work left the machine.
 	NodeFree []float64
-	// L1Resident lists, per node, the lines with a live L1 copy at the cut
-	// (each slice sorted ascending). Copies follow the write-invalidate
-	// model the verifier replays.
-	L1Resident map[mesh.NodeID][]uint64
-	// Home maps each result line written before the cut to the node whose
-	// store owns the sole post-invalidation copy.
-	Home map[uint64]mesh.NodeID
+	// L1Resident lists, per node (one list per mesh node), the IDs of the
+	// lines with a live L1 copy at the cut, each list strictly ascending.
+	// Copies follow the write-invalidate model the verifier replays.
+	L1Resident [][]int32
+	// Home, indexed by line ID (Lines entries), is the node whose store
+	// owns the sole post-invalidation copy of a line written before the
+	// cut, or mesh.InvalidNode for a line with no completed store.
+	Home []mesh.NodeID
+}
+
+// fits checks that the checkpoint was cut from a schedule of s's shape on
+// m: one Done flag per task, one Home per line, one L1 list per node, every
+// resident ID a line of s, each list ascending, and a home on the mesh for
+// every completed store. s must have passed CheckShape.
+func (ck *Checkpoint) fits(s *Schedule, m *mesh.Mesh) error {
+	if len(ck.Done) != len(s.Tasks) || len(ck.Home) != s.Lines || len(ck.L1Resident) != m.Nodes() {
+		return fmt.Errorf("core: checkpoint of %d tasks, %d lines and %d nodes does not fit %d tasks and %d lines on %d nodes",
+			len(ck.Done), len(ck.Home), len(ck.L1Resident), len(s.Tasks), s.Lines, m.Nodes())
+	}
+	for n, ids := range ck.L1Resident {
+		for k, id := range ids {
+			if id < 0 || int(id) >= s.Lines || (k > 0 && id <= ids[k-1]) {
+				return fmt.Errorf("core: checkpoint's L1 list of node %d holds line ID %d out of order or outside [0, %d)", n, id, s.Lines)
+			}
+		}
+	}
+	for i, t := range s.Tasks {
+		if ck.Done[i] && t.IsRoot && !m.Valid(ck.Home[t.ResultID]) {
+			return fmt.Errorf("core: checkpoint homes task %d's completed store on node %d, not on the mesh", i, ck.Home[t.ResultID])
+		}
+	}
+	return nil
 }
 
 // CompletedInstances returns the (iter, stmt) -> done predicate for the
@@ -127,10 +152,10 @@ type OnlineReport struct {
 //     every accepted repair. check should skip completed instances — pass
 //     verify.Input.Completed = ck.CompletedInstances(s).
 //
-// The input schedule is never mutated; a malformed one (see RepairSchedule)
-// is refused before it is cut. The returned schedule is the accepted
-// residual (its task IDs are its own, dense from zero). It is
-// RepairOnlineCtx without a deadline.
+// The input schedule is never mutated; a malformed one (see
+// RepairSchedule), or a checkpoint that does not fit it, is refused before
+// it is cut. The returned schedule is the accepted residual (its task IDs
+// are its own, dense from zero). It is RepairOnlineCtx without a deadline.
 func RepairOnline(s *Schedule, ck *Checkpoint, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *OnlineReport, error) {
 	return RepairOnlineCtx(context.Background(), s, ck, m, f, o, check)
 }
@@ -143,8 +168,8 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 	if err := CheckShape(s, m); err != nil {
 		return nil, nil, err
 	}
-	if len(ck.Done) != len(s.Tasks) {
-		return nil, nil, fmt.Errorf("core: checkpoint covers %d tasks, schedule has %d", len(ck.Done), len(s.Tasks))
+	if err := ck.fits(s, m); err != nil {
+		return nil, nil, err
 	}
 	rep := &OnlineReport{InFlightTasks: len(ck.InFlight)}
 
@@ -156,44 +181,31 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 	if regionMC == mesh.InvalidNode {
 		return nil, nil, fmt.Errorf("core: online repair impossible: no usable memory controller survives (%s): %w", f, mesh.ErrPartitioned)
 	}
-	dt := m.DistanceTable()
-	usableMCs := make([]mesh.NodeID, 0, 4)
-	for _, mc := range m.MemoryControllers() {
-		if region[mc] {
-			usableMCs = append(usableMCs, mc)
-		}
-	}
+	dt, mcs := m.DistanceTable(), m.MemoryControllers()
 	recoveryHops := func(from mesh.NodeID) int64 {
 		best := -1
-		for _, mc := range usableMCs {
-			if d := dt.Between(from, mc); best < 0 || d < best {
+		for _, mc := range mcs {
+			if d := dt.Between(from, mc); region[mc] && (best < 0 || d < best) {
 				best = d
 			}
 		}
 		return int64(best)
 	}
-	// Result-line homes per node, counted in one pass over ck.Home; a home
-	// off the mesh is on no node to lose.
-	homes := make([]int, m.Nodes())
-	//lint:dmacp-allow maporder commutative int accumulation
+	// A line with no home is on no node to lose.
 	for _, home := range ck.Home {
-		if home >= 0 && int(home) < len(homes) {
-			homes[home]++
+		if m.Valid(home) && !region[home] {
+			rep.RehomedPages++
+			rep.MigrationTraffic += recoveryHops(home)
 		}
 	}
-	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
-		if region[n] {
-			continue
+	for n, ids := range ck.L1Resident {
+		if !region[n] {
+			rep.SpilledL1Lines += len(ids)
+			rep.MigrationTraffic += recoveryHops(mesh.NodeID(n)) * int64(len(ids))
 		}
-		rep.SpilledL1Lines += len(ck.L1Resident[n])
-		rep.RehomedPages += homes[n]
-		rep.MigrationTraffic += recoveryHops(n) * int64(len(ck.L1Resident[n])+homes[n])
 	}
 
-	rs, rstats := buildResidual(s, ck)
-	rep.CompletedTasks = rstats.completed
-	rep.ConvertedFetches = rstats.converted
-	rep.DroppedArcs = rstats.dropped
+	rs := buildResidual(s, ck, rep)
 	rep.ResidualTasks = len(rs.Tasks)
 
 	// The cut is this call's own, so the ladder's first attempt repairs it
@@ -204,8 +216,7 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 			cut = nil
 			return c
 		}
-		c, _ := buildResidual(s, ck)
-		return c
+		return buildResidual(s, ck, &OnlineReport{})
 	}
 	repaired, rrep, err := repairVerified(ctx, fresh, m, f, o, check)
 	if err != nil {
@@ -215,24 +226,16 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 	return repaired, rep, nil
 }
 
-// residualStats tallies what buildResidual changed while cutting the
-// schedule at a checkpoint.
-type residualStats struct {
-	completed int // tasks dropped because their instance finished
-	converted int // fetches retargeted to a completed writer's home copy
-	dropped   int // arcs into completed producers removed
-}
-
 // buildResidual cuts s at the checkpoint: tasks of unfinished instances
 // survive with IDs renumbered densely in original (topological) order and
 // their line IDs kept (the residual shares s's Lines bound), arcs whose
 // producer completed are dropped (execution time orders them across the
 // cut), and fetches whose last writer completed are retargeted to the
 // write-invalidated line's surviving home copy — keeping L1-hit claims only
-// where the checkpoint shows a live copy at the consumer. The input
+// where the checkpoint shows a live copy at the consumer. It counts the
+// completed tasks, converted fetches and dropped arcs into rep. The input
 // schedule is never mutated.
-func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
-	var st residualStats
+func buildResidual(s *Schedule, ck *Checkpoint, rep *OnlineReport) *Schedule {
 	// The residual's tasks, fetches and arcs each take one slab, carved as
 	// Clone carves them.
 	nt, nf, nw := 0, 0, 0
@@ -253,7 +256,7 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	res.Reserve(s.Lines)
 	for i, t := range s.Tasks {
 		if ck.Done[i] {
-			st.completed++
+			rep.CompletedTasks++
 			if t.IsRoot {
 				res.Write(t.ResultID, t.Node, i)
 			}
@@ -273,19 +276,20 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			// The last write completed before the cut: the only valid copy
 			// lives at the checkpointed home (write-invalidate), unless this
 			// node's own copy postdates it.
-			home := ck.Home[fe.Line]
+			home := ck.Home[fe.LineID]
 			converted := false
 			if fe.From != home {
 				fe.From = home
 				fe.L2Miss = false // served cache-to-cache from the home copy
 				converted = true
 			}
-			if fe.L1Hit && !lineResident(ck, t.Node, fe.Line) {
+			// L1Resident lists are ascending, so binary search applies.
+			if _, live := slices.BinarySearch(ck.L1Resident[t.Node], fe.LineID); fe.L1Hit && !live {
 				fe.L1Hit = false // the forwarding handshake died with its arc
 				converted = true
 			}
 			if converted {
-				st.converted++
+				rep.ConvertedFetches++
 			}
 		}
 		// Arcs into completed producers are dropped: execution time orders
@@ -293,7 +297,7 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 		a := len(ints)
 		for _, p := range t.WaitFor {
 			if ck.Done[p] {
-				st.dropped++
+				rep.DroppedArcs++
 				continue
 			}
 			ints = append(ints, newID[p])
@@ -320,12 +324,5 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 		arcs += len(t.WaitFor)
 	}
 	rs.SyncsBefore, rs.SyncsAfter = arcs, arcs
-	return rs, st
-}
-
-// lineResident reports whether the checkpoint holds a live L1 copy of line
-// at node (L1Resident slices are sorted, so binary search applies).
-func lineResident(ck *Checkpoint, node mesh.NodeID, line uint64) bool {
-	_, ok := slices.BinarySearch(ck.L1Resident[node], line)
-	return ok
+	return rs
 }

@@ -12,12 +12,16 @@ import (
 // emptyCheckpoint builds a checkpoint where nothing has completed: the whole
 // schedule is residual and no live state exists to migrate.
 func emptyCheckpoint(s *Schedule, m *mesh.Mesh) *Checkpoint {
-	return &Checkpoint{
+	ck := &Checkpoint{
 		Done:       make([]bool, len(s.Tasks)),
 		NodeFree:   make([]float64, m.Nodes()),
-		L1Resident: map[mesh.NodeID][]uint64{},
-		Home:       map[uint64]mesh.NodeID{},
+		L1Resident: make([][]int32, m.Nodes()),
+		Home:       make([]mesh.NodeID, s.Lines),
 	}
+	for id := range ck.Home {
+		ck.Home[id] = mesh.InvalidNode
+	}
+	return ck
 }
 
 // firstInstanceCheckpoint marks every task of the schedule's first statement
@@ -32,8 +36,8 @@ func firstInstanceCheckpoint(s *Schedule, m *mesh.Mesh) *Checkpoint {
 		}
 		ck.Done[i] = true
 		if t.IsRoot {
-			ck.Home[t.ResultLine] = t.Node
-			ck.L1Resident[t.Node] = append(ck.L1Resident[t.Node], t.ResultLine)
+			ck.Home[t.ResultID] = t.Node
+			ck.L1Resident[t.Node] = append(ck.L1Resident[t.Node], t.ResultID)
 		}
 	}
 	return ck
@@ -87,15 +91,6 @@ func TestRepairOnlineAllMCsDeadIsPartitioned(t *testing.T) {
 	}
 	if !errors.Is(err, mesh.ErrPartitioned) {
 		t.Errorf("all MCs dead: error %v does not wrap mesh.ErrPartitioned", err)
-	}
-}
-
-func TestRepairOnlineRejectsMismatchedCheckpoint(t *testing.T) {
-	s, opts := partitioned(t)
-	ck := emptyCheckpoint(s, opts.Mesh)
-	ck.Done = ck.Done[:len(ck.Done)-1]
-	if _, _, err := RepairOnline(s, ck, opts.Mesh, mesh.NewFaultSet(), RepairOptions{}, nil); err == nil {
-		t.Fatal("stale checkpoint accepted")
 	}
 }
 
@@ -164,7 +159,7 @@ func TestRepairOnlineLadderMatchesResidualRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, _ := buildResidual(s, ck)
+		rs := buildResidual(s, ck, &OnlineReport{})
 		want, wrep, err := RepairVerified(rs, m, f, RepairOptions{}, checker())
 		if err != nil {
 			t.Fatal(err)
@@ -223,6 +218,50 @@ func TestRepairRejectsMalformedArcs(t *testing.T) {
 				if !strings.Contains(err.Error(), "task 2 ") {
 					t.Errorf("%s: error %q does not name task 2", name, err)
 				}
+			}
+			if !reflect.DeepEqual(s, snapshot) {
+				t.Error("a refused repair modified its input")
+			}
+		})
+	}
+}
+
+// TestRepairOnlineRejectsMismatchedCheckpoint requires RepairOnline to
+// refuse, with an error and without touching the schedule, a checkpoint
+// that does not fit it: per-task, per-line and per-node tables of the wrong
+// length, a resident line ID outside the schedule's lines or out of order,
+// and a completed store without a home.
+func TestRepairOnlineRejectsMismatchedCheckpoint(t *testing.T) {
+	probes := []struct {
+		name    string
+		corrupt func(s *Schedule, ck *Checkpoint)
+	}{
+		{"one Done flag short", func(s *Schedule, ck *Checkpoint) { ck.Done = ck.Done[:len(ck.Done)-1] }},
+		{"one Home short", func(s *Schedule, ck *Checkpoint) { ck.Home = ck.Home[:len(ck.Home)-1] }},
+		{"one L1 list short", func(s *Schedule, ck *Checkpoint) { ck.L1Resident = ck.L1Resident[:len(ck.L1Resident)-1] }},
+		{"resident ID at the bound", func(s *Schedule, ck *Checkpoint) { ck.L1Resident[1] = append(ck.L1Resident[1], int32(s.Lines)) }},
+		{"negative resident ID", func(s *Schedule, ck *Checkpoint) { ck.L1Resident[1] = append(ck.L1Resident[1], -1) }},
+		{"resident IDs descending", func(s *Schedule, ck *Checkpoint) { ck.L1Resident[1] = append(ck.L1Resident[1], 2, 1) }},
+		{"completed store without a home", func(s *Schedule, ck *Checkpoint) {
+			for i, tk := range s.Tasks {
+				if ck.Done[i] && tk.IsRoot {
+					ck.Home[tk.ResultID] = mesh.InvalidNode
+				}
+			}
+		}},
+	}
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			s, opts := partitioned(t)
+			m := opts.Mesh
+			ck := firstInstanceCheckpoint(s, m)
+			if _, _, err := RepairOnline(s, ck, m, mesh.NewFaultSet(), RepairOptions{}, nil); err != nil {
+				t.Fatalf("fitting checkpoint refused: %v", err)
+			}
+			p.corrupt(s, ck)
+			snapshot := s.Clone()
+			if _, _, err := RepairOnline(s, ck, m, mesh.NewFaultSet(), RepairOptions{}, nil); err == nil {
+				t.Fatal("checkpoint that does not fit the schedule accepted")
 			}
 			if !reflect.DeepEqual(s, snapshot) {
 				t.Error("a refused repair modified its input")

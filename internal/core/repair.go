@@ -149,16 +149,16 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // result. When no task is stranded both would be the same schedule, so the
 // repair runs once, in place.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
-	return repairCtx(context.Background(), s, m, f, o)
-}
-
-// repairCtx is RepairSchedule under a context that only AssignAuto's
-// best-of consults. Every strategy takes the same steps: strand (repair
-// steps 1-3 up to the placement), place, finish.
-func repairCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	if err := CheckShape(s, m); err != nil {
 		return nil, err
 	}
+	return repairCtx(context.Background(), s, m, f, o)
+}
+
+// repairCtx is RepairSchedule, without the shape check, under a context
+// that only AssignAuto's best-of consults. Every strategy takes the same
+// steps: strand (repair steps 1-3 up to the placement), place, finish.
+func repairCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	rep := &RepairReport{Full: o.Full, Strategy: "none"}
 	before, err := MovementOn(s, m, nil)
 	if err != nil {
@@ -652,6 +652,9 @@ func (rp *arcReplay) need(t *Task, r []int32, p int) {
 // accepts a repair only when the checker does. The pipeline installs the
 // race detector here (core cannot import verify), so every schedule that
 // survives repair is proven dependence-sound, not just structurally valid.
+// The checker is the ladder's only gate: it must reject every schedule
+// ValidateScheduleOn(·, m, f) rejects, m and f being the mesh and fault set
+// the repair targets. verify.Checker does when its Input.Faults is f.
 type RepairChecker func(*Schedule) error
 
 // RepairFailure records where the repair -> verify -> re-place escalation
@@ -678,8 +681,10 @@ func (e *RepairFailure) Unwrap() error { return e.Err }
 // verify; on rejection escalate to a full re-placement, verify; only then
 // give up with a *RepairFailure naming the stage reached. The input
 // schedule is never mutated — each attempt works on a Clone — and the
-// returned schedule is the accepted clone. A nil checker degrades to
-// structural validation only. It is RepairVerifiedCtx without a deadline.
+// returned schedule is the accepted clone. Each candidate passes one gate:
+// the checker, or ValidateScheduleOn when the checker is nil. A malformed
+// input (see RepairSchedule) gets CheckShape's error before any attempt.
+// It is RepairVerifiedCtx without a deadline.
 func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
 	return RepairVerifiedCtx(context.Background(), s, m, f, o, check)
 }
@@ -691,26 +696,27 @@ func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 // which then fails with a *RepairFailure at stage "deadline" wrapping the
 // context's error. The returned schedule is always verifier-clean.
 func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
+	if err := CheckShape(s, m); err != nil {
+		return nil, nil, err
+	}
 	return repairVerified(ctx, s.Clone, m, f, o, check)
 }
 
 // repairVerified is RepairVerifiedCtx on the copies fresh returns, one per
 // attempt: each must be a schedule no one else holds, equal to the input.
 func repairVerified(ctx context.Context, fresh func() *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
-	// attempt repairs a fresh copy and verifier-gates one configuration.
+	if check == nil {
+		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
+	}
+	// attempt repairs a fresh copy and gates one configuration.
 	attempt := func(opts RepairOptions, repairStage, rejectStage string) (*Schedule, *RepairReport, error) {
 		c := fresh()
 		rep, err := repairCtx(ctx, c, m, f, opts)
 		if err != nil {
 			return nil, nil, &RepairFailure{Stage: repairStage, Err: err}
 		}
-		if verr := ValidateScheduleOn(c, m, f); verr != nil {
-			return nil, nil, &RepairFailure{Stage: rejectStage, Err: verr}
-		}
-		if check != nil {
-			if cerr := check(c); cerr != nil {
-				return nil, nil, &RepairFailure{Stage: rejectStage, Err: cerr}
-			}
+		if cerr := check(c); cerr != nil {
+			return nil, nil, &RepairFailure{Stage: rejectStage, Err: cerr}
 		}
 		return c, rep, nil
 	}

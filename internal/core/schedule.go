@@ -65,8 +65,8 @@ type Schedule struct {
 	// in [0, Lines). The emitters number lines densely in first-touch order;
 	// copies, cuts and repairs keep the numbering and the bound, so a
 	// residual may leave some IDs unused. Per-line state outside the
-	// verifier is indexed by these IDs; no line table travels with the
-	// schedule.
+	// verifier is indexed by these IDs, a Checkpoint's Home and L1Resident
+	// included; no line table travels with the schedule.
 	Lines int
 }
 

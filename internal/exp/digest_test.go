@@ -88,7 +88,8 @@ func appDigests(name string, seed int64) ([]string, error) {
 		part.int(int64(res.WindowSize))
 		part.int(res.Stats.TotalMovement)
 		part.schedule(res.Schedule)
-		if _, err := lineIDsConsistent(res.Schedule, true); err != nil {
+		lineOf, err := lineIDsConsistent(res.Schedule, true)
+		if err != nil {
 			return nil, fmt.Errorf("%s/%s partition: %w", name, nest.Name, err)
 		}
 
@@ -117,7 +118,10 @@ func appDigests(name string, seed int64) ([]string, error) {
 			return nil, fmt.Errorf("%s/%s fault-event sim: %w", name, nest.Name, err)
 		}
 		ck := run.Checkpoints[0]
-		ckpt.checkpoint(ck, m.Nodes())
+		if err := checkpointFormat(ck, res.Schedule, m); err != nil {
+			return nil, fmt.Errorf("%s/%s checkpoint: %w", name, nest.Name, err)
+		}
+		ckpt.checkpoint(lineKeyed(ck, lineOf), m.Nodes())
 
 		in := verify.PartitionInput(app.Prog, app.Store, res, opts)
 		in.Faults, in.Completed = f, ck.CompletedInstances(res.Schedule)
@@ -205,27 +209,28 @@ func (d *digest) schedule(s *core.Schedule) {
 	}
 }
 
-// checkpoint encodes the checkpoint's residency: which nodes have an
-// L1Resident entry and their lines, then Home in line order.
-func (d *digest) checkpoint(ck *core.Checkpoint, nodes int) {
-	d.int(int64(len(ck.L1Resident)))
+// checkpoint encodes a checkpoint's residency by line, as lineKeyed maps it
+// back on the mesh of nodes nodes: which nodes hold copies and their lines,
+// then the homes in line order.
+func (d *digest) checkpoint(r lineResidency, nodes int) {
+	d.int(int64(len(r.resident)))
 	for n := mesh.NodeID(0); int(n) < nodes; n++ {
-		lines, ok := ck.L1Resident[n]
+		lines, ok := r.resident[n]
 		d.bool(ok)
 		d.int(int64(len(lines)))
 		for _, l := range lines {
 			d.int(int64(l))
 		}
 	}
-	homes := make([]uint64, 0, len(ck.Home))
-	for l := range ck.Home {
+	homes := make([]uint64, 0, len(r.home))
+	for l := range r.home {
 		homes = append(homes, l)
 	}
 	slices.Sort(homes)
 	d.int(int64(len(homes)))
 	for _, l := range homes {
 		d.int(int64(l))
-		d.int(int64(ck.Home[l]))
+		d.int(int64(r.home[l]))
 	}
 }
 

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"slices"
-
 	"dmacp/internal/core"
 	"dmacp/internal/mesh"
 )
@@ -53,34 +51,31 @@ func buildCheckpoint(sched *core.Schedule, nodes int, startAt, occEndAt, finish 
 	}
 
 	// Residency replay with write-invalidation, completed tasks in ID order,
-	// by the schedule's line IDs; lines notes each replayed ID's line. Then
-	// every holder of a line keeps a copy.
+	// by the schedule's line IDs. Then every holder of a line keeps a copy;
+	// IDs are visited ascending, so each node's list comes out sorted.
 	var res core.Residency
 	res.Reserve(sched.Lines)
-	lines := make([]uint64, sched.Lines)
-	ck.Home = make(map[uint64]mesh.NodeID)
+	ck.Home = make([]mesh.NodeID, sched.Lines)
+	for id := range ck.Home {
+		ck.Home[id] = mesh.InvalidNode
+	}
 	for i, t := range sched.Tasks {
 		if !ck.Done[i] {
 			continue
 		}
 		for _, f := range t.Fetches {
 			res.Read(f.LineID, t.Node, i)
-			lines[f.LineID] = f.Line
 		}
 		if t.IsRoot {
 			res.Write(t.ResultID, t.Node, i)
-			lines[t.ResultID] = t.ResultLine
-			ck.Home[t.ResultLine] = t.Node
+			ck.Home[t.ResultID] = t.Node
 		}
 	}
-	ck.L1Resident = make(map[mesh.NodeID][]uint64, nodes)
-	for id, line := range lines {
-		for _, n := range res.Holders(int32(id), mesh.InvalidNode) {
-			ck.L1Resident[n] = append(ck.L1Resident[n], line)
+	ck.L1Resident = make([][]int32, nodes)
+	for id := int32(0); int(id) < sched.Lines; id++ {
+		for _, n := range res.Holders(id, mesh.InvalidNode) {
+			ck.L1Resident[n] = append(ck.L1Resident[n], id)
 		}
-	}
-	for n := mesh.NodeID(0); int(n) < nodes; n++ {
-		slices.Sort(ck.L1Resident[n])
 	}
 	return ck
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"dmacp/internal/core"
@@ -82,25 +82,48 @@ func TestCheckpointInstanceGranularity(t *testing.T) {
 
 	// The completed root owns its result line and its node's busy horizon.
 	root := sched.Tasks[1]
-	if home, ok := mid.Home[root.ResultLine]; !ok || home != root.Node {
-		t.Errorf("result line home = %v (%v), want %v", home, ok, root.Node)
+	if home := mid.Home[root.ResultID]; home != root.Node {
+		t.Errorf("result line home = %v, want %v", home, root.Node)
 	}
 	if mid.NodeFree[root.Node] <= 0 {
 		t.Errorf("completed root's node has zero busy horizon")
 	}
-	if !sort.SliceIsSorted(mid.L1Resident[root.Node], func(a, b int) bool {
-		return mid.L1Resident[root.Node][a] < mid.L1Resident[root.Node][b]
-	}) {
-		t.Error("L1Resident lines not sorted")
+	if !slices.IsSorted(mid.L1Resident[root.Node]) {
+		t.Error("L1Resident line IDs not sorted")
 	}
-	found := false
-	for _, line := range mid.L1Resident[root.Node] {
-		if line == root.ResultLine {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(mid.L1Resident[root.Node], root.ResultID) {
 		t.Error("write-invalidated result line not resident at the writer")
+	}
+}
+
+// TestCheckpointHomesLastWriter stores one line from two nodes in turn, the
+// second store ordered after the first: the checkpoint must home the line
+// at the later writer, whose copy the store left the only one.
+func TestCheckpointHomesLastWriter(t *testing.T) {
+	m := mesh.MustNew(6, 6)
+	const line = 0x200
+	first := &core.Task{ID: 0, Node: m.NodeAt(0, 0), Ops: 2, Iter: 0, IsRoot: true, ResultLine: line}
+	second := &core.Task{ID: 1, Node: m.NodeAt(4, 4), Ops: 2, Iter: 1, IsRoot: true, ResultLine: line,
+		WaitFor: []int{0}, WaitHops: []int{m.Distance(first.Node, m.NodeAt(4, 4))}}
+	sched := numbered(&core.Schedule{Tasks: []*core.Task{first, second}, Instances: 2, SyncsBefore: 1, SyncsAfter: 1})
+	cfg := DefaultConfig(m)
+	base, err := Run(sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FaultEvents = []FaultEvent{{Cycle: base.Cycles, Faults: mesh.NewFaultSet()}}
+	res, err := Run(sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, id := res.Checkpoints[0], second.ResultID
+	if ck.Home[id] != second.Node {
+		t.Errorf("line homed at %v, want the last writer's node %v", ck.Home[id], second.Node)
+	}
+	for n, ids := range ck.L1Resident {
+		if held := slices.Contains(ids, id); held != (mesh.NodeID(n) == second.Node) {
+			t.Errorf("node %d holds the line: %v", n, held)
+		}
 	}
 }
 

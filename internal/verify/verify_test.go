@@ -400,22 +400,90 @@ func TestClosureOrderedAndEqual(t *testing.T) {
 
 // TestCheckerGatesCandidates drives the repair gate directly: the clean
 // partitioner schedule passes, and a candidate with a dropped flow arc is
-// rejected with the verifier's first violation.
+// rejected with the verifier's first violation. On a degraded mesh, with
+// Input.Faults set, a repaired schedule passes, and each structural
+// corruption ValidateScheduleOn rejects there is rejected too: a task on a
+// dead tile, a stale WaitHops entry, a line ID naming two lines.
 func TestCheckerGatesCandidates(t *testing.T) {
-	in, _ := partitionInput(t, "A(i) = B(i)\nC(i) = A(i)+B(i)\nD(i) = A(i)", 64, 1<<10)
-	check := verify.Checker(in)
-	if err := check(in.Schedule); err != nil {
-		t.Fatalf("clean schedule rejected: %v", err)
+	in, opts := partitionInput(t, "A(i) = B(i)\nC(i) = A(i)+B(i)\nD(i) = A(i)", 64, 1<<10)
+	m := opts.Mesh
+	// Repair candidates are checked on the degraded mesh, with Input.Faults
+	// set: the checker is then the ladder's only structural gate, so it must
+	// reject what ValidateScheduleOn rejects there.
+	f := mesh.Inject(m, 3, 3, 0, 1, true)
+	repaired, _, err := core.RepairVerified(in.Schedule, m, f, core.RepairOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	broken := in.Schedule.Clone()
-	for _, tk := range broken.Tasks {
-		tk.WaitFor, tk.WaitHops = nil, nil
+	degradedIn := in
+	degradedIn.Faults = f
+	pristine, degraded := verify.Checker(in), verify.Checker(degradedIn)
+	dead := mesh.InvalidNode
+	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
+		if !f.NodeUsable(n) {
+			dead = n
+		}
 	}
-	if err := check(broken); err == nil {
-		t.Fatal("schedule with every wait arc dropped accepted")
+	probes := []struct {
+		name       string
+		check      core.RepairChecker
+		clean      *core.Schedule
+		structural bool
+		corrupt    func(t *testing.T, s *core.Schedule)
+	}{
+		{"every wait arc dropped", pristine, in.Schedule, false, func(t *testing.T, s *core.Schedule) {
+			for _, tk := range s.Tasks {
+				tk.WaitFor, tk.WaitHops = nil, nil
+			}
+		}},
+		{"task on a dead tile", degraded, repaired, true, func(t *testing.T, s *core.Schedule) {
+			if dead == mesh.InvalidNode {
+				t.Fatal("fault set kills no node")
+			}
+			s.Tasks[len(s.Tasks)/2].Node = dead
+		}},
+		{"stale WaitHops entry", degraded, repaired, true, func(t *testing.T, s *core.Schedule) {
+			for _, tk := range s.Tasks {
+				if len(tk.WaitHops) > 0 {
+					tk.WaitHops[0]++
+					return
+				}
+			}
+			t.Fatal("repaired schedule has no wait arc")
+		}},
+		{"line ID naming two lines", degraded, repaired, true, func(t *testing.T, s *core.Schedule) {
+			var first *core.Fetch
+			for _, tk := range s.Tasks {
+				for fi := range tk.Fetches {
+					fe := &tk.Fetches[fi]
+					if first == nil {
+						first = fe
+					} else if fe.Line != first.Line {
+						fe.LineID = first.LineID
+						return
+					}
+				}
+			}
+			t.Fatal("repaired schedule fetches fewer than two lines")
+		}},
 	}
-	if err := check(in.Schedule); err != nil {
-		t.Fatalf("checker kept state from the rejected candidate: %v", err)
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			if err := p.check(p.clean); err != nil {
+				t.Fatalf("clean schedule rejected: %v", err)
+			}
+			broken := p.clean.Clone()
+			p.corrupt(t, broken)
+			if p.structural && core.ValidateScheduleOn(broken, m, f) == nil {
+				t.Fatal("probe left the schedule structurally valid")
+			}
+			if err := p.check(broken); err == nil {
+				t.Fatal("corrupted schedule accepted")
+			}
+			if err := p.check(p.clean); err != nil {
+				t.Fatalf("checker kept state from the rejected candidate: %v", err)
+			}
+		})
 	}
 }
 

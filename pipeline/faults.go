@@ -195,16 +195,21 @@ func setupFaults(k Kernel, cfg Config, spec FaultSpec, online bool) (*faultRun, 
 		opt: opt, baseSim: baseSim, in: in}, nil
 }
 
-// verifySummary re-checks the accepted schedule, so the reported counters
-// describe the schedule that is returned rather than whichever candidate the
-// ladder verified last.
-func verifySummary(in verify.Input, accepted *core.Schedule) (string, error) {
-	in.Schedule = accepted
-	rep, err := verify.Check(in, verify.Options{})
-	if err != nil {
-		return "", err
+// summarizingChecker is verify.Checker(in) that also keeps, in summary, the
+// report summary of the last candidate it passed. The repair ladder returns
+// on its first clean attempt, so once a repair is accepted that is the
+// summary of the returned schedule.
+func summarizingChecker(in verify.Input, summary *string) core.RepairChecker {
+	return func(s *core.Schedule) error {
+		in.Schedule = s
+		rep, err := verify.Check(in, verify.Options{})
+		if err == nil {
+			if err = rep.Err(); err == nil {
+				*summary = rep.Summary()
+			}
+		}
+		return err
 	}
-	return rep.Summary(), nil
 }
 
 // unrepairable builds the failure diagnostic for a fault set the escalation
@@ -243,13 +248,10 @@ func RunFaults(k Kernel, cfg Config, spec FaultSpec) (*FaultReport, error) {
 	}
 	ctx, cancel := repairContext(cfg)
 	defer cancel()
-	repaired, rep, err := core.RepairVerifiedCtx(ctx, r.opt.Schedule, r.opts.Mesh, r.f, r.ro, verify.Checker(r.in))
+	var summary string
+	repaired, rep, err := core.RepairVerifiedCtx(ctx, r.opt.Schedule, r.opts.Mesh, r.f, r.ro, summarizingChecker(r.in, &summary))
 	if err != nil {
 		return nil, r.unrepairable(r.kernel, err)
-	}
-	summary, err := verifySummary(r.in, repaired)
-	if err != nil {
-		return nil, err
 	}
 	faultSim, err := r.degradedSim(repaired, nil)
 	if err != nil {
@@ -355,13 +357,10 @@ func RunFaultsOnline(k Kernel, cfg Config, spec FaultSpec, arrivalFrac float64) 
 	residualIn.Completed = ck.CompletedInstances(r.opt.Schedule)
 	ctx, cancel := repairContext(cfg)
 	defer cancel()
-	residual, orep, err := core.RepairOnlineCtx(ctx, r.opt.Schedule, ck, r.opts.Mesh, r.f, r.ro, verify.Checker(residualIn))
+	var summary string
+	residual, orep, err := core.RepairOnlineCtx(ctx, r.opt.Schedule, ck, r.opts.Mesh, r.f, r.ro, summarizingChecker(residualIn, &summary))
 	if err != nil {
 		return nil, r.unrepairable(r.kernel, err)
-	}
-	summary, err := verifySummary(residualIn, residual)
-	if err != nil {
-		return nil, err
 	}
 
 	// Scratch baseline: throw the checkpoint away and re-place everything.
